@@ -32,6 +32,7 @@ from .covers import (
     cover_cost_point,
     cover_cost_product,
     cover_cost_sequence,
+    prepare,
     schedule_mass_constant,
 )
 from .errors import (

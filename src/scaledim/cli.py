@@ -44,7 +44,7 @@ from .covers import (
     cover_cost_exhaustive,
 )
 from .errors import ComputationError, ConfigError, InputError, ValidationError
-from .estimator import critical_exponent, dimension_profile, theta_profile
+from .estimator import critical_exponent, dimension_profile
 from .interpolation import phi_s_family
 from .measures import (
     ball_to_set_constant,
@@ -177,6 +177,15 @@ def parse_s_grid(spec) -> tuple[float, float, int]:
     return a, b, n
 
 
+def _from_spec(build, spec, what: str):
+    """``build(spec)`` for a user-given spec; a missing key or a malformed
+    value is a configuration error, not a crash."""
+    try:
+        return build(spec)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {what} {spec!r}: {exc!r}") from exc
+
+
 def parse_model_spec(spec) -> dict:
     """Inline JSON (leading '{') or a path to a JSON file."""
     if isinstance(spec, dict):
@@ -275,9 +284,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     s_grid_spec = pick("s_grid")
     s_grid = parse_s_grid(s_grid_spec) if s_grid_spec is not None else None
     model = parse_model_spec(pick("model"))
-    phi = parse_phi_spec(pick("phi"))
+    phi = _from_spec(parse_phi_spec, pick("phi"), "phi spec")
     phi2_spec = pick("phi2")
-    phi2 = parse_phi_spec(phi2_spec) if phi2_spec is not None else None
+    phi2 = None if phi2_spec is None else _from_spec(parse_phi_spec, phi2_spec, "phi2 spec")
     inputs_spec = pick("inputs")
     if inputs_spec is None:
         inputs = None
@@ -406,11 +415,11 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _resolved_model(cfg: RunConfig):
-    return model_from_dict(cfg.model)
+    return _from_spec(model_from_dict, cfg.model, "model spec")
 
 
 def _resolved_phi(cfg: RunConfig):
-    return scale_function_from_dict(cfg.phi)
+    return _from_spec(scale_function_from_dict, cfg.phi, "phi spec")
 
 
 def _run_estimate(cfg: RunConfig):
@@ -435,9 +444,6 @@ def _run_estimate(cfg: RunConfig):
     return payload, (("log2_delta", "s_lower", "s_upper"), rows), summary
 
 
-_DIM_KEYS = ("box_lower", "box_upper", "assouad", "theta", "hausdorff")
-
-
 def _dim_inputs(inputs: dict) -> DimInputs:
     missing = [k for k in ("box_lower", "box_upper", "assouad") if k not in inputs]
     if missing:
@@ -451,11 +457,7 @@ def _dim_inputs(inputs: dict) -> DimInputs:
     )
 
 
-def _run_bounds(cfg: RunConfig):
-    if cfg.formula is None:
-        raise ConfigError("bounds needs --formula (see --help for choices)")
-    inputs = cfg.inputs or {}
-    formula = cfg.formula
+def _bounds_result(formula: str, inputs: dict) -> dict:
     if formula == "general_lower":
         d = _dim_inputs(inputs)
         result = {
@@ -509,6 +511,17 @@ def _run_bounds(cfg: RunConfig):
         }
     else:
         raise ConfigError(f"unknown formula {formula!r}")
+    return result
+
+
+def _run_bounds(cfg: RunConfig):
+    if cfg.formula is None:
+        raise ConfigError("bounds needs --formula (see --help for choices)")
+    inputs = cfg.inputs or {}
+    formula = cfg.formula
+    result = _from_spec(
+        lambda data: _bounds_result(formula, data), inputs, f"{formula} inputs"
+    )
     payload = {"command": "bounds", "formula": formula, "inputs": inputs, "result": result}
     rows = [(k, result[k]) for k in sorted(result)]
     summary = "bounds[%s]: %s -> %s" % (
@@ -544,7 +557,7 @@ def _run_phi(cfg: RunConfig):
     if len(log_deltas) >= 8:
         payload["exponent_pair"] = list(exponent_pair(phi, log_deltas))
     if cfg.phi2 is not None:
-        other = scale_function_from_dict(cfg.phi2)
+        other = _from_spec(scale_function_from_dict, cfg.phi2, "phi2 spec")
         payload["phi2"] = scale_function_to_dict(other)
         payload["precedes"] = _comparison_dict(
             precedes(phi, other, cfg.alphas, log_deltas)

@@ -3,7 +3,11 @@
 The central quantity: for a set model, an exponent ``s``, and a window
 ``[lo, hi]`` of allowed interval lengths, the minimum of ``sum |U_i| ** s``
 over covers of the set whose pieces all have lengths inside the window.
-Dimensions are read off from where this cost crosses 1 as ``s`` varies.
+Dimensions are read off from where this cost crosses 1 as ``s`` varies,
+so one window is evaluated at many exponents: :func:`prepare` turns a
+(model, window) pair into a function of ``s``, and on the DP route it
+builds the skeleton and the cover graph once per window and runs only
+the value sweep per ``s``.
 
 Costs are carried as natural logs throughout, and every routine returns a
 :class:`CoverCost` bracket ``log_cost_lower <= log_cost_upper`` so that
@@ -12,14 +16,17 @@ downstream root finding can certify both sides.  Routines:
 * :func:`cover_cost_exhaustive` -- brute-force partition search over a
   finite diameter grid; the reference oracle for small point sets.
 * :func:`cover_cost_dp` -- exact minimum over a materialized skeleton for
-  ``s in [0, 1]`` by dynamic programming on reachable cover fronts.
+  ``s in [0, 1]``: a graph of reachable cover fronts, built once per
+  window, and a dynamic-programming sweep over it per ``s``.
 * :func:`cover_cost_cantor` -- single-level covers of a Cantor schedule,
   with a natural-measure lower bound; works at symbolic depths.
 * :func:`cover_cost_sequence` -- closed-form two-scale covers of the
   sequence set {n ** -p}.
 * :func:`cover_cost_grid`, :func:`cover_cost_point`,
   :func:`combine_union`, :func:`cover_cost_product` -- the remaining model
-  kinds, plus :func:`cover_cost` dispatching on the model.
+  kinds.
+* :func:`prepare` dispatches on the model kind and :func:`cover_cost` is
+  one evaluation of it.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import BudgetError, DomainError, InputError, ResolutionError
 from .logspace import LOG2, log_add, log_sum
@@ -44,6 +51,7 @@ from .setmodels import (
 )
 
 _LINEAR_LOG_FLOOR = -680.0  # below this, exp() underflows and the DP is off limits
+_STATE_CAP = 500_000  # cover-graph states before the DP gives up
 _TOL = 1e-12
 
 
@@ -216,117 +224,142 @@ def _validate_skeleton(items: Skeleton) -> Skeleton:
     return norm
 
 
-def cover_cost_dp(
-    items: Skeleton,
-    window: ScaleWindow,
-    s: float,
-    *,
-    state_cap: int = 500_000,
-    want_pieces: bool = False,
-) -> CoverCost:
-    """Exact minimum cover cost of a skeleton, for s in [0, 1].
-
-    States are the left endpoints of a possible next cover interval: a
-    cover may as well consist of intervals [x, x + L] starting at the first
-    point not yet covered.  From each state the optimal next interval
-    either has length lo, length hi, or ends exactly at an item's right
-    end; for s <= 1 the cost L ** s is concave, so some optimal cover uses
-    only these moves (push every interval of an optimal cover to an
-    extreme, one fractional piece per covered run, placed last).
-
-    The reachable states are finite and every move advances strictly
-    right, so the value function is computed by one sweep in decreasing
-    state order -- no recursion, memory linear in the state count.
-    """
-    items = _validate_skeleton(items)
-    _validate_exponent(s)
+def _require_linear(window: ScaleWindow) -> None:
     if not window.linear_representable():
         raise ResolutionError(
             "window floor is below the representable linear range; "
             "use an analytic cover routine instead of the DP"
         )
-    lo, hi = window.lo, window.hi
-    if s * window.log_lo < _LINEAR_LOG_FLOOR:
-        raise ResolutionError("lo ** s underflows; window too deep for the DP")
-    starts = [a for a, _ in items]
-    ends = [b for _, b in items]
-    n = len(items)
 
-    def next_uncovered(covered_end: float) -> Optional[float]:
-        k = bisect_right(starts, covered_end)
-        if k > 0 and ends[k - 1] > covered_end:
-            return covered_end  # strictly inside item k-1
-        return starts[k] if k < n else None
 
-    def successors(x: float) -> dict:
-        cands: dict[Optional[float], float] = {}
+class _CoverGraph:
+    """Reachable cover fronts of one skeleton under one window.
 
-        def add(length: float, nxt: Optional[float]) -> None:
-            prev = cands.get(nxt)
-            if prev is None or length < prev:
-                cands[nxt] = length
+    States are the left endpoints of a possible next cover interval; each
+    maps its successor states (None once everything is covered) to the
+    shortest move length reaching them.  Nothing here depends on ``s``, so
+    one graph serves every exponent.
+    """
 
-        reach = x + hi
-        ftol = hi * 1e-12  # absorb float drift in accumulated endpoints
-        j = bisect_left(ends, x)  # first item with material at or beyond x
-        while j < n and starts[j] <= reach:
-            b = ends[j]
-            if b <= reach + ftol:
-                span = b - x
-                if span >= lo:
-                    add(min(span, hi), next_uncovered(b))  # end at the item
+    def __init__(self, items: Skeleton, window: ScaleWindow, state_cap: int) -> None:
+        items = _validate_skeleton(items)
+        _require_linear(window)
+        lo, hi = window.lo, window.hi
+        starts = [a for a, _ in items]
+        ends = [b for _, b in items]
+        n = len(items)
+
+        def next_uncovered(covered_end: float) -> Optional[float]:
+            k = bisect_right(starts, covered_end)
+            if k > 0 and ends[k - 1] > covered_end:
+                return covered_end  # strictly inside item k-1
+            return starts[k] if k < n else None
+
+        def successors(x: float) -> dict:
+            cands: dict[Optional[float], float] = {}
+
+            def add(length: float, nxt: Optional[float]) -> None:
+                prev = cands.get(nxt)
+                if prev is None or length < prev:
+                    cands[nxt] = length
+
+            reach = x + hi
+            ftol = hi * 1e-12  # absorb float drift in accumulated endpoints
+            j = bisect_left(ends, x)  # first item with material at or beyond x
+            while j < n and starts[j] <= reach:
+                b = ends[j]
+                if b <= reach + ftol:
+                    span = b - x
+                    if span >= lo:
+                        add(min(span, hi), next_uncovered(b))  # end at the item
+                    else:
+                        add(lo, next_uncovered(x + lo))
+                    j += 1
                 else:
-                    add(lo, next_uncovered(x + lo))
-                j += 1
-            else:
-                add(hi, next_uncovered(reach))  # partial reach into item j
-                break
-        add(lo, next_uncovered(x + lo))
-        return cands
+                    add(hi, next_uncovered(reach))  # partial reach into item j
+                    break
+            add(lo, next_uncovered(x + lo))
+            return cands
 
-    x0 = starts[0]
-    edges: dict[float, dict] = {}
-    stack = [x0]
-    edges[x0] = {}
-    while stack:
-        x = stack.pop()
-        succ = successors(x)
-        edges[x] = succ
-        for nxt in succ:
-            if nxt is not None and nxt not in edges:
-                edges[nxt] = {}
-                stack.append(nxt)
-        if len(edges) > state_cap:
-            raise BudgetError(
-                f"cover DP exceeded {state_cap} states; coarsen the window "
-                "or use an analytic route"
-            )
+        x0 = starts[0]
+        edges: dict[float, dict] = {x0: {}}
+        stack = [x0]
+        while stack:
+            x = stack.pop()
+            succ = successors(x)
+            edges[x] = succ
+            for nxt in succ:
+                if nxt is not None and nxt not in edges:
+                    edges[nxt] = {}
+                    stack.append(nxt)
+            if len(edges) > state_cap:
+                raise BudgetError(
+                    f"cover DP exceeded {state_cap} states; coarsen the window "
+                    "or use an analytic route"
+                )
+        self.start = x0
+        self.edges = edges
+        self.order = sorted(edges, reverse=True)  # every move goes right
 
-    value: dict[Optional[float], float] = {None: 0.0}
-    choice: dict[float, tuple[float, Optional[float]]] = {}
-    for x in sorted(edges, reverse=True):
-        best = math.inf
-        best_move = None
-        for nxt, length in edges[x].items():
-            v = length**s + value[nxt]
-            if v < best:
-                best = v
-                best_move = (length, nxt)
-        value[x] = best
-        choice[x] = best_move
+    def cost(self, s: float, want_pieces: bool = False) -> CoverCost:
+        """Value sweep in decreasing state order; ``s`` must be in [0, 1]."""
+        edges = self.edges
+        value: dict[Optional[float], float] = {None: 0.0}
+        for x in self.order:
+            best = math.inf
+            for nxt, length in edges[x].items():
+                v = length**s + value[nxt]
+                if v < best:
+                    best = v
+            value[x] = best
+        pieces = None
+        if want_pieces and len(edges) <= 100_000:
+            # replay the sweep's first strict minimum along the optimal path
+            path = []
+            x: Optional[float] = self.start
+            while x is not None:
+                best = math.inf
+                for nxt, length in edges[x].items():
+                    v = length**s + value[nxt]
+                    if v < best:
+                        best, move = v, (length, nxt)
+                path.append((x, move[0]))
+                x = move[1]
+            pieces = tuple(path)
+        log_total = math.log(value[self.start])
+        return CoverCost(log_total, log_total, "exact-dp", pieces)
 
-    total = value[x0]
-    pieces = None
-    if want_pieces and len(edges) <= 100_000:
-        path = []
-        x: Optional[float] = x0
-        while x is not None:
-            length, nxt = choice[x]
-            path.append((x, length))
-            x = nxt
-        pieces = tuple(path)
-    log_total = math.log(total)
-    return CoverCost(log_total, log_total, "exact-dp", pieces)
+
+def cover_cost_dp(
+    items: Skeleton,
+    window: ScaleWindow,
+    s: float,
+    *,
+    state_cap: int = _STATE_CAP,
+    want_pieces: bool = False,
+) -> CoverCost:
+    """Exact minimum cover cost of a skeleton, for s in [0, 1].
+
+    Built in two parts: a cover graph once per (skeleton, window), then a
+    value sweep per ``s``.  :func:`prepare` keeps the graph across
+    exponents; this function builds it for a single ``s``.
+
+    Graph: states are the left endpoints of a possible next cover
+    interval -- a cover may as well consist of intervals [x, x + L]
+    starting at the first point not yet covered.  From each state the
+    optimal next interval either has length lo, length hi, or ends exactly
+    at an item's right end; for s <= 1 the cost L ** s is concave, so some
+    optimal cover uses only these moves (push every interval of an optimal
+    cover to an extreme, one fractional piece per covered run, placed
+    last).  The reachable states are finite and the search stops with a
+    budget error beyond ``state_cap`` of them.
+
+    Sweep: every move advances strictly right, so the value function is
+    computed by one pass in decreasing state order -- no recursion, memory
+    linear in the state count.
+    """
+    _validate_exponent(s)
+    return _CoverGraph(items, window, state_cap).cost(s, want_pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -628,14 +661,63 @@ def cover_cost_product(
 # dispatch
 
 
-def _dp_on_skeleton(model, window: ScaleWindow, s: float) -> CoverCost:
-    if not window.linear_representable():
-        raise ResolutionError(
-            "window floor below the representable linear range; the DP "
-            "route needs linear-scale skeletons"
-        )
-    items = skeleton(model, window.lo)
-    return cover_cost_dp(items, window, s)
+def _prepare_dp(model, window: ScaleWindow) -> Callable[[float], CoverCost]:
+    graph: Optional[_CoverGraph] = None
+
+    def cost(s: float) -> CoverCost:
+        nonlocal graph
+        _validate_exponent(s)
+        if graph is None:
+            _require_linear(window)  # before materializing at resolution lo
+            graph = _CoverGraph(skeleton(model, window.lo), window, _STATE_CAP)
+        return graph.cost(s)
+
+    return cost
+
+
+def prepare(
+    model,
+    window: ScaleWindow,
+    *,
+    oracle: str = "auto",
+    mass_level: Optional[int] = None,
+) -> Callable[[float], CoverCost]:
+    """The cover cost of one (model, window) as a function of ``s``.
+
+    ``oracle`` selects the route: "auto" picks the analytic route for each
+    model kind, "dp" forces the exact skeleton DP (linear scales only),
+    "analytic" refuses kinds without a closed form.  On DP routes the
+    skeleton and cover graph are built on the first call and reused for
+    every later ``s``; analytic routes are evaluated afresh per call.
+    """
+    if oracle not in ("auto", "dp", "analytic"):
+        raise InputError(f"unknown oracle {oracle!r}")
+    if isinstance(model, PointSet):
+        return lambda s: cover_cost_point(window, s)
+    if isinstance(model, ProductModel):
+        return lambda s: cover_cost_product(model, window, s, oracle=oracle)
+    if isinstance(model, UnionModel):
+        members = [
+            prepare(m, window, oracle=oracle, mass_level=mass_level)
+            for m in model.members
+        ]
+        return lambda s: combine_union([m(s) for m in members], model.gap, window)
+    if oracle == "dp":
+        return _prepare_dp(model, window)
+    if isinstance(model, SequenceSet):
+        return lambda s: cover_cost_sequence(model.p, window, s)
+    if isinstance(model, CantorSchedule):
+        return lambda s: cover_cost_cantor(model, window, s, mass_level=mass_level)
+    if isinstance(model, UniformGrid):
+        return lambda s: cover_cost_grid(model.spacing_at(window.lo), window, s)
+    if isinstance(model, HolderImage):
+        if oracle == "analytic":
+            raise InputError("Holder images have no closed-form cover cost")
+        return _prepare_dp(model, window)
+    raise InputError(
+        f"no cover route for model kind "
+        f"{getattr(model, 'kind', type(model).__name__)!r}"
+    )
 
 
 def cover_cost(
@@ -646,37 +728,6 @@ def cover_cost(
     oracle: str = "auto",
     mass_level: Optional[int] = None,
 ) -> CoverCost:
-    """Cover cost bracket for any line model (or product of line models).
-
-    ``oracle`` selects the route: "auto" picks the analytic route for each
-    model kind, "dp" forces the exact skeleton DP (linear scales only),
-    "analytic" refuses kinds without a closed form.
-    """
-    if oracle not in ("auto", "dp", "analytic"):
-        raise InputError(f"unknown oracle {oracle!r}")
-    if isinstance(model, PointSet):
-        return cover_cost_point(window, s)
-    if isinstance(model, ProductModel):
-        return cover_cost_product(model, window, s, oracle=oracle)
-    if isinstance(model, UnionModel):
-        members = [
-            cover_cost(m, window, s, oracle=oracle, mass_level=mass_level)
-            for m in model.members
-        ]
-        return combine_union(members, model.gap, window)
-    if oracle == "dp":
-        return _dp_on_skeleton(model, window, s)
-    if isinstance(model, SequenceSet):
-        return cover_cost_sequence(model.p, window, s)
-    if isinstance(model, CantorSchedule):
-        return cover_cost_cantor(model, window, s, mass_level=mass_level)
-    if isinstance(model, UniformGrid):
-        return cover_cost_grid(model.spacing_at(window.lo), window, s)
-    if isinstance(model, HolderImage):
-        if oracle == "analytic":
-            raise InputError("Holder images have no closed-form cover cost")
-        return _dp_on_skeleton(model, window, s)
-    raise InputError(
-        f"no cover route for model kind "
-        f"{getattr(model, 'kind', type(model).__name__)!r}"
-    )
+    """Cover cost bracket for any line model (or product of line models);
+    one evaluation of :func:`prepare`."""
+    return prepare(model, window, oracle=oracle, mass_level=mass_level)(s)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .covers import CoverCost, ScaleWindow, cover_cost
+from .covers import CoverCost, ScaleWindow, prepare
 from .errors import ConfigError, IndeterminateError
 from .scalefun import LogCorrected, PowerLaw, ScaleFunction
 from .setmodels import ambient_dimension, model_id
@@ -61,13 +61,12 @@ def critical_exponent(
         raise ConfigError(f"tol must be positive, got {tol}")
     window = ScaleWindow(phi.eval_phi_log(log_delta), log_delta)
     s_cap = float(ambient_dimension(model)) if s_max is None else float(s_max)
+    cost_at = prepare(model, window, oracle=oracle, mass_level=mass_level)
     cache: dict[float, CoverCost] = {}
 
     def costs(s: float) -> CoverCost:
         if s not in cache:
-            cache[s] = cover_cost(
-                model, window, s, oracle=oracle, mass_level=mass_level
-            )
+            cache[s] = cost_at(s)
         return cache[s]
 
     # upper curve: smallest s with log upper cost <= 0

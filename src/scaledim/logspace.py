@@ -14,7 +14,6 @@ NEG_INF = float("-inf")
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
-LOG5 = math.log(5.0)
 
 
 def log_add(a: float, b: float) -> float:
@@ -35,32 +34,3 @@ def log_sum(values: Iterable[float]) -> float:
     hi = max(vals)
     return hi + math.log(math.fsum(math.exp(v - hi) for v in vals))
 
-
-def log_sub(a: float, b: float) -> float:
-    """log(exp(a) - exp(b)); requires a >= b."""
-    if b == NEG_INF:
-        return a
-    if b > a:
-        raise ValueError(f"log_sub needs a >= b, got {a} < {b}")
-    if a == b:
-        return NEG_INF
-    return a + math.log1p(-math.exp(b - a))
-
-
-def from_log(x: float) -> float:
-    """exp(x), flushing underflow to 0.0 instead of raising."""
-    if x == NEG_INF:
-        return 0.0
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return float("inf")
-
-
-def to_log(x: float) -> float:
-    """log(x) for x >= 0, mapping 0 to NEG_INF."""
-    if x < 0:
-        raise ValueError(f"to_log needs x >= 0, got {x}")
-    if x == 0.0:
-        return NEG_INF
-    return math.log(x)

@@ -190,6 +190,27 @@ def test_invalid_window_exponent_exits_two(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["estimate", "--model", '{"kind": "sequence"}'],
+        ["estimate", "--phi", "power_law:abc"],
+        ["estimate", "--phi", '{"variant": "power_law"}'],
+        [
+            "bounds", "--formula", "continuity_upper", "--inputs",
+            '{"box_lower": 0.5, "box_upper": 0.5, "assouad": 1.0, "theta": 0.5}',
+        ],
+    ],
+    ids=["model-missing-p", "phi-not-a-number", "phi-missing-theta", "bounds-missing-dim-theta"],
+)
+def test_malformed_spec_exits_two(tmp_path, capsys, args):
+    out = tmp_path / "x.out"
+    code = main(args + ["--grid=-48:-24:2", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unordered_grid_exits_two(tmp_path):
     out = tmp_path / "x.csv"
     code = main(["estimate", "--grid=-24:-96:4", "--out", str(out)])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scaledim import covers
 from scaledim.covers import (
     CoverCost,
     ScaleWindow,
@@ -18,15 +19,18 @@ from scaledim.covers import (
     cover_cost_grid,
     cover_cost_point,
     cover_cost_sequence,
+    prepare,
     schedule_mass_constant,
 )
-from scaledim.errors import DomainError, InputError
+from scaledim.errors import BudgetError, DomainError, InputError, ResolutionError
 from scaledim.setmodels import (
     CantorSchedule,
+    HolderImage,
     ProductModel,
     SequenceSet,
     UniformGrid,
     UnionModel,
+    skeleton,
     translate,
 )
 
@@ -141,6 +145,61 @@ def test_dp_wants_pieces_witness():
     assert got.pieces is not None
     total = sum(length**0.8 for _, length in got.pieces)
     assert total == pytest.approx(math.exp(got.log_cost_upper), abs=1e-12)
+
+
+def bits(c: CoverCost):
+    return (c.log_cost_lower.hex(), c.log_cost_upper.hex(), c.method, c.pieces)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        SequenceSet(1.0),
+        SequenceSet(2.5),
+        HolderImage(SequenceSet(1.5), 0.6),
+        middle_thirds(30),
+        UniformGrid(2.0**-7),  # a skeleton of isolated points
+    ],
+    ids=["sequence", "sequence-p2.5", "holder", "middle-thirds", "points"],
+)
+def test_prepared_dp_matches_cover_cost_dp_bit_for_bit(model):
+    rng = np.random.default_rng(23)
+    sweep = [0.0, 0.05, 0.3, 1.0 / 3.0, 0.5, 0.71, 0.9, 1.0]
+    for _ in range(6):
+        hi = 2.0 ** -float(rng.uniform(2.0, 6.0))
+        window = ScaleWindow.from_linear(hi * 2.0 ** -float(rng.uniform(0.5, 4.0)), hi)
+        cost_at = prepare(model, window, oracle="dp")
+        items = skeleton(model, window.lo)
+        for s in sweep + sweep[::-1]:
+            assert bits(cost_at(s)) == bits(cover_cost_dp(items, window, s))
+            assert bits(cover_cost(model, window, s, oracle="dp")) == bits(cost_at(s))
+
+
+def test_dp_errors_keep_their_types(monkeypatch):
+    model = SequenceSet(1.0)
+    deep = ScaleWindow(-700.0, -10.0)
+    with pytest.raises(ResolutionError):
+        cover_cost(model, deep, 0.5, oracle="dp")
+    with pytest.raises(ResolutionError):
+        cover_cost_dp(skeleton(model, 1e-3), deep, 0.5)
+    with pytest.raises(ResolutionError):
+        cover_cost(HolderImage(model, 0.5), deep, 0.5)  # auto routes Holder to DP
+    window = ScaleWindow.from_linear(2.0**-10, 2.0**-5)
+    with pytest.raises(BudgetError):
+        cover_cost_dp(skeleton(model, window.lo), window, 0.5, state_cap=5)
+    monkeypatch.setattr(covers, "_STATE_CAP", 5)
+    with pytest.raises(BudgetError):
+        cover_cost(model, window, 0.5, oracle="dp")
+
+
+def test_prepare_rejects_bad_oracles_and_exponents():
+    window = ScaleWindow.from_linear(0.01, 0.1)
+    with pytest.raises(InputError):
+        prepare(SequenceSet(1.0), window, oracle="exact")
+    with pytest.raises(InputError):
+        prepare(HolderImage(SequenceSet(1.0), 0.5), window, oracle="analytic")
+    with pytest.raises(DomainError):
+        prepare(SequenceSet(1.0), window, oracle="dp")(1.5)
 
 
 # --- analytic routes vs DP ----------------------------------------------

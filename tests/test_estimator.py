@@ -1,10 +1,12 @@
 """Critical-exponent bisection and dimension profiles."""
 
 import math
+from collections import Counter
 
 import pytest
 
-from scaledim.errors import IndeterminateError
+from scaledim import covers, setmodels
+from scaledim.errors import BudgetError, IndeterminateError, ResolutionError
 from scaledim.estimator import (
     box_profile,
     critical_exponent,
@@ -14,6 +16,7 @@ from scaledim.estimator import (
 from scaledim.scalefun import LogCorrected, PowerLaw
 from scaledim.setmodels import (
     CantorSchedule,
+    HolderImage,
     ProductModel,
     SequenceSet,
     UniformGrid,
@@ -131,3 +134,41 @@ def test_exponent_estimates_increase_with_theta():
         for t in (0.2, 0.5, 0.8)
     ]
     assert mids[0] < mids[1] < mids[2]
+
+
+def test_dp_profile_builds_one_skeleton_per_model_and_scale(monkeypatch):
+    calls = Counter()
+    original = setmodels.skeleton
+
+    def counting(model, resolution):
+        calls[model] += 1
+        return original(model, resolution)
+
+    monkeypatch.setattr(covers, "skeleton", counting)
+    monkeypatch.setattr(setmodels, "skeleton", counting)  # Holder image bases
+    base = SequenceSet(1.0)
+    holder = HolderImage(base, 0.5)
+    thirds = CantorSchedule.middle_thirds(40)
+    points = UniformGrid(2.0**-9)
+    grid = [-5 * LOG2, -6 * LOG2]
+    for model, expected in [
+        (base, {base: 2}),
+        (holder, {holder: 2, base: 2}),
+        (thirds, {thirds: 2}),
+        (points, {points: 2}),
+    ]:
+        calls.clear()
+        prof = dimension_profile(
+            model, PowerLaw(0.5), grid, oracle="dp", include_preferred_scales=False
+        )
+        assert calls == expected
+        assert [p.evaluations for p in prof.points] == [12, 12]
+
+
+def test_dp_errors_reach_the_estimator(monkeypatch):
+    with pytest.raises(ResolutionError):
+        # phi(delta) = delta**100 puts the window floor at e**-1000
+        critical_exponent(SequenceSet(1.0), PowerLaw(0.01), -10.0, oracle="dp")
+    monkeypatch.setattr(covers, "_STATE_CAP", 5)
+    with pytest.raises(BudgetError):
+        critical_exponent(SequenceSet(1.0), PowerLaw(0.5), -6 * LOG2, oracle="dp")
