@@ -70,7 +70,6 @@ from .interpolation import (
 from .measures import (
     AtomicMeasure,
     BallMassReport,
-    CubeTree,
     FrostmanMeta,
     MassCertificate,
     RoundtripReport,

@@ -606,19 +606,9 @@ def _marginal_count_log(model, log_len: float, oracle: str) -> float:
     return cover_cost(model, w, 0.0, oracle=oracle).log_cost_upper
 
 
-def cover_cost_product(
-    model: ProductModel, window: ScaleWindow, s: float, oracle: str = "auto"
-) -> CoverCost:
-    """Cover cost bracket for a product set under the max metric.
-
-    Upper bound: squares of side L tile the product of the two marginal
-    L-covers; L runs over a grid in the window plus the marginals'
-    characteristic lengths.  Lower bound (both marginals Cantor
-    schedules): the product of the natural measures is spread over
-    squares, mu(Q_L) <= c_E c_F L ** (s_E + s_F), maximized over splits
-    s_E + s_F = s.
-    """
-    _validate_exponent(s, upper=2.0)
+def _product_lengths(model: ProductModel, window: ScaleWindow) -> list[float]:
+    """Candidate square sides (logs): a grid in the window plus the
+    marginals' characteristic lengths, ascending."""
     log_lo, log_hi = window.log_lo, window.log_hi
     lengths = {log_lo, log_hi}
     steps = 8
@@ -629,32 +619,65 @@ def cover_cost_product(
             for _, log_len in side.level_boundaries():
                 if log_lo <= log_len <= log_hi:
                     lengths.add(log_len)
+    return sorted(lengths)
 
-    log_upper = min(
-        _marginal_count_log(model.left, ll, oracle)
-        + _marginal_count_log(model.right, ll, oracle)
-        + s * ll
-        for ll in sorted(lengths)
-    )
 
-    log_lower = s * log_lo
-    if isinstance(model.left, CantorSchedule) and isinstance(
-        model.right, CantorSchedule
-    ):
-        s_lo = max(0.0, s - 1.0)
-        s_hi = min(1.0, s)
-        splits = 7
-        best = -math.inf
-        for i in range(splits + 1):
-            s_e = s_lo + (s_hi - s_lo) * i / splits
-            s_f = s - s_e
-            log_c = schedule_mass_constant(
-                model.left, window, s_e
-            ) + schedule_mass_constant(model.right, window, s_f)
-            best = max(best, -log_c)
-        log_lower = max(log_lower, best)
-    log_lower = min(log_lower, log_upper)
-    return CoverCost(log_lower, log_upper, "product")
+def _prepare_product(
+    model: ProductModel, window: ScaleWindow, oracle: str
+) -> Callable[[float], CoverCost]:
+    # (log side, left + right marginal log count), on the first call
+    counts: Optional[list[tuple[float, float]]] = None
+
+    def cost(s: float) -> CoverCost:
+        nonlocal counts
+        _validate_exponent(s, upper=2.0)
+        if counts is None:
+            counts = [
+                (
+                    ll,
+                    _marginal_count_log(model.left, ll, oracle)
+                    + _marginal_count_log(model.right, ll, oracle),
+                )
+                for ll in _product_lengths(model, window)
+            ]
+        log_upper = min(count + s * ll for ll, count in counts)
+
+        log_lower = s * window.log_lo
+        if isinstance(model.left, CantorSchedule) and isinstance(
+            model.right, CantorSchedule
+        ):
+            s_lo = max(0.0, s - 1.0)
+            s_hi = min(1.0, s)
+            splits = 7
+            best = -math.inf
+            for i in range(splits + 1):
+                s_e = s_lo + (s_hi - s_lo) * i / splits
+                s_f = s - s_e
+                log_c = schedule_mass_constant(
+                    model.left, window, s_e
+                ) + schedule_mass_constant(model.right, window, s_f)
+                best = max(best, -log_c)
+            log_lower = max(log_lower, best)
+        log_lower = min(log_lower, log_upper)
+        return CoverCost(log_lower, log_upper, "product")
+
+    return cost
+
+
+def cover_cost_product(
+    model: ProductModel, window: ScaleWindow, s: float, oracle: str = "auto"
+) -> CoverCost:
+    """Cover cost bracket for a product set under the max metric.
+
+    Upper bound: squares of side L tile the product of the two marginal
+    L-covers; L runs over a grid in the window plus the marginals'
+    characteristic lengths.  Lower bound (both marginals Cantor
+    schedules): the product of the natural measures is spread over
+    squares, mu(Q_L) <= c_E c_F L ** (s_E + s_F), maximized over splits
+    s_E + s_F = s.  :func:`prepare` computes the marginal counts once per
+    window and reuses them for every ``s``.
+    """
+    return _prepare_product(model, window, oracle)(s)
 
 
 # ---------------------------------------------------------------------------
@@ -688,14 +711,15 @@ def prepare(
     model kind, "dp" forces the exact skeleton DP (linear scales only),
     "analytic" refuses kinds without a closed form.  On DP routes the
     skeleton and cover graph are built on the first call and reused for
-    every later ``s``; analytic routes are evaluated afresh per call.
+    every later ``s``, and so are a product's marginal counts; the other
+    analytic routes are evaluated afresh per call.
     """
     if oracle not in ("auto", "dp", "analytic"):
         raise InputError(f"unknown oracle {oracle!r}")
     if isinstance(model, PointSet):
         return lambda s: cover_cost_point(window, s)
     if isinstance(model, ProductModel):
-        return lambda s: cover_cost_product(model, window, s, oracle=oracle)
+        return _prepare_product(model, window, oracle)
     if isinstance(model, UnionModel):
         members = [
             prepare(m, window, oracle=oracle, mass_level=mass_level)

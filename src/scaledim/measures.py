@@ -6,6 +6,15 @@ and capping upward so no cube at any chain level carries more than its
 share.  The checking direction: verify ball-mass growth of any atomic
 measure exactly, and turn a verified constant into a certified lower
 bound on window cover costs.
+
+A construction splits into structure and masses.  The structure of one
+scale does not depend on s: the hierarchy depth, the skeleton, the seeded
+cubes and atom locations, each chain level's cube numbering, and for each
+scan radius the ends of the atom runs.  The masses do: the seed mass, the
+caps, the normalization and the prefix sums.  :func:`massfrostman_roundtrip`
+therefore builds the structure once per scale and runs only the cap chain
+and the scoring per s; :func:`build_frostman_measure` and
+:func:`verify_ball_mass` run the same steps for a single s.
 """
 
 from __future__ import annotations
@@ -104,58 +113,6 @@ class AtomicMeasure:
         return [(float(x), float(w)) for x, w in zip(self.locations, self.masses)]
 
 
-class CubeTree:
-    """Occupied b-adic intervals of an atom set, per level.
-
-    Level-k cubes are [a*b^-k, (a+1)*b^-k]; the parent of index a is
-    a // b.  Only cubes containing at least one atom are stored; coarser
-    levels come from the finest indices by integer division, so children
-    always partition their parents exactly.
-    """
-
-    def __init__(self, base: int, level_fine: int, fine_indices: np.ndarray):
-        if base < 2:
-            raise InputError(f"base must be >= 2, got {base}")
-        if level_fine < 0:
-            raise InputError(f"level_fine must be >= 0, got {level_fine}")
-        self.base = base
-        self.level_fine = level_fine
-        self._fine = np.asarray(fine_indices, dtype=np.int64)
-
-    @classmethod
-    def from_measure(cls, mu: "AtomicMeasure", base: int, level_fine: int) -> "CubeTree":
-        if mu.meta is not None and mu.meta.base == base:
-            if level_fine == mu.meta.level_fine:
-                return cls(base, level_fine, mu.meta.cube_indices)
-            if level_fine < mu.meta.level_fine:
-                return cls(base, level_fine, mu.meta.ancestors(level_fine))
-        return cls(base, level_fine, cube_indices(mu.locations, base, level_fine))
-
-    @staticmethod
-    def parent(index: int, base: int) -> int:
-        return index // base
-
-    def atom_cubes(self, level: int) -> np.ndarray:
-        """Per-atom cube index at one level (atom order)."""
-        if not 0 <= level <= self.level_fine:
-            raise InputError(f"level must lie in [0, {self.level_fine}], got {level}")
-        return self._fine // self.base ** (self.level_fine - level)
-
-    def occupied(self, level: int) -> np.ndarray:
-        """Sorted unique indices of occupied cubes at one level."""
-        return np.unique(self.atom_cubes(level))
-
-    def interval(self, level: int, index: int) -> tuple[float, float]:
-        u = float(self.base) ** (-level)
-        return index * u, (index + 1) * u
-
-
-def cube_indices(locations: np.ndarray, base: int, level: int) -> np.ndarray:
-    """b-adic cube index of each location at the given level."""
-    scale = float(base) ** level
-    return np.floor(np.asarray(locations, dtype=float) * scale).astype(np.int64)
-
-
 def frostman_levels(
     phi: ScaleFunction, log_delta: float, base: int = DEFAULT_BASE
 ) -> tuple[int, int]:
@@ -179,6 +136,88 @@ def frostman_levels(
     return m, le
 
 
+@dataclass(frozen=True, eq=False)
+class _Seed:
+    """The s-independent part of a Frostman construction at one scale.
+
+    ``inverses[k]`` maps each atom to its level-(m-k-1) cube among the
+    occupied ones, as ``np.unique(..., return_inverse=True)`` numbers them.
+    """
+
+    base: int
+    m: int
+    le: int
+    cubes: np.ndarray
+    locations: np.ndarray
+    inverses: tuple[np.ndarray, ...]
+
+
+def _seed(model, log_delta: float, phi: ScaleFunction, base: int) -> _Seed:
+    """Seeded level-m cubes of a model, their atoms and cap-chain ancestry.
+
+    Each level-m cube meeting the skeleton gets one atom, at the leftmost
+    skeleton point inside it: the first item (in skeleton order) whose
+    floored range reaches the cube decides.  The atom budget is checked
+    on the count of distinct cubes before any per-cube array exists;
+    skeletons are sorted and disjoint, so neighbouring items share at most
+    their boundary cube.
+    """
+    m, le = frostman_levels(phi, log_delta, base)
+    items = skeleton(model, float(base) ** (-m))
+    if not items:
+        raise InputError("model skeleton is empty")
+
+    scale = float(base) ** m
+    bounds = np.array(items, dtype=float)
+    # floors of floats are exact integers; counted as floats, since deep
+    # levels can exceed int64 before the budget check has run
+    q_first = np.floor(bounds[:, 0] * scale)
+    q_last = np.floor(bounds[:, 1] * scale)
+    n_cubes = float(np.sum(q_last - q_first + 1.0)) - np.count_nonzero(
+        q_first[1:] == q_last[:-1]
+    )
+    if n_cubes > ATOM_CAP:
+        raise BudgetError(
+            f"more than {ATOM_CAP} seeded cubes at level {m}; "
+            "use a finer-grained route or a coarser delta"
+        )
+    if np.abs([q_first, q_last]).max() >= 2.0**63:
+        raise OverflowError(f"level-{m} cube indices do not fit in 64 bits")
+    q_first = q_first.astype(np.int64)
+    spans = q_last.astype(np.int64) - q_first + 1
+    owner = np.repeat(np.arange(spans.size), spans)
+    offset = np.cumsum(spans) - spans  # of each item's range in `reached`
+    reached = np.arange(owner.size) + np.repeat(q_first - offset, spans)
+    cubes, first = np.unique(reached, return_index=True)
+    locations = np.maximum(bounds[owner[first], 0], cubes / scale)
+
+    # cap-chain ancestors by exact integer division, finest to coarsest
+    inverses = tuple(
+        np.unique(cubes // base ** (k + 1), return_inverse=True)[1] for k in range(le)
+    )
+    return _Seed(base, m, le, cubes, locations, inverses)
+
+
+def _cap_chain(seed: _Seed, s: float) -> AtomicMeasure:
+    """Seed mass b^-ms per atom, cap every chain level, normalize."""
+    base, m = seed.base, seed.m
+    masses = np.full(seed.locations.size, float(base) ** (-m * s))
+    for k, inverse in enumerate(seed.inverses):
+        level = m - k - 1
+        sums = np.bincount(inverse, weights=masses)
+        cap = float(base) ** (-level * s)
+        factors = np.minimum(1.0, cap / sums)
+        masses = masses * factors[inverse]
+
+    raw_total = float(masses.sum())
+    if raw_total <= 0.0:
+        raise DomainError("construction produced zero total mass")
+    meta = FrostmanMeta(
+        base=base, level_fine=m, chain_length=seed.le, cube_indices=seed.cubes
+    )
+    return AtomicMeasure(seed.locations, masses / raw_total, raw_total, meta)
+
+
 def build_frostman_measure(
     model,
     s: float,
@@ -197,44 +236,7 @@ def build_frostman_measure(
     """
     if not 0.0 <= s <= 1.0:
         raise InputError(f"s must lie in [0, 1], got {s}")
-    m, le = frostman_levels(phi, log_delta, base)
-    resolution = float(base) ** (-m)
-    items = skeleton(model, resolution)
-    if not items:
-        raise InputError("model skeleton is empty")
-
-    scale = float(base) ** m
-    seen: dict[int, float] = {}
-    for a, b_ in items:
-        q_first = math.floor(a * scale)
-        q_last = math.floor(b_ * scale)
-        if q_last - q_first + len(seen) > ATOM_CAP:
-            raise BudgetError(
-                f"more than {ATOM_CAP} seeded cubes at level {m}; "
-                "use a finer-grained route or a coarser delta"
-            )
-        for q in range(q_first, q_last + 1):
-            if q not in seen:
-                seen[q] = max(a, q / scale)
-    cubes = np.array(sorted(seen), dtype=np.int64)
-    locations = np.array([seen[q] for q in cubes])
-    masses = np.full(locations.size, float(base) ** (-m * s))
-
-    # cap chain, finest to coarsest; ancestors by exact integer division
-    for k in range(le):
-        level = m - k - 1
-        idx = cubes // base ** (k + 1)
-        uniq, inverse = np.unique(idx, return_inverse=True)
-        sums = np.bincount(inverse, weights=masses)
-        cap = float(base) ** (-level * s)
-        factors = np.minimum(1.0, cap / sums)
-        masses = masses * factors[inverse]
-
-    raw_total = float(masses.sum())
-    if raw_total <= 0.0:
-        raise DomainError("construction produced zero total mass")
-    meta = FrostmanMeta(base=base, level_fine=m, chain_length=le, cube_indices=cubes)
-    return AtomicMeasure(locations, masses / raw_total, raw_total, meta)
+    return _cap_chain(_seed(model, log_delta, phi, base), s)
 
 
 def natural_cantor_measure(model: CantorSchedule, level: int) -> AtomicMeasure:
@@ -259,6 +261,59 @@ class BallMassReport:
     radii: tuple[float, ...]
 
 
+def _scan_radii(window: ScaleWindow, radii: Optional[Sequence[float]]) -> list[float]:
+    """The sorted radius scan: 33 log-spaced radii by default."""
+    if radii is None:
+        n_r = 33
+        radii = [
+            math.exp(window.log_lo + t * (window.log_hi - window.log_lo))
+            for t in np.linspace(0.0, 1.0, n_r)[1:-1]
+        ]
+        radii += [window.lo, window.hi]
+    radii = sorted(float(r) for r in radii)
+    if not radii:
+        raise InputError("radius scan is empty")
+    if radii[0] < window.lo * (1.0 - 1e-9) or radii[-1] > window.hi * (1.0 + 1e-9):
+        raise InputError("scan radii must lie within the window")
+    return radii
+
+
+def _scan_runs(
+    locs: np.ndarray,
+    radii: list[float],
+    prefixes: Sequence[np.ndarray],
+    exponents: Sequence[float],
+) -> list[BallMassReport]:
+    """Ball-mass scan of several measures on the same atoms.
+
+    For each radius the run ends are searched once and every measure
+    (given by its prefix masses and exponent) is scored against them.
+    """
+    best = [-math.inf] * len(prefixes)
+    witness = [(0.0, radii[0], 0.0)] * len(prefixes)
+    for r in radii:
+        ends = np.searchsorted(locs, locs + 2.0 * r, side="left")
+        for j, (prefix, s) in enumerate(zip(prefixes, exponents)):
+            run_masses = prefix[ends] - prefix[: locs.size]
+            i = int(np.argmax(run_masses))
+            mass = float(run_masses[i])
+            ratio = mass / r**s
+            if ratio > best[j]:
+                center = 0.5 * (locs[i] + locs[ends[i] - 1]) if mass > 0.0 else locs[i]
+                best[j] = ratio
+                witness[j] = (center, r, mass)
+    return [
+        BallMassReport(
+            c_observed=c,
+            witness_center=w[0],
+            witness_radius=w[1],
+            witness_mass=w[2],
+            radii=tuple(radii),
+        )
+        for c, w in zip(best, witness)
+    ]
+
+
 def verify_ball_mass(
     mu: AtomicMeasure,
     window: ScaleWindow,
@@ -274,41 +329,24 @@ def verify_ball_mass(
     atoms of diameter < 2r, so sweeping run starts finds the maximum.
     An explicit center grid restricts the scan instead.
     """
-    if radii is None:
-        n_r = 33
-        radii = [
-            math.exp(window.log_lo + t * (window.log_hi - window.log_lo))
-            for t in np.linspace(0.0, 1.0, n_r)[1:-1]
-        ]
-        radii += [window.lo, window.hi]
-    radii = sorted(float(r) for r in radii)
-    if not radii:
-        raise InputError("radius scan is empty")
-    if radii[0] < window.lo * (1.0 - 1e-9) or radii[-1] > window.hi * (1.0 + 1e-9):
-        raise InputError("scan radii must lie within the window")
+    radii = _scan_radii(window, radii)
     locs = mu.locations
     prefix = mu.prefix_masses()
+    if centers is None:
+        return _scan_runs(locs, radii, [prefix], [s])[0]
+    cg = np.asarray(centers, dtype=float)
     best = -math.inf
     witness = (0.0, radii[0], 0.0)
     for r in radii:
-        if centers is None:
-            ends = np.searchsorted(locs, locs + 2.0 * r, side="left")
-            run_masses = prefix[ends] - prefix[: locs.size]
-            i = int(np.argmax(run_masses))
-            mass = float(run_masses[i])
-            center = 0.5 * (locs[i] + locs[ends[i] - 1]) if mass > 0.0 else locs[i]
-        else:
-            cg = np.asarray(centers, dtype=float)
-            lo_idx = np.searchsorted(locs, cg - r, side="right")
-            hi_idx = np.searchsorted(locs, cg + r, side="left")
-            run_masses = prefix[hi_idx] - prefix[lo_idx]
-            i = int(np.argmax(run_masses))
-            mass = float(run_masses[i])
-            center = float(cg[i])
+        lo_idx = np.searchsorted(locs, cg - r, side="right")
+        hi_idx = np.searchsorted(locs, cg + r, side="left")
+        run_masses = prefix[hi_idx] - prefix[lo_idx]
+        i = int(np.argmax(run_masses))
+        mass = float(run_masses[i])
         ratio = mass / r**s
         if ratio > best:
             best = ratio
-            witness = (center, r, mass)
+            witness = (float(cg[i]), r, mass)
     return BallMassReport(
         c_observed=best,
         witness_center=witness[0],
@@ -449,31 +487,58 @@ def massfrostman_roundtrip(
     largest s whose log-constant slope (against -log delta) stays within
     beta0.  The cover-based bracket at the finest scale is attached for
     comparison.
+
+    Structure once per scale, masses and scan per s: each scale's
+    skeleton, seeded cubes, atoms and cap-chain ancestry are built once
+    for the whole s grid, and each scan radius's run ends are searched
+    once and scored against every s.  A row whose construction fails at
+    some scale (s outside [0, 1], or a domain, input or budget error)
+    stops there, unbuilt, with the constants of the scales before.
     """
     grid = sorted(set(float(x) for x in log_deltas), reverse=True)
     if len(grid) < 2:
         raise InputError("need at least two scales for a growth diagnostic")
+    s_values = sorted(float(v) for v in s_grid)
+    c_vals: list[list[float]] = [[] for _ in s_values]
+    totals: list[list[float]] = [[] for _ in s_values]
+    live = [j for j, s in enumerate(s_values) if 0.0 <= s <= 1.0]
+    for ld in grid:
+        if not live:
+            break
+        try:
+            seed = _seed(model, ld, phi, base)
+        except (DomainError, InputError, BudgetError):
+            live = []
+            break
+        built = []
+        for j in live:
+            try:
+                built.append((j, _cap_chain(seed, s_values[j])))
+            except (DomainError, InputError, BudgetError):
+                continue  # row j stops here, unbuilt
+        live = [j for j, _ in built]
+        if not built:
+            break
+        window = ScaleWindow(phi.eval_phi_log(ld), ld)
+        reports = _scan_runs(
+            seed.locations,
+            _scan_radii(window, None),
+            [mu.prefix_masses() for _, mu in built],
+            [s_values[j] for j, _ in built],
+        )
+        for (j, mu), rep in zip(built, reports):
+            c_vals[j].append(rep.c_observed)
+            totals[j].append(mu.pre_normalization_total)
+
     estimate = 0.0
     rows = []
-    for s in sorted(float(v) for v in s_grid):
-        c_vals = []
-        totals = []
-        built = True
-        for ld in grid:
-            try:
-                mu = build_frostman_measure(model, s, ld, phi, base=base)
-            except (DomainError, InputError, BudgetError):
-                built = False
-                break
-            window = ScaleWindow(phi.eval_phi_log(ld), ld)
-            rep = verify_ball_mass(mu, window, s)
-            c_vals.append(rep.c_observed)
-            totals.append(mu.pre_normalization_total)
-        if not built:
-            rows.append(RoundtripRow(s, math.inf, tuple(c_vals), tuple(totals), False))
+    for j, s in enumerate(s_values):
+        c_row, total_row = tuple(c_vals[j]), tuple(totals[j])
+        if j not in live:
+            rows.append(RoundtripRow(s, math.inf, c_row, total_row, False))
             continue
-        slope = (math.log(c_vals[-1]) - math.log(c_vals[0])) / (grid[0] - grid[-1])
-        rows.append(RoundtripRow(s, slope, tuple(c_vals), tuple(totals), True))
+        slope = (math.log(c_row[-1]) - math.log(c_row[0])) / (grid[0] - grid[-1])
+        rows.append(RoundtripRow(s, slope, c_row, total_row, True))
         if slope <= beta0:
             estimate = max(estimate, s)
     ce = critical_exponent(model, phi, grid[-1], oracle=oracle)

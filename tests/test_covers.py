@@ -260,6 +260,61 @@ def test_product_of_grids_costs_exactly_one_at_s_two():
     assert got.log_cost_lower <= got.log_cost_upper + 1e-12
 
 
+def _cantor_product():
+    return ProductModel(
+        CantorSchedule.from_ratios([1.0 / 3.0] * 12),
+        CantorSchedule.from_ratios([0.25] * 10),
+    )
+
+
+def test_product_marginal_counts_are_prepared_once_per_window(monkeypatch):
+    calls = []
+    marginal = covers._marginal_count_log
+
+    def counting(model, log_len, oracle):
+        calls.append(log_len)
+        return marginal(model, log_len, oracle)
+
+    monkeypatch.setattr(covers, "_marginal_count_log", counting)
+    window = ScaleWindow(-5 * math.log(3.0), -2 * math.log(3.0))
+    cost = prepare(_cantor_product(), window)
+    for s in (0.2, 0.6, 1.0, 1.4, 1.8):
+        cost(s)
+    # one left and one right count per candidate length, not per s
+    assert len(calls) == 2 * len(set(calls))
+
+
+# Cantor x Cantor product costs recorded before the marginal counts were
+# prepared once per window: (oracle, window log lo, s, lower hex, upper hex)
+PRODUCT_COSTS = [
+    ("auto", -5, 0.4, "0x1.7449fd124d69ep+0", "0x1.e4c97356a0b08p+0"),
+    ("auto", -5, 1.3, "-0x1.e7823aecc065ap+0", "-0x1.ce28d43fd1e28p-1"),
+    ("auto", -5, 2.0, "-0x1.5f8e5195843cep+2", "-0x1.2fdbed3d7066fp+2"),
+    ("auto", -4, 0.4, "0x1.1be9bff2e94bfp-1", "0x1.f867897c26848p+0"),
+    ("auto", -4, 0.9, "-0x1.17701a91bfa01p-1", "0x1.ef5cfb007b396p-1"),
+    ("dp", -5, 0.0, "0x1.62e42fefa39efp+1", "0x1.96ca77c922cf8p+1"),
+    ("dp", -5, 0.9, "-0x1.096aec61f1420p-2", "0x1.33575b5ecee0fp+0"),
+    ("dp", -5, 1.3, "-0x1.e7823aecc065ap+0", "-0x1.ad129140b90e0p-3"),
+    ("dp", -4, 0.4, "0x1.1be9bff2e94bfp-1", "0x1.16176322d6d22p+1"),
+    ("dp", -4, 1.3, "-0x1.e7823aecc065ap+0", "-0x1.1be9bff2e94d0p-2"),
+]
+
+
+@pytest.mark.parametrize("oracle", ["auto", "dp"])
+def test_prepared_product_costs_are_bit_identical(oracle):
+    model = _cantor_product()
+    windows = {
+        -5: ScaleWindow(-5 * math.log(3.0), -2 * math.log(3.0)),
+        -4: ScaleWindow(-4 * math.log(4.0), -1.5),
+    }
+    prepared = {k: prepare(model, w, oracle=oracle) for k, w in windows.items()}
+    cases = [c for c in PRODUCT_COSTS if c[0] == oracle]
+    for _, k, s, lower, upper in reversed(cases):  # reuse in another s order
+        expected = (lower, upper, "product", None)
+        assert bits(prepared[k](s)) == expected
+        assert bits(cover_cost(model, windows[k], s, oracle=oracle)) == expected
+
+
 # --- union combination ---------------------------------------------------
 
 

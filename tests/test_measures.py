@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from scaledim import measures
 from scaledim.covers import ScaleWindow
 from scaledim.errors import BudgetError, DomainError, InputError
 from scaledim.measures import (
@@ -18,8 +19,18 @@ from scaledim.measures import (
     verify_ball_mass,
 )
 from scaledim.scalefun import PowerLaw
-from scaledim.setmodels import CantorSchedule
+from scaledim.setmodels import (
+    CantorSchedule,
+    HolderImage,
+    PointSet,
+    SequenceSet,
+    UniformGrid,
+    UnionModel,
+    skeleton,
+    translate,
+)
 
+LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
 
 
@@ -56,6 +67,57 @@ def test_frostman_measure_shape_and_meta(thirds):
     # locations sorted, all inside the unit interval
     assert np.all(np.diff(mu.locations) >= 0)
     assert mu.locations[0] >= 0.0 and mu.locations[-1] <= 1.0
+
+
+def _seed_by_dict(model, m, base):
+    """Reference seeding: one atom per level-m cube, first skeleton item wins."""
+    scale = float(base) ** m
+    seen = {}
+    for a, b_ in skeleton(model, float(base) ** (-m)):
+        for q in range(math.floor(a * scale), math.floor(b_ * scale) + 1):
+            if q not in seen:
+                seen[q] = max(a, q / scale)
+    cubes = sorted(seen)
+    return cubes, [seen[q] for q in cubes]
+
+
+SEED_MODELS = {
+    "point": PointSet(0.3),
+    "sequence p=1": SequenceSet(1.0),
+    "sequence p=2": SequenceSet(2.0),
+    "grid": UniformGrid(1e-4),
+    "cantor": CantorSchedule.from_ratios([1.0 / 3.0] * 20),
+    "union": UnionModel(
+        (CantorSchedule.from_ratios([1.0 / 3.0] * 20), translate(SequenceSet(2.0), 1.5))
+    ),
+    "holder": HolderImage(SequenceSet(2.0), 0.5),
+}
+
+
+@pytest.mark.parametrize("base, log_delta", [(3, -5 * LOG3), (20, -12 * LOG2)])
+@pytest.mark.parametrize("name", sorted(SEED_MODELS))
+def test_seeding_matches_the_per_cube_reference(name, base, log_delta):
+    model = SEED_MODELS[name]
+    mu = build_frostman_measure(model, 0.5, log_delta, PowerLaw(0.5), base=base)
+    cubes, locations = _seed_by_dict(model, mu.meta.level_fine, base)
+    assert mu.meta.cube_indices.tolist() == cubes
+    assert mu.locations.tolist() == locations
+
+
+def test_atom_cap_counts_distinct_seeded_cubes(thirds, monkeypatch):
+    args = (thirds, 0.6, -5 * LOG3, PowerLaw(0.5))
+    n = len(build_frostman_measure(*args, base=3).locations)
+    monkeypatch.setattr(measures, "ATOM_CAP", n - 1)
+    with pytest.raises(BudgetError):
+        build_frostman_measure(*args, base=3)
+    monkeypatch.setattr(measures, "ATOM_CAP", n)
+    assert len(build_frostman_measure(*args, base=3).locations) == n
+
+
+def test_seeded_cube_indices_never_wrap():
+    # level 16 in base 20: the one seeded cube index is 0.3 * 20**16 > 2**63
+    with pytest.raises(OverflowError):
+        build_frostman_measure(PointSet(0.3), 0.5, -25.0, PowerLaw(0.5))
 
 
 def test_natural_measure_is_uniform(thirds):
@@ -158,3 +220,51 @@ def test_roundtrip_recovers_cantor_dimension(thirds):
     assert slopes[0] < 0.0 < slopes[-1]
     passing = [r.s for r in report.rows if r.built and r.slope <= report.beta0]
     assert passing and max(passing) == report.estimate
+
+
+@pytest.mark.parametrize("atom_cap", [None, 3968])
+def test_roundtrip_rows_match_per_scale_builds(thirds, monkeypatch, atom_cap):
+    # the -6 log 3 scale seeds 3968 atoms, so this cap fails every row at -7 log 3
+    if atom_cap is not None:
+        monkeypatch.setattr(measures, "ATOM_CAP", atom_cap)
+    phi = PowerLaw(0.5)
+    s_grid = [0.7, 0.5, 1.2, 0.5, 0.6]
+    scales = [-5 * LOG3, -6 * LOG3, -7 * LOG3]
+    report = massfrostman_roundtrip(thirds, phi, s_grid, scales, base=3)
+
+    expected = []
+    for s in sorted(s_grid):
+        c_hex, total_hex = [], []
+        for ld in scales:
+            try:
+                mu = build_frostman_measure(thirds, s, ld, phi, base=3)
+            except (InputError, BudgetError):
+                break
+            rep = verify_ball_mass(mu, ScaleWindow(phi.eval_phi_log(ld), ld), s)
+            c_hex.append(rep.c_observed.hex())
+            total_hex.append(mu.pre_normalization_total.hex())
+        expected.append((s, c_hex, total_hex, len(c_hex) == len(scales)))
+    got = [
+        (r.s, [c.hex() for c in r.c_values], [t.hex() for t in r.raw_totals], r.built)
+        for r in report.rows
+    ]
+    assert got == expected
+    assert [len(r.c_values) for r in report.rows] == (
+        [3, 3, 3, 3, 0] if atom_cap is None else [2, 2, 2, 2, 0]
+    )
+    assert all(r.slope == math.inf for r in report.rows if not r.built)
+
+
+def test_roundtrip_builds_one_skeleton_per_scale(thirds, monkeypatch):
+    calls = []
+    real = measures.skeleton
+
+    def counting(model, resolution):
+        calls.append(resolution)
+        return real(model, resolution)
+
+    monkeypatch.setattr(measures, "skeleton", counting)
+    s_grid = [0.5, 0.55, 0.6, 0.65]
+    scales = [-5 * LOG3, -6 * LOG3, -7 * LOG3]
+    massfrostman_roundtrip(thirds, PowerLaw(0.5), s_grid, scales, base=3)
+    assert len(calls) == 3
