@@ -5,9 +5,12 @@ The central quantity: for a set model, an exponent ``s``, and a window
 over covers of the set whose pieces all have lengths inside the window.
 Dimensions are read off from where this cost crosses 1 as ``s`` varies,
 so one window is evaluated at many exponents: :func:`prepare` turns a
-(model, window) pair into a function of ``s``, and on the DP route it
-builds the skeleton and the cover graph once per window and runs only
-the value sweep per ``s``.
+(model, window) pair into a function of ``s`` and does the work that
+does not depend on ``s`` once, on its first call.  On the DP route that is
+the skeleton and the cover graph, and each ``s`` is one value sweep; for
+a Cantor schedule it is the single-level covers and the natural-measure
+bands as lines in ``s``, and each ``s`` is one min and one max over them;
+for a product it is the marginal counts.
 
 Costs are carried as natural logs throughout, and every routine returns a
 :class:`CoverCost` bracket ``log_cost_lower <= log_cost_upper`` so that
@@ -19,7 +22,8 @@ downstream root finding can certify both sides.  Routines:
   ``s in [0, 1]``: a graph of reachable cover fronts, built once per
   window, and a dynamic-programming sweep over it per ``s``.
 * :func:`cover_cost_cantor` -- single-level covers of a Cantor schedule,
-  with a natural-measure lower bound; works at symbolic depths.
+  with a natural-measure lower bound; works at symbolic depths.  Both
+  bounds are extrema of lines in ``s``.
 * :func:`cover_cost_sequence` -- closed-form two-scale covers of the
   sequence set {n ** -p}.
 * :func:`cover_cost_grid`, :func:`cover_cost_point`,
@@ -366,41 +370,35 @@ def cover_cost_dp(
 # Cantor schedules, symbolic depth
 
 
-def schedule_mass_constant(
-    schedule: CantorSchedule,
-    window: ScaleWindow,
-    s: float,
-    mass_level: Optional[int] = None,
-) -> float:
-    """log of a valid constant c with mu(U) <= c * |U| ** s on the window.
+# Both Cantor bounds are extrema of lines in s: a single-level cover costs
+# a + s * b, and each diameter band of the mass bound gives a - s * b.  The
+# (a, b) pairs depend only on the schedule and the window, so a prepared
+# window builds them once and each s is one min or max over a few lines.
+_Line = tuple[float, float]
 
-    mu is the natural measure of the schedule (mass 2**-j per level-j
-    interval), truncated at ``mass_level`` if given: below that level the
-    bound mu(U) <= 2**-mass_level is used instead of refining further.
 
-    The bound per diameter band: an interval U with |U| < length(L-1)
-    meets at most one level-(L-1) interval (the gaps separating them are
-    at least as long), so mu(U) <= 2**-(L-1); if moreover |U| is no longer
-    than the gap between the two level-L children, U captures at most one
-    of them fully and mu(U) <= 2**-L.  The supremum of bound / |U| ** s
-    over each band sits at the band's left edge, and is piecewise linear
-    in L between block boundaries, so only boundary and crossing levels
-    need evaluating.
-    """
+def _check_mass_exponent(s: float) -> None:
     if s < 0.0 or math.isnan(s):
         raise DomainError(f"exponent must be nonnegative, got {s}")
+
+
+def _mass_lines(
+    schedule: CantorSchedule, window: ScaleWindow, mass_level: Optional[int]
+) -> list[_Line]:
+    """The bands of :func:`schedule_mass_constant`: log c = max(a - s * b)."""
     depth = schedule.depth
     j_cap = depth if mass_level is None else min(int(mass_level), depth)
     if j_cap < 0:
         raise DomainError(f"mass_level must be nonnegative, got {mass_level}")
     log_lo, log_hi = window.log_lo, window.log_hi
 
-    terms: list[float] = []
+    lines: list[_Line] = []
     if log_hi >= 0.0:
-        terms.append(-s * max(0.0, log_lo))  # |U| >= seed length: mu <= 1
+        # |U| >= seed length: mu <= 1; -0.0 - s * m is -s * m bit for bit
+        lines.append((-0.0, max(0.0, log_lo)))
     log_len_cap = schedule.log_length(j_cap)
     if log_lo < log_len_cap:
-        terms.append(-j_cap * LOG2 - s * log_lo)  # below the truncation level
+        lines.append((-j_cap * LOG2, log_lo))  # below the truncation level
 
     if j_cap >= 1:
         cand: set[int] = {1, j_cap}
@@ -431,15 +429,102 @@ def schedule_mass_constant(
             left1 = max(log_len, log_lo)
             right1 = min(log_gap, log_hi)
             if left1 <= right1 + _TOL:
-                terms.append(-level * LOG2 - s * left1)
+                lines.append((-level * LOG2, left1))
             # band 2: |U| in (gap(L), length(L-1)), one parent interval met;
             # open at the gap, so it needs hi strictly above the gap
             if log_gap < log_hi and log_lo < log_len_up:
-                left2 = max(log_gap, log_lo)
-                terms.append(-(level - 1) * LOG2 - s * left2)
-    if not terms:
+                lines.append((-(level - 1) * LOG2, max(log_gap, log_lo)))
+    if not lines:
         raise DomainError("window does not intersect any diameter band")
-    return max(terms)
+    return lines
+
+
+def _mass_constant(lines: list[_Line], s: float) -> float:
+    _check_mass_exponent(s)
+    return max([a - s * b for a, b in lines])
+
+
+def schedule_mass_constant(
+    schedule: CantorSchedule,
+    window: ScaleWindow,
+    s: float,
+    mass_level: Optional[int] = None,
+) -> float:
+    """log of a valid constant c with mu(U) <= c * |U| ** s on the window.
+
+    mu is the natural measure of the schedule (mass 2**-j per level-j
+    interval), truncated at ``mass_level`` if given: below that level the
+    bound mu(U) <= 2**-mass_level is used instead of refining further.
+
+    The bound per diameter band: an interval U with |U| < length(L-1)
+    meets at most one level-(L-1) interval (the gaps separating them are
+    at least as long), so mu(U) <= 2**-(L-1); if moreover |U| is no longer
+    than the gap between the two level-L children, U captures at most one
+    of them fully and mu(U) <= 2**-L.  The supremum of bound / |U| ** s
+    over each band sits at the band's left edge, and is piecewise linear
+    in L between block boundaries, so only boundary and crossing levels
+    need evaluating.  Each band is a line in ``s``; the constant is their
+    maximum.
+    """
+    _check_mass_exponent(s)  # ahead of the build's own errors
+    return _mass_constant(_mass_lines(schedule, window, mass_level), s)
+
+
+def _single_level_lines(schedule: CantorSchedule, window: ScaleWindow) -> list[_Line]:
+    """The covers of :func:`cover_cost_cantor`: log upper = min(a + s * b)."""
+    depth = schedule.depth
+    log_bottom = schedule.log_length(depth)
+    if window.log_hi < log_bottom - _TOL:
+        raise ResolutionError(
+            f"window top {window.log_hi:.6g} is below the schedule's deepest "
+            f"level length {log_bottom:.6g}; the structure there is undefined"
+        )
+    log_lo, log_hi = window.log_lo, window.log_hi
+    lines: list[_Line] = []
+
+    j_min = schedule.coarsest_level_not_above(log_hi)
+    j_max = schedule.finest_level_not_below(log_lo)  # None when lo > seed
+
+    if j_min is not None and j_max is not None and j_min <= j_max:
+        levels = {j_min, j_max}
+        for lv, _ in schedule.level_boundaries():
+            if j_min <= lv <= j_max:
+                levels.add(lv)
+        for j in levels:
+            lines.append((j * LOG2, schedule.log_length(j)))
+    if j_min is not None and j_min >= 1:
+        j = j_min - 1  # deepest level still longer than hi: subdivide
+        log_len = schedule.log_length(j)
+        count_per = log_add(log_len - log_hi, 0.0)
+        lines.append((j * LOG2 + count_per, log_hi))
+    j_below = 0 if j_max is None else j_max + 1
+    if j_below <= depth and schedule.log_length(j_below) < log_lo:
+        lines.append((j_below * LOG2, log_lo))  # fatten to lo
+    return lines
+
+
+def _prepare_cantor(
+    schedule: CantorSchedule, window: ScaleWindow, mass_level: Optional[int]
+) -> Callable[[float], CoverCost]:
+    # each list is built by the first call that reaches it; the upper
+    # bound comes first, so a window with no single-level cover (a top
+    # just below the deepest level) fails in min() before the mass lines
+    upper: Optional[list[_Line]] = None
+    mass: Optional[list[_Line]] = None
+
+    def cost(s: float) -> CoverCost:
+        nonlocal upper, mass
+        _validate_exponent(s)
+        if upper is None:
+            upper = _single_level_lines(schedule, window)
+        log_upper = min([a + s * b for a, b in upper])
+        if mass is None:
+            mass = _mass_lines(schedule, window, mass_level)
+        log_lower = max(-_mass_constant(mass, s), s * window.log_lo)
+        log_lower = min(log_lower, log_upper)
+        return CoverCost(log_lower, log_upper, "single-level")
+
+    return cost
 
 
 def cover_cost_cantor(
@@ -454,42 +539,10 @@ def cover_cost_cantor(
     as is, the deepest too-coarse level subdivided into hi-pieces, or the
     shallowest too-fine level fattened to lo.  Lower bound: the natural-
     measure mass distribution argument via :func:`schedule_mass_constant`.
+    Both are extrema of lines in ``s``, which :func:`prepare` builds once
+    per window.
     """
-    _validate_exponent(s)
-    depth = schedule.depth
-    log_bottom = schedule.log_length(depth)
-    if window.log_hi < log_bottom - _TOL:
-        raise ResolutionError(
-            f"window top {window.log_hi:.6g} is below the schedule's deepest "
-            f"level length {log_bottom:.6g}; the structure there is undefined"
-        )
-    log_lo, log_hi = window.log_lo, window.log_hi
-    candidates: list[float] = []
-
-    j_min = schedule.coarsest_level_not_above(log_hi)
-    j_max = schedule.finest_level_not_below(log_lo)  # None when lo > seed
-
-    if j_min is not None and j_max is not None and j_min <= j_max:
-        levels = {j_min, j_max}
-        for lv, _ in schedule.level_boundaries():
-            if j_min <= lv <= j_max:
-                levels.add(lv)
-        for j in levels:
-            candidates.append(j * LOG2 + s * schedule.log_length(j))
-    if j_min is not None and j_min >= 1:
-        j = j_min - 1  # deepest level still longer than hi: subdivide
-        log_len = schedule.log_length(j)
-        count_per = log_add(log_len - log_hi, 0.0)
-        candidates.append(j * LOG2 + count_per + s * log_hi)
-    j_below = 0 if j_max is None else j_max + 1
-    if j_below <= depth and schedule.log_length(j_below) < log_lo:
-        candidates.append(j_below * LOG2 + s * log_lo)  # fatten to lo
-
-    log_upper = min(candidates)
-    log_c = schedule_mass_constant(schedule, window, s, mass_level=mass_level)
-    log_lower = max(-log_c, s * log_lo)
-    log_lower = min(log_lower, log_upper)
-    return CoverCost(log_lower, log_upper, "single-level")
+    return _prepare_cantor(schedule, window, mass_level)(s)
 
 
 # ---------------------------------------------------------------------------
@@ -709,10 +762,12 @@ def prepare(
 
     ``oracle`` selects the route: "auto" picks the analytic route for each
     model kind, "dp" forces the exact skeleton DP (linear scales only),
-    "analytic" refuses kinds without a closed form.  On DP routes the
-    skeleton and cover graph are built on the first call and reused for
-    every later ``s``, and so are a product's marginal counts; the other
-    analytic routes are evaluated afresh per call.
+    "analytic" refuses kinds without a closed form.  The first call
+    builds what does not depend on ``s`` and later calls reuse it: on DP
+    routes the skeleton and cover graph, for Cantor schedules the lines
+    in ``s`` of both bounds, for products the marginal counts.  Sequence,
+    grid and point costs are closed forms evaluated per call.  A build that raises keeps nothing, so the
+    next call raises the same error.
     """
     if oracle not in ("auto", "dp", "analytic"):
         raise InputError(f"unknown oracle {oracle!r}")
@@ -731,7 +786,7 @@ def prepare(
     if isinstance(model, SequenceSet):
         return lambda s: cover_cost_sequence(model.p, window, s)
     if isinstance(model, CantorSchedule):
-        return lambda s: cover_cost_cantor(model, window, s, mass_level=mass_level)
+        return _prepare_cantor(model, window, mass_level)
     if isinstance(model, UniformGrid):
         return lambda s: cover_cost_grid(model.spacing_at(window.lo), window, s)
     if isinstance(model, HolderImage):

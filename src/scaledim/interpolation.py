@@ -5,15 +5,25 @@ possible subject to the model still having a cover of cost at most 1 by
 sets with diameters in [x, delta].  Tabulating that sup over delta yields
 a scale function whose dimension profile reproduces s; a family of them,
 one per s, interpolates between the model's lower and upper estimates.
+
+A family is computed scale-major: the outer loop runs over the scales,
+the inner one over the exponents.  The search at one scale always probes
+the same ladder of windows -- the cap delta/(-log delta), then the floors
+k * log delta for k = 2, 4, ..., 2**40 -- so each scale prepares those
+windows once (:func:`scaledim.covers.prepare`), evaluates them for every
+s and drops them before the next scale.  Bisection windows depend on s
+and are prepared for one evaluation.  The only links between rows are the
+running max along the scales of one exponent and the lift across the
+exponents at one scale, and both are at hand in this order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Sequence
 
-from .covers import ScaleWindow, cover_cost
+from .covers import CoverCost, ScaleWindow, prepare
 from .errors import ConfigError, InputError
 from .estimator import dimension_profile
 from .scalefun import InterpolatedScale, LogCorrected, MinFamily, Tabulated
@@ -68,6 +78,75 @@ class PhiSTable:
         return InterpolatedScale(table=table, s=self.s, model_id=self.model)
 
 
+def _phi_s_point(
+    model,
+    s: float,
+    log_delta: float,
+    ladder: dict[float, Callable[[float], CoverCost]],
+    *,
+    tol: float,
+    budget: float,
+    oracle: str,
+) -> PhiSPoint:
+    """:func:`phi_s_at` whose cap and floor windows come from ``ladder``.
+
+    ``ladder`` maps window bottoms to prepared windows of this scale; the
+    cap and the doubling floors are prepared into it on first use, so
+    every exponent at this scale shares them.  Bisection probes depend on
+    ``s`` and are prepared for one evaluation only.
+    """
+    if s < 0.0:
+        raise InputError(f"s must be >= 0, got {s}")
+    if not tol > 0.0:
+        raise ConfigError(f"tol must be positive, got {tol}")
+    if not -log_delta > 3.0:
+        raise InputError(
+            f"scale too coarse: need -log delta > 3, got log delta = {log_delta:g}"
+        )
+    log_budget = math.log(budget)
+    log_cap = log_delta - math.log(-log_delta)
+
+    def cost(log_x: float, rung: bool = False) -> CoverCost:
+        at = ladder.get(log_x)
+        if at is None:
+            at = prepare(model, ScaleWindow(log_x, log_delta), oracle=oracle)
+            if rung:
+                ladder[log_x] = at
+        return at(s)
+
+    def feasible(log_x: float, rung: bool = False) -> bool:
+        return cost(log_x, rung).log_cost_upper <= log_budget
+
+    if feasible(log_cap, rung=True):
+        return PhiSPoint(log_delta, log_cap, True, False, 0.0)
+
+    # expand downward to a certified-feasible floor
+    lo = None
+    hi = log_cap
+    k = 2
+    while k <= MAX_FLOOR_FACTOR:
+        cand = k * log_delta
+        if feasible(cand, rung=True):
+            lo = cand
+            break
+        hi = cand
+        k *= 2
+    if lo is None:
+        return PhiSPoint(log_delta, hi, False, True, math.inf)
+
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    # hi may be only conservatively infeasible; report the certified gap
+    gap = hi - lo
+    if not cost(hi).log_cost_lower > log_budget:
+        gap = log_cap - lo  # sup is somewhere below the cap, not localized
+    return PhiSPoint(log_delta, lo, False, False, gap)
+
+
 def phi_s_at(
     model,
     s: float,
@@ -85,53 +164,68 @@ def phi_s_at(
     returned value is always certified, and ``upper_gap`` reports the
     distance to the nearest certified-infeasible point.
     """
-    if s < 0.0:
-        raise InputError(f"s must be >= 0, got {s}")
-    if not tol > 0.0:
-        raise ConfigError(f"tol must be positive, got {tol}")
-    if not -log_delta > 3.0:
-        raise InputError(
-            f"scale too coarse: need -log delta > 3, got log delta = {log_delta:g}"
+    return _phi_s_point(model, s, log_delta, {}, tol=tol, budget=budget, oracle=oracle)
+
+
+def _phi_s_tables(
+    model,
+    s_values: Sequence[float],
+    log_deltas: Sequence[float],
+    *,
+    tol: float,
+    budget: float,
+    oracle: str,
+) -> list[PhiSTable]:
+    """One table per exponent in ``s_values`` (ascending), scale by scale.
+
+    Each scale prepares its ladder of cap and floor windows once for all
+    exponents and drops it before the next scale.  A table's rows take
+    the running max along the scales (sound: a value feasible at a finer
+    scale bottom stays feasible), and each row is lifted to the row of the
+    previous exponent at its scale.
+    """
+    if not s_values:
+        return []
+    grid = sorted(set(float(x) for x in log_deltas))
+    if not grid:
+        raise ConfigError("scale grid is empty")
+    kept: list[list[PhiSPoint]] = [[] for _ in s_values]
+    dropped: list[list[float]] = [[] for _ in s_values]
+    regressions: list[list[float]] = [[] for _ in s_values]
+    running = [-math.inf] * len(s_values)
+    for ld in grid:  # ascending log_delta = fine to coarse
+        ladder: dict[float, Callable[[float], CoverCost]] = {}
+        floor = -math.inf  # the previous exponent's row at this scale
+        for i, s in enumerate(s_values):
+            pt = _phi_s_point(
+                model, s, ld, ladder, tol=tol, budget=budget, oracle=oracle
+            )
+            if pt.budget_exceeded:
+                dropped[i].append(ld)
+                continue
+            if pt.log_phi_s + tol < running[i]:
+                regressions[i].append(ld)
+            if pt.log_phi_s < running[i]:
+                pt = PhiSPoint(
+                    pt.log_delta, running[i], pt.at_cap, False, pt.upper_gap
+                )
+            running[i] = pt.log_phi_s
+            if pt.log_phi_s < floor:
+                pt = PhiSPoint(pt.log_delta, floor, pt.at_cap, False, pt.upper_gap)
+            floor = pt.log_phi_s
+            kept[i].append(pt)
+    name = model_id(model)
+    return [
+        PhiSTable(
+            s=s,
+            model=name,
+            budget=budget,
+            points=tuple(kept[i]),
+            dropped=tuple(dropped[i]),
+            regressions=tuple(regressions[i]),
         )
-    log_budget = math.log(budget)
-    log_cap = log_delta - math.log(-log_delta)
-
-    def feasible(log_x: float) -> bool:
-        c = cover_cost(model, ScaleWindow(log_x, log_delta), s, oracle=oracle)
-        return c.log_cost_upper <= log_budget
-
-    def infeasible_certain(log_x: float) -> bool:
-        c = cover_cost(model, ScaleWindow(log_x, log_delta), s, oracle=oracle)
-        return c.log_cost_lower > log_budget
-
-    if feasible(log_cap):
-        return PhiSPoint(log_delta, log_cap, True, False, 0.0)
-
-    # expand downward to a certified-feasible floor
-    lo = None
-    hi = log_cap
-    k = 2
-    while k <= MAX_FLOOR_FACTOR:
-        cand = k * log_delta
-        if feasible(cand):
-            lo = cand
-            break
-        hi = cand
-        k *= 2
-    if lo is None:
-        return PhiSPoint(log_delta, hi, False, True, math.inf)
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    # hi may be only conservatively infeasible; report the certified gap
-    gap = hi - lo
-    if not infeasible_certain(hi):
-        gap = log_cap - lo  # sup is somewhere below the cap, not localized
-    return PhiSPoint(log_delta, lo, False, False, gap)
+        for i, s in enumerate(s_values)
+    ]
 
 
 def phi_s_function(
@@ -151,34 +245,10 @@ def phi_s_function(
     bisection tol recorded as diagnostics.  Budget-exceeded scales are
     dropped from the table and reported.
     """
-    grid = sorted(set(float(x) for x in log_deltas))
-    if not grid:
-        raise ConfigError("scale grid is empty")
-    kept: list[PhiSPoint] = []
-    dropped: list[float] = []
-    regressions: list[float] = []
-    running = -math.inf
-    for ld in grid:  # ascending log_delta = fine to coarse
-        pt = phi_s_at(model, s, ld, tol=tol, budget=budget, oracle=oracle)
-        if pt.budget_exceeded:
-            dropped.append(ld)
-            continue
-        if pt.log_phi_s + tol < running:
-            regressions.append(ld)
-        if pt.log_phi_s < running:
-            pt = PhiSPoint(
-                pt.log_delta, running, pt.at_cap, False, pt.upper_gap
-            )
-        running = pt.log_phi_s
-        kept.append(pt)
-    return PhiSTable(
-        s=s,
-        model=model_id(model),
-        budget=budget,
-        points=tuple(kept),
-        dropped=tuple(dropped),
-        regressions=tuple(regressions),
+    (table,) = _phi_s_tables(
+        model, [s], log_deltas, tol=tol, budget=budget, oracle=oracle
     )
+    return table
 
 
 def phi_s_family(
@@ -192,35 +262,16 @@ def phi_s_family(
 ) -> list[PhiSTable]:
     """Tables for several exponents, ordered consistently.
 
-    A bottom feasible at exponent s stays feasible at any t >= s (window
-    diameters are below 1, so costs only shrink), so tables are lifted to
-    their running maximum across ascending s.  This keeps the family
+    Each table is :func:`phi_s_function`'s for its exponent, lifted: a
+    bottom feasible at exponent s stays feasible at any t >= s (window
+    diameters are below 1, so costs only shrink), so each row is raised to
+    the row of the previous exponent at its scale.  This keeps the family
     pointwise ordered without giving up certification.
     """
-    tables: list[PhiSTable] = []
-    floor: dict[float, float] = {}
-    for s in sorted(set(float(v) for v in s_grid)):
-        tab = phi_s_function(
-            model, s, log_deltas, tol=tol, budget=budget, oracle=oracle
-        )
-        lifted = []
-        for pt in tab.points:
-            prev = floor.get(pt.log_delta, -math.inf)
-            if pt.log_phi_s < prev:
-                pt = PhiSPoint(pt.log_delta, prev, pt.at_cap, False, pt.upper_gap)
-            floor[pt.log_delta] = pt.log_phi_s
-            lifted.append(pt)
-        tables.append(
-            PhiSTable(
-                s=tab.s,
-                model=tab.model,
-                budget=tab.budget,
-                points=tuple(lifted),
-                dropped=tab.dropped,
-                regressions=tab.regressions,
-            )
-        )
-    return tables
+    s_values = sorted(set(float(v) for v in s_grid))
+    return _phi_s_tables(
+        model, s_values, log_deltas, tol=tol, budget=budget, oracle=oracle
+    )
 
 
 @dataclass(frozen=True)

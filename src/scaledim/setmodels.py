@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
@@ -831,6 +831,29 @@ def model_id(model) -> str:
     return str(kind)
 
 
+def _preferred_entry(model) -> dict:
+    """The ``preferred_log_scales`` key, written only when there are any."""
+    if not model.preferred_log_scales:
+        return {}
+    return {"preferred_log_scales": list(model.preferred_log_scales)}
+
+
+def _with_preferred(model, data: dict):
+    """``model`` carrying the spec's ``preferred_log_scales``, if it has any."""
+    if "preferred_log_scales" not in data:
+        return model
+    raw = data["preferred_log_scales"]
+    try:
+        scales = tuple(float(v) for v in raw) if isinstance(raw, (list, tuple)) else None
+    except (TypeError, ValueError):
+        scales = None
+    if scales is None or not all(math.isfinite(v) for v in scales):
+        raise InputError(
+            f"preferred_log_scales must be a list of finite numbers, got {raw!r}"
+        )
+    return replace(model, preferred_log_scales=scales)
+
+
 def model_to_dict(model) -> dict:
     if isinstance(model, PointSet):
         return {"kind": "point", "location": model.location}
@@ -843,9 +866,14 @@ def model_to_dict(model) -> dict:
             "kind": "cantor",
             "blocks": [list(b) for b in model.blocks],
             "offset": model.offset,
+            **_preferred_entry(model),
         }
     if isinstance(model, UnionModel):
-        return {"kind": "union", "members": [model_to_dict(m) for m in model.members]}
+        return {
+            "kind": "union",
+            "members": [model_to_dict(m) for m in model.members],
+            **_preferred_entry(model),
+        }
     if isinstance(model, ProductModel):
         return {
             "kind": "product",
@@ -882,12 +910,15 @@ def model_from_dict(data: dict):
     if kind == "cantor":
         if "blocks" in data:
             blocks = tuple((int(c), float(r)) for c, r in data["blocks"])
-            return CantorSchedule(blocks, offset=float(data.get("offset", 0.0)))
-        return CantorSchedule.from_ratios(
-            [float(r) for r in data["ratios"]], offset=float(data.get("offset", 0.0))
-        )
+            schedule = CantorSchedule(blocks, offset=float(data.get("offset", 0.0)))
+        else:
+            schedule = CantorSchedule.from_ratios(
+                [float(r) for r in data["ratios"]], offset=float(data.get("offset", 0.0))
+            )
+        return _with_preferred(schedule, data)
     if kind == "union":
-        return UnionModel(tuple(model_from_dict(m) for m in data["members"]))
+        union = UnionModel(tuple(model_from_dict(m) for m in data["members"]))
+        return _with_preferred(union, data)
     if kind == "product":
         return ProductModel(model_from_dict(data["left"]), model_from_dict(data["right"]))
     if kind == "holder":

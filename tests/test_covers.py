@@ -407,3 +407,165 @@ def test_schedule_mass_constant_middle_thirds_is_two():
     window = ScaleWindow(log_len, mt.log_length(5))
     log_c = schedule_mass_constant(mt, window, LOG23, mass_level=9)
     assert math.exp(log_c) == pytest.approx(2.0, abs=1e-9)
+
+
+# --- prepared Cantor lines -----------------------------------------------
+#
+# The single-level Cantor route written as plain per-call expressions, the
+# oracle of the differential test below: the prepared lines must give the
+# same floats, the same error types and the same messages.
+
+
+def _reference_mass_constant(schedule, window, s, mass_level=None):
+    if s < 0.0 or math.isnan(s):
+        raise DomainError(f"exponent must be nonnegative, got {s}")
+    depth = schedule.depth
+    j_cap = depth if mass_level is None else min(int(mass_level), depth)
+    if j_cap < 0:
+        raise DomainError(f"mass_level must be nonnegative, got {mass_level}")
+    log_lo, log_hi = window.log_lo, window.log_hi
+    terms = []
+    if log_hi >= 0.0:
+        terms.append(-s * max(0.0, log_lo))
+    log_len_cap = schedule.log_length(j_cap)
+    if log_lo < log_len_cap:
+        terms.append(-j_cap * covers.LOG2 - s * log_lo)
+    if j_cap >= 1:
+        cand = {1, j_cap}
+        for lv, _ in schedule.level_boundaries():
+            for shift in (0, 1):
+                if 1 <= lv + shift <= j_cap:
+                    cand.add(lv + shift)
+        for target in (log_lo, log_hi):
+            for fn in (
+                schedule.coarsest_level_not_above,
+                schedule.finest_level_not_below,
+            ):
+                lv = fn(target)
+                if lv is not None:
+                    for shift in (-1, 0, 1):
+                        if 1 <= lv + shift <= j_cap:
+                            cand.add(lv + shift)
+        for level in sorted(cand):
+            log_len = schedule.log_length(level)
+            log_len_up = schedule.log_length(level - 1)
+            ratio = schedule.ratio_at(level)
+            factor = (1.0 - 2.0 * ratio) / ratio
+            log_gap = log_len if abs(factor - 1.0) < 1e-9 else math.log(factor) + log_len
+            left1 = max(log_len, log_lo)
+            right1 = min(log_gap, log_hi)
+            if left1 <= right1 + covers._TOL:
+                terms.append(-level * covers.LOG2 - s * left1)
+            if log_gap < log_hi and log_lo < log_len_up:
+                left2 = max(log_gap, log_lo)
+                terms.append(-(level - 1) * covers.LOG2 - s * left2)
+    if not terms:
+        raise DomainError("window does not intersect any diameter band")
+    return max(terms)
+
+
+def _reference_cantor(schedule, window, s, mass_level=None):
+    covers._validate_exponent(s)
+    depth = schedule.depth
+    log_bottom = schedule.log_length(depth)
+    if window.log_hi < log_bottom - covers._TOL:
+        raise ResolutionError(
+            f"window top {window.log_hi:.6g} is below the schedule's deepest "
+            f"level length {log_bottom:.6g}; the structure there is undefined"
+        )
+    log_lo, log_hi = window.log_lo, window.log_hi
+    candidates = []
+    j_min = schedule.coarsest_level_not_above(log_hi)
+    j_max = schedule.finest_level_not_below(log_lo)
+    if j_min is not None and j_max is not None and j_min <= j_max:
+        levels = {j_min, j_max}
+        for lv, _ in schedule.level_boundaries():
+            if j_min <= lv <= j_max:
+                levels.add(lv)
+        for j in levels:
+            candidates.append(j * covers.LOG2 + s * schedule.log_length(j))
+    if j_min is not None and j_min >= 1:
+        j = j_min - 1
+        log_len = schedule.log_length(j)
+        count_per = covers.log_add(log_len - log_hi, 0.0)
+        candidates.append(j * covers.LOG2 + count_per + s * log_hi)
+    j_below = 0 if j_max is None else j_max + 1
+    if j_below <= depth and schedule.log_length(j_below) < log_lo:
+        candidates.append(j_below * covers.LOG2 + s * log_lo)
+    log_upper = min(candidates)
+    log_c = _reference_mass_constant(schedule, window, s, mass_level=mass_level)
+    log_lower = max(-log_c, s * log_lo)
+    log_lower = min(log_lower, log_upper)
+    return CoverCost(log_lower, log_upper, "single-level")
+
+
+def _outcome(fn, *args, **kwargs):
+    """What a call gives: hex floats and method, or error type and message."""
+    try:
+        got = fn(*args, **kwargs)
+    except Exception as exc:  # the error itself is the compared outcome
+        return ("error", type(exc).__name__, str(exc))
+    if isinstance(got, CoverCost):
+        return (got.log_cost_lower.hex(), got.log_cost_upper.hex(), got.method)
+    return got.hex()
+
+
+def _random_cantor_cases(rng, count):
+    """Seeded (schedule, window, mass_level, exponents) cases: multi-block
+    schedules up to depth 10**6, windows reaching above the seed length,
+    degenerate and level-exact windows, tops just and well below the deepest
+    level, and truncation levels None, 0, inside and beyond the depth."""
+    ratios = (1.0 / 3.0, 0.3, 0.25, 0.2, 0.1)
+    schedules = [
+        middle_thirds(40),
+        CantorSchedule(((500_000, 1.0 / 3.0), (500_000, 0.2))),
+        CantorSchedule(((3, 0.25), (1, 1.0 / 3.0), (2, 0.1)), offset=2.0),
+    ]
+    for _ in range(5):
+        blocks = tuple(
+            (int(rng.integers(1, 8)), float(rng.choice(ratios)))
+            for _ in range(int(rng.integers(1, 6)))
+        )
+        schedules.append(CantorSchedule(blocks))
+    for _ in range(count):
+        sched = schedules[int(rng.integers(len(schedules)))]
+        depth = sched.depth
+        bottom = sched.log_length(depth)
+        kind = int(rng.integers(6))
+        if kind == 0:  # window edges at level lengths
+            i, j = sorted(int(v) for v in rng.integers(0, depth + 1, 2))
+            log_lo, log_hi = sched.log_length(j), sched.log_length(i)
+        elif kind == 1:  # a top up to 2e-12 below the deepest level (_TOL 1e-12)
+            log_hi = bottom - float(rng.uniform(0.0, 2e-12))
+            log_lo = log_hi - float(rng.uniform(0.0, 2.0))
+        elif kind == 2:  # a top well below the deepest level
+            log_hi = bottom - float(rng.uniform(0.1, 3.0))
+            log_lo = log_hi - 1.0
+        else:  # anywhere from the bottom to above the seed, maybe degenerate
+            log_hi = float(rng.uniform(bottom, 1.5))
+            width = 0.0 if kind == 3 else float(rng.uniform(0.0, log_hi - bottom + 2.0))
+            log_lo = log_hi - width
+        mass_level = (None, 0, int(rng.integers(0, depth + 1)), depth + 3, -1)[
+            int(rng.integers(5))
+        ]
+        exponents = [0.0, 1.0] + [float(v) for v in rng.uniform(0.0, 1.0, 3)]
+        exponents += [float(rng.choice([-0.25, 1.5, math.nan]))]
+        yield sched, ScaleWindow(log_lo, log_hi), mass_level, exponents
+
+
+def test_prepared_cantor_matches_the_reference_route():
+    rng = np.random.default_rng(20260816)
+    compared = 0
+    for sched, window, mass_level, exponents in _random_cantor_cases(rng, 600):
+        cost = prepare(sched, window, mass_level=mass_level)
+        for s in rng.permutation(exponents):  # reuse in a shuffled s order
+            s = float(s)
+            expected = _outcome(_reference_cantor, sched, window, s, mass_level)
+            assert _outcome(cost, s) == expected
+            assert _outcome(cover_cost_cantor, sched, window, s, mass_level) == expected
+            assert _outcome(
+                schedule_mass_constant, sched, window, 2.0 * s, mass_level
+            ) == _outcome(_reference_mass_constant, sched, window, 2.0 * s, mass_level)
+            compared += 1
+    assert compared == 600 * 6
+

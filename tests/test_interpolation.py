@@ -1,9 +1,12 @@
 """Interpolation windows: tabulation, ordering, verification."""
 
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
+from scaledim import covers, interpolation
 from scaledim.errors import InputError
 from scaledim.interpolation import (
     hausdorff_endpoint_family,
@@ -13,7 +16,7 @@ from scaledim.interpolation import (
     verify_interpolation,
 )
 from scaledim.scalefun import PowerLaw
-from scaledim.setmodels import SequenceSet, build_stability_pair
+from scaledim.setmodels import CantorSchedule, SequenceSet, build_stability_pair
 
 LOG2 = math.log(2.0)
 GRID = [-k * LOG2 for k in (12, 24, 36, 48)]
@@ -109,3 +112,83 @@ def test_endpoint_family_guards_against_empty_tables(seq):
         hausdorff_endpoint_family(
             seq, 0.3, GRID, box_upper_estimate=0.5, budget=1e-12
         )
+
+
+# --- scale-major family ----------------------------------------------------
+
+S_GRID = [0.4 + 0.01 * i for i in range(40)]
+
+
+def _two_block_cantor():
+    return CantorSchedule(((12, 0.25), (28, 1.0 / 3.0)), offset=0.5)
+
+
+def _family_digest(tables):
+    """sha256 over every table's rows, drops and regressions, as hex."""
+    text = "\n".join(
+        f"{t.s.hex()} {t.model} "
+        f"{[(p.log_delta.hex(), p.log_phi_s.hex(), p.at_cap, p.upper_gap.hex()) for p in t.points]} "
+        f"{[d.hex() for d in t.dropped]} {[r.hex() for r in t.regressions]}"
+        for t in tables
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("model", [SequenceSet(1.0), _two_block_cantor()])
+def test_phi_s_function_is_the_family_of_one_exponent(model):
+    for s in (0.3, 0.55, 0.7):
+        assert phi_s_function(model, s, GRID, tol=1e-3) == phi_s_family(
+            model, [s], GRID, tol=1e-3
+        )[0]
+
+
+def test_families_match_values_recorded_exponent_by_exponent():
+    # digests recorded when each exponent's table was computed on its own
+    cantor = phi_s_family(
+        _two_block_cantor(),
+        S_GRID,
+        [-k * LOG2 for k in (60, 50, 40, 30, 20, 12)],
+        tol=1e-3,
+        budget=2.0,
+    )
+    assert sum(len(t.points) for t in cantor) == 176
+    assert sum(len(t.dropped) for t in cantor) == 64
+    assert [p.log_phi_s.hex() for p in cantor[2].points] == ["-0x1.4df505991a7b5p+3"]
+    assert _family_digest(cantor) == (
+        "b4caed037f8914423833a627d03412fea5ac964ed17fee623c220e455f2b94e4"
+    )
+    seq = phi_s_family(SequenceSet(1.0), S_GRID, GRID, tol=1e-3)
+    assert sum(not p.at_cap for t in seq for p in t.points) == 42  # bisected
+    assert [p.log_phi_s.hex() for p in seq[0].points] == [
+        "-0x1.aafc15530f3f7p+5",
+        "-0x1.472bf4f49c6eep+5",
+        "-0x1.c6d1f0f19f0b9p+4",
+        "-0x1.0201f3b171896p+4",
+    ]
+    assert _family_digest(seq) == (
+        "4ff79cfc2a988cfef74b22360e3525db51139e9aa9f370437b997d8913f090d8"
+    )
+
+
+def test_ladder_windows_are_prepared_once_per_scale(monkeypatch):
+    windows = []
+    original = covers.prepare
+
+    def counting(model, window, **kwargs):
+        windows.append((window.log_lo, window.log_hi))
+        return original(model, window, **kwargs)
+
+    monkeypatch.setattr(covers, "prepare", counting)
+    monkeypatch.setattr(interpolation, "prepare", counting, raising=False)
+    # the command-line Cantor interpolate: --grid=-60:-12:15, 40 exponents
+    grid = [float(v) * LOG2 for v in np.linspace(-60.0, -12.0, 15)]
+    model = CantorSchedule.from_ratios([1.0 / 3.0] * 40, offset=0.37)
+    s_grid = [float(v) for v in np.linspace(0.22, 0.82, 40)]
+    tables = phi_s_family(model, s_grid, grid, tol=1e-3)
+    # the cap and the doubling floors k * log delta, k = 2, 4, ..., 2**40
+    rungs = {(ld - math.log(-ld), ld) for ld in grid}
+    rungs |= {(2**e * ld, ld) for ld in grid for e in range(1, 41)}
+    ladder = [w for w in windows if w in rungs]
+    assert len(ladder) == len(set(ladder)) <= 15 * 41
+    # computed exponent by exponent, 405 dropped points probed all 41 rungs
+    assert sum(len(t.dropped) for t in tables) == 405

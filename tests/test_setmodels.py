@@ -1,5 +1,6 @@
 """Set models: generators, schedules, carpets, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -167,6 +168,29 @@ def test_model_serialization_roundtrip(model):
 def test_model_from_dict_rejects_unknown_kind():
     with pytest.raises(InputError):
         model_from_dict({"kind": "mystery"})
+
+
+def test_serialization_keeps_preferred_log_scales():
+    pair = build_stability_pair(PowerLaw(0.5), 3)
+    cantor = CantorSchedule(((4, 0.25), (6, 1.0 / 3.0)), preferred_log_scales=(-3.5, -1.25))
+    for model in (pair.union, pair.e_set, cantor):
+        back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+        assert back == model
+        assert back.preferred_log_scales == model.preferred_log_scales
+    assert len(model_from_dict(model_to_dict(pair.union)).preferred_log_scales) == 3
+    # the key is written only when there are scales to keep
+    assert "preferred_log_scales" not in model_to_dict(CantorSchedule.middle_thirds(5))
+    plain = UnionModel((PointSet(0.0), SequenceSet(1.0, offset=2.0)))
+    assert "preferred_log_scales" not in model_to_dict(plain)
+
+
+@pytest.mark.parametrize("scales", ["-1.5", -1.5, ["x"], [None], [float("nan")], {"a": 1}])
+def test_malformed_preferred_log_scales_are_input_errors(scales):
+    cantor = {"kind": "cantor", "ratios": [0.25, 0.25], "offset": 2.0}
+    union = {"kind": "union", "members": [{"kind": "point"}, cantor]}
+    for spec in (cantor, union):
+        with pytest.raises(InputError):
+            model_from_dict(spec | {"preferred_log_scales": scales})
 
 
 # --- carpets -------------------------------------------------------------------
