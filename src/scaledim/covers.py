@@ -20,7 +20,8 @@ downstream root finding can certify both sides.  Routines:
   finite diameter grid; the reference oracle for small point sets.
 * :func:`cover_cost_dp` -- exact minimum over a materialized skeleton for
   ``s in [0, 1]``: a graph of reachable cover fronts, built once per
-  window, and a dynamic-programming sweep over it per ``s``.
+  window as integer-indexed rows of moves, and a dynamic-programming
+  sweep over it per ``s``.
 * :func:`cover_cost_cantor` -- single-level covers of a Cantor schedule,
   with a natural-measure lower bound; works at symbolic depths.  Both
   bounds are extrema of lines in ``s``.
@@ -237,12 +238,15 @@ def _require_linear(window: ScaleWindow) -> None:
 
 
 class _CoverGraph:
-    """Reachable cover fronts of one skeleton under one window.
+    """Reachable cover fronts of one skeleton under one window, stored flat.
 
-    States are the left endpoints of a possible next cover interval; each
-    maps its successor states (None once everything is covered) to the
-    shortest move length reaching them.  Nothing here depends on ``s``, so
-    one graph serves every exponent.
+    States are the left endpoints of a possible next cover interval,
+    numbered by decreasing position: ``positions[i]`` is state ``i``, the
+    start is the last state and index ``len(positions)`` means everything
+    is covered.  ``rows[i]`` lists state ``i``'s moves as (length,
+    successor index) pairs, one per successor with its shortest length;
+    every move goes right, so every successor has a smaller index.
+    Nothing here depends on ``s``, so one graph serves every exponent.
     """
 
     def __init__(self, items: Skeleton, window: ScaleWindow, state_cap: int) -> None:
@@ -259,40 +263,42 @@ class _CoverGraph:
                 return covered_end  # strictly inside item k-1
             return starts[k] if k < n else None
 
-        def successors(x: float) -> dict:
-            cands: dict[Optional[float], float] = {}
+        # the front after a move that ends at an item's end is the same
+        # from every state, so it is looked up once per item
+        after_end = [next_uncovered(b) for b in ends]
+        ftol = hi * 1e-12  # absorb float drift in accumulated endpoints
 
-            def add(length: float, nxt: Optional[float]) -> None:
-                prev = cands.get(nxt)
-                if prev is None or length < prev:
-                    cands[nxt] = length
-
-            reach = x + hi
-            ftol = hi * 1e-12  # absorb float drift in accumulated endpoints
-            j = bisect_left(ends, x)  # first item with material at or beyond x
-            while j < n and starts[j] <= reach:
-                b = ends[j]
-                if b <= reach + ftol:
-                    span = b - x
-                    if span >= lo:
-                        add(min(span, hi), next_uncovered(b))  # end at the item
-                    else:
-                        add(lo, next_uncovered(x + lo))
-                    j += 1
-                else:
-                    add(hi, next_uncovered(reach))  # partial reach into item j
-                    break
-            add(lo, next_uncovered(x + lo))
-            return cands
-
+        # depth-first search; each state maps its successors (None once
+        # everything is covered) to the shortest move length reaching them
         x0 = starts[0]
         edges: dict[float, dict] = {x0: {}}
         stack = [x0]
         while stack:
             x = stack.pop()
-            succ = successors(x)
-            edges[x] = succ
-            for nxt in succ:
+            cands: dict[Optional[float], float] = {}
+            reach = x + hi
+            after_lo = next_uncovered(x + lo)
+            j = bisect_left(ends, x)  # first item with material at or beyond x
+            while j < n and starts[j] <= reach:
+                b = ends[j]
+                if b > reach + ftol:  # partial reach into item j, the last move
+                    nxt, length = next_uncovered(reach), hi
+                    j = n
+                else:
+                    span = b - x
+                    if span >= lo:  # end at the item
+                        nxt, length = after_end[j], (hi if hi < span else span)
+                    else:
+                        nxt, length = after_lo, lo
+                    j += 1
+                prev = cands.get(nxt)
+                if prev is None or length < prev:
+                    cands[nxt] = length
+            prev = cands.get(after_lo)
+            if prev is None or lo < prev:
+                cands[after_lo] = lo
+            edges[x] = cands
+            for nxt in cands:
                 if nxt is not None and nxt not in edges:
                     edges[nxt] = {}
                     stack.append(nxt)
@@ -301,36 +307,45 @@ class _CoverGraph:
                     f"cover DP exceeded {state_cap} states; coarsen the window "
                     "or use an analytic route"
                 )
-        self.start = x0
-        self.edges = edges
-        self.order = sorted(edges, reverse=True)  # every move goes right
+        positions = sorted(edges, reverse=True)
+        index: dict[Optional[float], int] = {x: i for i, x in enumerate(positions)}
+        index[None] = len(positions)
+        # list rows: tuples of up to 19 items would be kept on CPython's
+        # free lists after the graph is dropped
+        self.rows = [
+            [(length, index[nxt]) for nxt, length in edges.pop(x).items()]
+            for x in positions
+        ]
+        self.positions = positions
 
     def cost(self, s: float, want_pieces: bool = False) -> CoverCost:
-        """Value sweep in decreasing state order; ``s`` must be in [0, 1]."""
-        edges = self.edges
-        value: dict[Optional[float], float] = {None: 0.0}
-        for x in self.order:
+        """Value sweep in decreasing position order; ``s`` must be in [0, 1]."""
+        rows = self.rows
+        start = len(rows) - 1
+        # value[i]: cheapest cover from state i; past the start, all covered
+        value = [math.inf] * len(rows) + [0.0]
+        for i, row in enumerate(rows):
             best = math.inf
-            for nxt, length in edges[x].items():
+            for length, nxt in row:
                 v = length**s + value[nxt]
                 if v < best:
                     best = v
-            value[x] = best
+            value[i] = best
         pieces = None
-        if want_pieces and len(edges) <= 100_000:
+        if want_pieces and len(rows) <= 100_000:
             # replay the sweep's first strict minimum along the optimal path
             path = []
-            x: Optional[float] = self.start
-            while x is not None:
+            i = start
+            while i <= start:
                 best = math.inf
-                for nxt, length in edges[x].items():
+                for length, nxt in rows[i]:
                     v = length**s + value[nxt]
                     if v < best:
                         best, move = v, (length, nxt)
-                path.append((x, move[0]))
-                x = move[1]
+                path.append((self.positions[i], move[0]))
+                i = move[1]
             pieces = tuple(path)
-        log_total = math.log(value[self.start])
+        log_total = math.log(value[start])
         return CoverCost(log_total, log_total, "exact-dp", pieces)
 
 
@@ -358,9 +373,11 @@ def cover_cost_dp(
     last).  The reachable states are finite and the search stops with a
     budget error beyond ``state_cap`` of them.
 
-    Sweep: every move advances strictly right, so the value function is
-    computed by one pass in decreasing state order -- no recursion, memory
-    linear in the state count.
+    Storage: the states are numbered by decreasing position and each keeps
+    a flat row of (length, successor index) moves, so memory is linear in
+    the edge count.  Sweep: every move advances strictly right, so the
+    value function is one pass over the rows in index order into a list
+    of values -- no recursion, no float-keyed lookups.
     """
     _validate_exponent(s)
     return _CoverGraph(items, window, state_cap).cost(s, want_pieces)
@@ -500,6 +517,11 @@ def _single_level_lines(schedule: CantorSchedule, window: ScaleWindow) -> list[_
     j_below = 0 if j_max is None else j_max + 1
     if j_below <= depth and schedule.log_length(j_below) < log_lo:
         lines.append((j_below * LOG2, log_lo))  # fatten to lo
+    if not lines:  # a top less than _TOL below the deepest level
+        raise ResolutionError(
+            f"window top {log_hi:.6g} is below the schedule's deepest level "
+            f"length {log_bottom:.6g}; no single-level cover fits"
+        )
     return lines
 
 
@@ -508,7 +530,7 @@ def _prepare_cantor(
 ) -> Callable[[float], CoverCost]:
     # each list is built by the first call that reaches it; the upper
     # bound comes first, so a window with no single-level cover (a top
-    # just below the deepest level) fails in min() before the mass lines
+    # just below the deepest level) raises before the mass lines are built
     upper: Optional[list[_Line]] = None
     mass: Optional[list[_Line]] = None
 
@@ -766,8 +788,8 @@ def prepare(
     builds what does not depend on ``s`` and later calls reuse it: on DP
     routes the skeleton and cover graph, for Cantor schedules the lines
     in ``s`` of both bounds, for products the marginal counts.  Sequence,
-    grid and point costs are closed forms evaluated per call.  A build that raises keeps nothing, so the
-    next call raises the same error.
+    grid and point costs are closed forms evaluated per call.  A build
+    that raises keeps nothing, so the next call raises the same error.
     """
     if oracle not in ("auto", "dp", "analytic"):
         raise InputError(f"unknown oracle {oracle!r}")

@@ -807,15 +807,20 @@ def ambient_dimension(model) -> int:
     return 2 if isinstance(model, (ProductModel, CarpetParams)) else 1
 
 
+def _offset_suffix(model) -> str:
+    """``@offset`` for a shifted model, empty at offset 0."""
+    return f"@{model.offset:g}" if model.offset else ""
+
+
 def model_id(model) -> str:
     """Short stable identifier used in reports and serialized tables."""
     kind = getattr(model, "kind", type(model).__name__)
     if isinstance(model, SequenceSet):
-        return f"sequence(p={model.p:g})"
+        return f"sequence(p={model.p:g})" + _offset_suffix(model)
     if isinstance(model, PointSet):
         return f"point({model.location:g})"
     if isinstance(model, UniformGrid):
-        return f"grid(spacing={model.spacing!r})"
+        return f"grid(spacing={model.spacing!r})" + _offset_suffix(model)
     if isinstance(model, CantorSchedule):
         blocks = ",".join(f"{c}x{r:g}" for c, r in model.blocks[:4])
         more = "..." if len(model.blocks) > 4 else ""

@@ -19,7 +19,12 @@ from scaledim.bounds import (
     product_bounds,
 )
 from scaledim.errors import InputError
-from scaledim.estimator import CriticalExponent, DimensionProfile
+from scaledim.estimator import (
+    CriticalExponent,
+    DimensionProfile,
+    box_profile,
+    dimension_profile,
+)
 from scaledim.scalefun import LogCorrected, PowerLaw
 from scaledim.setmodels import SequenceSet
 
@@ -249,3 +254,12 @@ def test_mutual_dependency_requires_matching_models():
             fake_profile(PowerLaw(0.5), 0.3),
             fake_profile(LogCorrected(), 0.5, model=SequenceSet(2.0)),
         )
+
+
+def test_mutual_dependency_tells_shifted_models_apart():
+    scales = [-8 * LOG2]
+    theta = dimension_profile(SequenceSet(1.0), PowerLaw(0.5), scales)
+    box = box_profile(SequenceSet(1.0, offset=2.0), scales)
+    assert (theta.model, box.model) == ("sequence(p=1)", "sequence(p=1)@2")
+    with pytest.raises(InputError, match="different models"):
+        check_mutual_dependency(theta, box)

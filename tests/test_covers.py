@@ -1,5 +1,6 @@
 """Cover-cost oracles: exhaustive reference, skeleton DP, analytic routes."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -173,6 +174,67 @@ def test_prepared_dp_matches_cover_cost_dp_bit_for_bit(model):
         for s in sweep + sweep[::-1]:
             assert bits(cost_at(s)) == bits(cover_cost_dp(items, window, s))
             assert bits(cover_cost(model, window, s, oracle="dp")) == bits(cost_at(s))
+
+
+# sha256 over the hex bounds, method and pieces of the DP at seeded windows
+# and exponents, recorded before the cover graph moved to flat rows: a change
+# of graph storage must give the same floats and the same witness bit for bit.
+DP_DIGEST_MODELS = {
+    "sequence-p0.5": SequenceSet(0.5),
+    "sequence-p1.5": SequenceSet(1.5),
+    "holder": HolderImage(SequenceSet(2.0), 0.7),
+    "middle-thirds": middle_thirds(30),
+    "points": UniformGrid(2.0**-7),
+    "union": UnionModel((SequenceSet(1.0), CantorSchedule.middle_thirds(30, offset=2.0))),
+}
+DP_DIGESTS = {
+    "sequence-p0.5": (
+        "7678e72aaddf4d7d91785439d22e59b9d89bf0c0103a552a0444a6e2c4d2ea19",
+        "3d298a91e6d467626b7e38fed789085cae6bccebe8819a6d458d73ac8203a23d",
+    ),
+    "sequence-p1.5": (
+        "5b4bf9221fac770017ef97f9f90f3e45389bd41c40d5421f1eabbf59315447c3",
+        "ee9af78a477a7b3880231253fbd1dd49c2e019867854144223017179c52a2eb4",
+    ),
+    "holder": (
+        "2045a52630438ddd609e6ce86bef30de55fbf11df781b927929b76627cc74374",
+        "9cc14628b4e28afa7207b55bbf47320edeeedd1d95046b0bf5985c1a1a6240f6",
+    ),
+    "middle-thirds": (
+        "04a128df4bb29e5093a507671eed606eab6589a4c6b0eee2e21e937481d7f03f",
+        "f6e4cd1fcf29f89756ea7e9424af44b48b559cd704d541109b8de93c2dfcd071",
+    ),
+    "points": (
+        "7ba5135f2b5db957d13df2a766958636679b94a48d6d3be660d3a13ec1883ed7",
+        "545eaae08b3b951ac0c6a1ceb2aebf55c32cd90daf82d01633d58cab08242d55",
+    ),
+    "union": (
+        "ab9530c265257449e7fa4814630eb497c7d323ad6023eef6adb90f04e50658cc",
+        "ae73f57b1439bf2d121fd85670d26f8e6a485979a668644b1f27ce0547c74874",
+    ),
+}
+
+
+def _dp_digests(model):
+    """(cover_cost_dp with pieces, prepare(oracle="dp")) digests of a model."""
+    rng = np.random.default_rng(5)
+    direct, prepared = hashlib.sha256(), hashlib.sha256()
+    for _ in range(6):
+        hi = 2.0 ** -float(rng.uniform(3.0, 8.0))
+        window = ScaleWindow.from_linear(hi * 2.0 ** -float(rng.uniform(0.5, 4.0)), hi)
+        items = skeleton(model, window.lo)
+        cost_at = prepare(model, window, oracle="dp")
+        for s in [0.0, 1.0] + [float(v) for v in rng.uniform(0.0, 1.0, 6)]:
+            got = cover_cost_dp(items, window, s, want_pieces=True)
+            pieces = tuple((a.hex(), length.hex()) for a, length in got.pieces)
+            direct.update(repr(bits(got)[:3] + (pieces,)).encode())
+            prepared.update(repr(bits(cost_at(s))).encode())
+    return direct.hexdigest(), prepared.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DP_DIGEST_MODELS))
+def test_dp_bits_match_the_recorded_digests(name):
+    assert _dp_digests(DP_DIGEST_MODELS[name]) == DP_DIGESTS[name]
 
 
 def test_dp_errors_keep_their_types(monkeypatch):
@@ -492,6 +554,11 @@ def _reference_cantor(schedule, window, s, mass_level=None):
     j_below = 0 if j_max is None else j_max + 1
     if j_below <= depth and schedule.log_length(j_below) < log_lo:
         candidates.append(j_below * covers.LOG2 + s * log_lo)
+    if not candidates:
+        raise ResolutionError(
+            f"window top {log_hi:.6g} is below the schedule's deepest level "
+            f"length {log_bottom:.6g}; no single-level cover fits"
+        )
     log_upper = min(candidates)
     log_c = _reference_mass_constant(schedule, window, s, mass_level=mass_level)
     log_lower = max(-log_c, s * log_lo)
@@ -551,6 +618,21 @@ def _random_cantor_cases(rng, count):
         exponents = [0.0, 1.0] + [float(v) for v in rng.uniform(0.0, 1.0, 3)]
         exponents += [float(rng.choice([-0.25, 1.5, math.nan]))]
         yield sched, ScaleWindow(log_lo, log_hi), mass_level, exponents
+
+
+def test_cantor_top_just_below_the_deepest_level_is_a_resolution_error():
+    # within _TOL of the deepest level the top passes the depth check, yet
+    # no single-level cover fits
+    sched = middle_thirds(12)
+    bottom = sched.log_length(sched.depth)
+    window = ScaleWindow(bottom - 1.0, bottom - 0.5 * covers._TOL)
+    for call in (
+        lambda: prepare(sched, window)(0.5),
+        lambda: cover_cost_cantor(sched, window, 0.5),
+        lambda: cover_cost(sched, window, 0.5),
+    ):
+        with pytest.raises(ResolutionError, match="no single-level cover fits"):
+            call()
 
 
 def test_prepared_cantor_matches_the_reference_route():

@@ -144,6 +144,11 @@ def test_model_id_is_stable():
     assert model_id(ProductModel(UniformGrid(None), UniformGrid(None))).startswith(
         "product("
     )
+    # a nonzero offset is part of the id
+    assert model_id(SequenceSet(1.0, offset=2.0)) == "sequence(p=1)@2"
+    assert model_id(SequenceSet(1.0, offset=0.0)) == "sequence(p=1)"
+    assert model_id(UniformGrid(0.25)) == "grid(spacing=0.25)"
+    assert model_id(UniformGrid(0.25, offset=-0.5)) == "grid(spacing=0.25)@-0.5"
 
 
 @pytest.mark.parametrize(
