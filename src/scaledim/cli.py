@@ -138,43 +138,27 @@ class RunConfig:
 # spec parsing
 
 
-def parse_grid(spec) -> tuple[float, float, int]:
-    """``a:b:n`` (or [a, b, n]) with a <= b in log2 delta and n >= 2 points."""
-    if isinstance(spec, str):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"grid must be a:b:n, got {spec!r}")
-    else:
-        parts = list(spec)
-        if len(parts) != 3:
-            raise ConfigError(f"grid must have 3 entries, got {spec!r}")
+def parse_grid(spec, name: str = "grid", min_points: int = 2) -> tuple[float, float, int]:
+    """``a:b:n`` (or [a, b, n]) with finite a <= b and n >= ``min_points``.
+
+    The log2-delta grid needs 2 points, the exponent grid (``s-grid``) 1.
+    """
     try:
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except (TypeError, ValueError):
-        raise ConfigError(f"grid entries must be numbers, got {spec!r}")
+        a, b, n = spec.split(":") if isinstance(spec, str) else spec
+        a, b, n = float(a), float(b), int(n)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a:b:n with numeric entries, got {spec!r}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ConfigError(f"{name} bounds must be finite, got {a}, {b}")
     if not a <= b:
-        raise ConfigError(f"grid bounds must be ordered, got {a} > {b}")
-    if n < 2:
-        raise ConfigError(f"grid needs at least 2 points, got {n}")
+        raise ConfigError(f"{name} bounds must be ordered, got {a} > {b}")
+    if n < min_points:
+        raise ConfigError(f"{name} needs at least {min_points} points, got {n}")
     return a, b, n
 
 
 def parse_s_grid(spec) -> tuple[float, float, int]:
-    if isinstance(spec, str):
-        parts = spec.split(":")
-    else:
-        parts = list(spec)
-    if len(parts) != 3:
-        raise ConfigError(f"s-grid must be a:b:n, got {spec!r}")
-    try:
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except (TypeError, ValueError):
-        raise ConfigError(f"s-grid entries must be numbers, got {spec!r}")
-    if not a <= b:
-        raise ConfigError(f"s-grid bounds must be ordered, got {a} > {b}")
-    if n < 1:
-        raise ConfigError(f"s-grid needs at least 1 point, got {n}")
-    return a, b, n
+    return parse_grid(spec, "s-grid", 1)
 
 
 def _from_spec(build, spec, what: str):
@@ -182,7 +166,7 @@ def _from_spec(build, spec, what: str):
     value is a configuration error, not a crash."""
     try:
         return build(spec)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed {what} {spec!r}: {exc!r}") from exc
 
 
@@ -274,7 +258,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             return overrides[name]
         return GLOBAL_DEFAULTS[name]
 
-    tol = float(pick("tol"))
+    tol = _from_spec(float, pick("tol"), "tol")
     if not tol > 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
     fmt = str(pick("format"))
@@ -313,14 +297,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         tol=tol,
         out=str(out),
         format=fmt,
-        seed=int(pick("seed")),
+        seed=_from_spec(int, pick("seed"), "seed"),
         formula=pick("formula"),
         inputs=inputs,
-        s=None if s_val is None else float(s_val),
-        log2_delta=None if log2_delta is None else float(log2_delta),
-        base=int(pick("base")),
+        s=None if s_val is None else _from_spec(float, s_val, "s"),
+        log2_delta=None if log2_delta is None else _from_spec(float, log2_delta, "log2_delta"),
+        base=_from_spec(int, pick("base"), "base"),
         phi2=phi2,
-        alphas=parse_alphas(pick("alphas")),
+        alphas=_from_spec(parse_alphas, pick("alphas"), "alphas"),
     )
 
 
@@ -346,8 +330,6 @@ def s_grid_values(cfg: RunConfig) -> list[float]:
     if cfg.s_grid is None:
         raise ConfigError(f"{cfg.command} needs --s-grid a:b:n")
     a, b, n = cfg.s_grid
-    if n == 1:
-        return [a]
     return [float(v) for v in np.linspace(a, b, n)]
 
 
@@ -532,15 +514,6 @@ def _run_bounds(cfg: RunConfig):
     return payload, (("quantity", "value"), rows), summary
 
 
-def _comparison_dict(report) -> dict:
-    return {
-        "satisfied": report.satisfied,
-        "label": report.label,
-        "witness": None if report.witness is None else list(report.witness),
-        "thresholds": [list(t) for t in report.thresholds],
-    }
-
-
 def _run_phi(cfg: RunConfig):
     phi = _resolved_phi(cfg)
     log_deltas = sorted(grid_log_deltas(cfg), reverse=True)
@@ -559,15 +532,9 @@ def _run_phi(cfg: RunConfig):
     if cfg.phi2 is not None:
         other = _from_spec(scale_function_from_dict, cfg.phi2, "phi2 spec")
         payload["phi2"] = scale_function_to_dict(other)
-        payload["precedes"] = _comparison_dict(
-            precedes(phi, other, cfg.alphas, log_deltas)
-        )
-        payload["preceded_by"] = _comparison_dict(
-            precedes(other, phi, cfg.alphas, log_deltas)
-        )
-        payload["equivalent"] = _comparison_dict(
-            equivalent(phi, other, cfg.alphas, log_deltas)
-        )
+        payload["precedes"] = asdict(precedes(phi, other, cfg.alphas, log_deltas))
+        payload["preceded_by"] = asdict(precedes(other, phi, cfg.alphas, log_deltas))
+        payload["equivalent"] = asdict(equivalent(phi, other, cfg.alphas, log_deltas))
     summary = (
         f"phi: admissible={_fmt(admissibility['admissible'])} "
         f"over {len(rows)} scales -> {cfg.out}"

@@ -122,8 +122,10 @@ def frostman_levels(
     cubes sit just below the window bottom; l is the largest integer with
     8 * b^-(m-l) <= delta, so the coarsest capped level stays comfortably
     inside the window.  A window too narrow for the hierarchy (l < 0) is
-    rejected.
+    rejected, and so is a base that is not an integer >= 2.
     """
+    if not isinstance(base, (int, np.integer)) or isinstance(base, bool) or base < 2:
+        raise DomainError(f"cube base must be an integer >= 2, got {base!r}")
     log_b = math.log(base)
     log_phi = phi.eval_phi_log(log_delta)
     m = math.floor(-(math.log(2.0) + log_phi) / log_b + 1e-12)

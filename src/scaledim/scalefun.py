@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DomainError, InvalidFunctionError
@@ -397,6 +397,42 @@ def _threshold_scan(
     return True, None, grid[last_bad + 1]
 
 
+def _compare(
+    alphas: Sequence[float], log_deltas: Sequence[float], holds
+) -> ComparisonReport:
+    """Scan the grid once per alpha with ``holds(alpha, log_delta)``.
+
+    Scales where ``holds`` meets a :class:`DomainError` are skipped; each
+    alpha needs at least 4 usable scales.  The report carries the first
+    violating (alpha, log_delta) and each alpha's threshold.
+    """
+    grid = _sorted_desc(log_deltas)
+    thresholds = []
+    witness = None
+    for alpha in alphas:
+        if not alpha > 1.0:
+            raise DomainError(f"comparison exponents must exceed 1, got {alpha}")
+        flags = []
+        kept_grid = []
+        for ld in grid:
+            try:
+                flags.append(holds(alpha, ld))
+            except DomainError:
+                continue
+            kept_grid.append(ld)
+        if len(kept_grid) < 4:
+            raise ConfigError("comparison grid leaves fewer than 4 usable scales")
+        ok, bad_ld, thr = _threshold_scan(kept_grid, flags)
+        thresholds.append((alpha, thr))
+        if not ok and witness is None:
+            witness = (alpha, bad_ld)
+    all_ok = witness is None
+    label = (
+        "sufficient-condition satisfied" if all_ok else "sufficient-condition violated"
+    )
+    return ComparisonReport(all_ok, label, witness, tuple(thresholds))
+
+
 def precedes(
     phi1: ScaleFunction,
     phi: ScaleFunction,
@@ -410,35 +446,13 @@ def precedes(
     A failure of the test does not disprove the ordering (the condition is
     sufficient only), which the report label spells out.
     """
-    grid = _sorted_desc(log_deltas)
-    thresholds = []
-    witness = None
-    all_ok = True
-    for alpha in alphas:
-        if not alpha > 1.0:
-            raise DomainError(f"comparison exponents must exceed 1, got {alpha}")
-        flags = []
-        kept_grid = []
-        for ld in grid:
-            try:
-                lhs = phi1.eval_phi_log(alpha * ld)
-                rhs = phi.eval_phi_log(ld) / alpha
-            except DomainError:
-                continue
-            kept_grid.append(ld)
-            flags.append(lhs <= rhs + _ADMISSIBILITY_EPS)
-        if len(kept_grid) < 4:
-            raise ConfigError("comparison grid leaves fewer than 4 usable scales")
-        ok, bad_ld, thr = _threshold_scan(kept_grid, flags)
-        thresholds.append((alpha, thr))
-        if not ok:
-            all_ok = False
-            if witness is None:
-                witness = (alpha, bad_ld)
-    label = (
-        "sufficient-condition satisfied" if all_ok else "sufficient-condition violated"
-    )
-    return ComparisonReport(all_ok, label, witness, tuple(thresholds))
+
+    def holds(alpha: float, ld: float) -> bool:
+        lhs = phi1.eval_phi_log(alpha * ld)
+        rhs = phi.eval_phi_log(ld) / alpha
+        return lhs <= rhs + _ADMISSIBILITY_EPS
+
+    return _compare(alphas, log_deltas, holds)
 
 
 def equivalent(
@@ -454,118 +468,89 @@ def equivalent(
 
     for every alpha > 1 on all sufficiently fine grid scales.
     """
-    grid = _sorted_desc(log_deltas)
-    thresholds = []
-    witness = None
-    all_ok = True
-    for alpha in alphas:
-        if not alpha > 1.0:
-            raise DomainError(f"comparison exponents must exceed 1, got {alpha}")
-        flags = []
-        kept_grid = []
-        for ld in grid:
-            try:
-                mid = phi1.eval_phi_log(ld)
-                lower = alpha * phi.eval_phi_log(alpha * ld)
-                upper = phi.eval_phi_log(ld / alpha) / alpha
-            except DomainError:
-                continue
-            kept_grid.append(ld)
-            flags.append(
-                lower <= mid + _ADMISSIBILITY_EPS and mid <= upper + _ADMISSIBILITY_EPS
-            )
-        if len(kept_grid) < 4:
-            raise ConfigError("comparison grid leaves fewer than 4 usable scales")
-        ok, bad_ld, thr = _threshold_scan(kept_grid, flags)
-        thresholds.append((alpha, thr))
-        if not ok:
-            all_ok = False
-            if witness is None:
-                witness = (alpha, bad_ld)
-    label = (
-        "sufficient-condition satisfied" if all_ok else "sufficient-condition violated"
-    )
-    return ComparisonReport(all_ok, label, witness, tuple(thresholds))
+
+    def holds(alpha: float, ld: float) -> bool:
+        mid = phi1.eval_phi_log(ld)
+        lower = alpha * phi.eval_phi_log(alpha * ld)
+        upper = phi.eval_phi_log(ld / alpha) / alpha
+        return lower <= mid + _ADMISSIBILITY_EPS and mid <= upper + _ADMISSIBILITY_EPS
+
+    return _compare(alphas, log_deltas, holds)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
+#: Every serializable scale function under its ``variant``, used in both
+#: directions.
+_VARIANTS = {
+    "power_law": PowerLaw,
+    "log_corrected": LogCorrected,
+    "stretched_exp": StretchedExponential,
+    "tabulated": Tabulated,
+    "min_family": MinFamily,
+    "interpolated": InterpolatedScale,
+}
+
+#: How ``scale_function_from_dict`` reads each parameter, by field name.
+_PARAM_DECODERS = {
+    "theta": float,
+    "c": float,
+    "s": float,
+    "model_id": str,
+    "log_breakpoints": lambda v: tuple(tuple(p) for p in v),
+    "table": lambda v: Tabulated(tuple(tuple(p) for p in v)),
+    "members": lambda v: tuple(scale_function_from_dict(m) for m in v),
+    "active_below": lambda v: tuple(v) if v else None,
+}
+
+
+def _plain(value):
+    """A parameter in JSON form: scale functions as dicts, tuples as lists."""
+    if isinstance(value, ScaleFunction):
+        return scale_function_to_dict(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
 
 def scale_function_to_dict(phi: ScaleFunction) -> dict:
-    if isinstance(phi, PowerLaw):
-        return {
-            "variant": "power_law",
-            "params": {"theta": phi.theta},
-            "domain_upper": phi.domain_upper,
-        }
-    if isinstance(phi, LogCorrected):
-        return {"variant": "log_corrected", "params": {}, "domain_upper": phi.domain_upper}
-    if isinstance(phi, StretchedExponential):
-        return {
-            "variant": "stretched_exp",
-            "params": {"c": phi.c},
-            "domain_upper": phi.domain_upper,
-        }
+    """``variant``, every field but ``domain_upper`` as ``params``, and
+    ``domain_upper``.  An interpolated scale writes its table's log pairs
+    in place of the table; a tabulated one adds linear pairs when they are
+    representable."""
+    variant = next((name for name, cls in _VARIANTS.items() if type(phi) is cls), None)
+    if variant is None:
+        raise ConfigError(f"cannot serialize scale function of type {type(phi).__name__}")
+    params = {f.name: _plain(getattr(phi, f.name)) for f in fields(phi)}
+    del params["domain_upper"]
     if isinstance(phi, InterpolatedScale):
-        return {
-            "variant": "interpolated",
-            "params": {
-                "s": phi.s,
-                "model_id": phi.model_id,
-                "log_breakpoints": [list(p) for p in phi.table.log_breakpoints],
-            },
-            "domain_upper": phi.domain_upper,
-        }
-    if isinstance(phi, Tabulated):
-        params: dict = {"log_breakpoints": [list(p) for p in phi.log_breakpoints]}
-        # emit linear pairs too when they are representable
-        if phi.log_breakpoints[0][1] > -700.0:
-            params["breakpoints"] = [
-                [math.exp(ld), math.exp(lv)] for ld, lv in phi.log_breakpoints
-            ]
-        return {"variant": "tabulated", "params": params, "domain_upper": phi.domain_upper}
-    if isinstance(phi, MinFamily):
-        return {
-            "variant": "min_family",
-            "params": {
-                "members": [scale_function_to_dict(m) for m in phi.members],
-                "active_below": list(phi.active_below) if phi.active_below else None,
-            },
-            "domain_upper": phi.domain_upper,
-        }
-    raise ConfigError(f"cannot serialize scale function of type {type(phi).__name__}")
+        params["log_breakpoints"] = params.pop("table")["params"]["log_breakpoints"]
+    elif isinstance(phi, Tabulated) and phi.log_breakpoints[0][1] > -700.0:
+        params["breakpoints"] = [
+            [math.exp(ld), math.exp(lv)] for ld, lv in phi.log_breakpoints
+        ]
+    return {"variant": variant, "params": params, "domain_upper": phi.domain_upper}
 
 
 def scale_function_from_dict(data: dict) -> ScaleFunction:
+    """Inverse of ``scale_function_to_dict``; a tabulated spec may give
+    linear ``breakpoints`` instead of ``log_breakpoints``."""
     try:
-        variant = data["variant"]
+        cls = _VARIANTS[data["variant"]]
     except (KeyError, TypeError):
-        raise ConfigError(f"scale function spec needs a 'variant' key: {data!r}")
+        raise ConfigError(f"scale function spec needs a known 'variant', got {data!r}")
     params = data.get("params", {})
-    if variant == "power_law":
-        kwargs = {"theta": float(params["theta"])}
-        if "domain_upper" in data:
-            kwargs["domain_upper"] = float(data["domain_upper"])
-        return PowerLaw(**kwargs)
-    if variant == "log_corrected":
-        if "domain_upper" in data:
-            return LogCorrected(domain_upper=float(data["domain_upper"]))
-        return LogCorrected()
-    if variant == "stretched_exp":
-        kwargs = {"c": float(params["c"])}
-        if "domain_upper" in data:
-            kwargs["domain_upper"] = float(data["domain_upper"])
-        return StretchedExponential(**kwargs)
-    if variant == "tabulated":
-        if "log_breakpoints" in params:
-            return Tabulated(tuple(tuple(p) for p in params["log_breakpoints"]))
+    if cls is Tabulated and "log_breakpoints" not in params:
         return Tabulated.from_linear([tuple(p) for p in params["breakpoints"]])
-    if variant == "min_family":
-        members = tuple(scale_function_from_dict(m) for m in params["members"])
-        active = params.get("active_below")
-        return MinFamily(members, tuple(active) if active else None)
-    if variant == "interpolated":
-        table = Tabulated(tuple(tuple(p) for p in params["log_breakpoints"]))
-        return InterpolatedScale(table, float(params["s"]), str(params["model_id"]))
-    raise ConfigError(f"unknown scale function variant {variant!r}")
+    if cls is InterpolatedScale:
+        params = {**params, "table": params["log_breakpoints"]}
+    kwargs = {
+        f.name: _PARAM_DECODERS[f.name](params[f.name])
+        for f in fields(cls)
+        if f.name in _PARAM_DECODERS and (f.name in params or f.default is MISSING)
+    }
+    # the closed forms take domain_upper as a parameter; the others derive it
+    if cls in (PowerLaw, LogCorrected, StretchedExponential) and "domain_upper" in data:
+        kwargs["domain_upper"] = float(data["domain_upper"])
+    return cls(**kwargs)

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -754,17 +754,6 @@ def build_stability_pair(
 # shared helpers
 
 
-SetModel = Union[
-    PointSet,
-    SequenceSet,
-    UniformGrid,
-    CantorSchedule,
-    UnionModel,
-    ProductModel,
-    HolderImage,
-]
-
-
 def _check_resolution(resolution: float) -> None:
     if not resolution > 0.0 or math.isinf(resolution):
         raise ResolutionError(f"resolution must be a positive float, got {resolution}")
@@ -782,24 +771,17 @@ def skeleton(model, resolution: float) -> Skeleton:
 
 
 def translate(model, dx: float):
-    """Shift a line model by dx (used for translation-invariance checks)."""
-    if isinstance(model, PointSet):
-        return PointSet(model.location + dx)
-    if isinstance(model, SequenceSet):
-        return SequenceSet(model.p, offset=model.offset + dx)
-    if isinstance(model, UniformGrid):
-        return UniformGrid(model.spacing, offset=model.offset + dx)
-    if isinstance(model, CantorSchedule):
-        return CantorSchedule(
-            model.blocks,
-            offset=model.offset + dx,
-            preferred_log_scales=model.preferred_log_scales,
-        )
-    if isinstance(model, UnionModel):
-        return UnionModel(
-            tuple(translate(m, dx) for m in model.members),
-            preferred_log_scales=model.preferred_log_scales,
-        )
+    """Shift a line model by dx (used for translation-invariance checks).
+
+    A union shifts its members; any other model shifts its ``offset``
+    (``location`` for a point).  Models with neither cannot be shifted.
+    """
+    names = {f.name for f in fields(model)} if is_dataclass(model) else ()
+    if "members" in names:
+        return replace(model, members=tuple(translate(m, dx) for m in model.members))
+    for name in ("offset", "location"):
+        if name in names:
+            return replace(model, **{name: getattr(model, name) + dx})
     raise InputError(f"cannot translate model of kind {getattr(model, 'kind', '?')!r}")
 
 
@@ -836,18 +818,18 @@ def model_id(model) -> str:
     return str(kind)
 
 
-def _preferred_entry(model) -> dict:
-    """The ``preferred_log_scales`` key, written only when there are any."""
-    if not model.preferred_log_scales:
-        return {}
-    return {"preferred_log_scales": list(model.preferred_log_scales)}
+#: Every serializable model class under its ``kind``, used in both directions.
+_MODEL_KINDS = {
+    cls.kind: cls
+    for cls in (
+        PointSet, SequenceSet, UniformGrid, CantorSchedule,
+        UnionModel, ProductModel, HolderImage, CarpetParams,
+    )
+}
 
 
-def _with_preferred(model, data: dict):
-    """``model`` carrying the spec's ``preferred_log_scales``, if it has any."""
-    if "preferred_log_scales" not in data:
-        return model
-    raw = data["preferred_log_scales"]
+def _finite_scales(raw) -> tuple[float, ...]:
+    """``preferred_log_scales`` from a spec: a list of finite numbers."""
     try:
         scales = tuple(float(v) for v in raw) if isinstance(raw, (list, tuple)) else None
     except (TypeError, ValueError):
@@ -856,80 +838,63 @@ def _with_preferred(model, data: dict):
         raise InputError(
             f"preferred_log_scales must be a list of finite numbers, got {raw!r}"
         )
-    return replace(model, preferred_log_scales=scales)
+    return scales
+
+
+#: How ``model_from_dict`` reads each field, by field name.
+_FIELD_DECODERS = {
+    "location": float,
+    "p": float,
+    "offset": float,
+    "alpha": float,
+    "spacing": lambda v: None if v is None else float(v),
+    "m": int,
+    "n": int,
+    "column_counts": lambda v: tuple(int(c) for c in v),
+    "blocks": lambda v: tuple((int(c), float(r)) for c, r in v),
+    "preferred_log_scales": _finite_scales,
+    "members": lambda v: tuple(model_from_dict(m) for m in v),
+    "left": lambda v: model_from_dict(v),
+    "right": lambda v: model_from_dict(v),
+    "base": lambda v: model_from_dict(v),
+}
+
+
+def _plain(value):
+    """A field value in JSON form: models as dicts, tuples as lists."""
+    if is_dataclass(value):
+        return model_to_dict(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def model_to_dict(model) -> dict:
-    if isinstance(model, PointSet):
-        return {"kind": "point", "location": model.location}
-    if isinstance(model, SequenceSet):
-        return {"kind": "sequence", "p": model.p, "offset": model.offset}
-    if isinstance(model, UniformGrid):
-        return {"kind": "grid", "spacing": model.spacing, "offset": model.offset}
-    if isinstance(model, CantorSchedule):
-        return {
-            "kind": "cantor",
-            "blocks": [list(b) for b in model.blocks],
-            "offset": model.offset,
-            **_preferred_entry(model),
-        }
-    if isinstance(model, UnionModel):
-        return {
-            "kind": "union",
-            "members": [model_to_dict(m) for m in model.members],
-            **_preferred_entry(model),
-        }
-    if isinstance(model, ProductModel):
-        return {
-            "kind": "product",
-            "left": model_to_dict(model.left),
-            "right": model_to_dict(model.right),
-        }
-    if isinstance(model, HolderImage):
-        return {"kind": "holder", "base": model_to_dict(model.base), "alpha": model.alpha}
-    if isinstance(model, CarpetParams):
-        return {
-            "kind": "carpet",
-            "m": model.m,
-            "n": model.n,
-            "column_counts": list(model.column_counts),
-        }
-    raise InputError(f"cannot serialize model of type {type(model).__name__}")
+    """``kind`` plus every constructor field; empty tuples are left out."""
+    if _MODEL_KINDS.get(getattr(model, "kind", None)) is not type(model):
+        raise InputError(f"cannot serialize model of type {type(model).__name__}")
+    out = {"kind": model.kind}
+    for f in fields(model):
+        value = getattr(model, f.name)
+        if f.init and not (isinstance(value, tuple) and not value):
+            out[f.name] = _plain(value)
+    return out
 
 
 def model_from_dict(data: dict):
+    """Inverse of ``model_to_dict``; a Cantor spec may give ``ratios``
+    (one per level) instead of ``blocks``."""
     try:
-        kind = data["kind"]
+        cls = _MODEL_KINDS[data["kind"]]
     except (KeyError, TypeError):
-        raise InputError(f"model spec needs a 'kind' key: {data!r}")
-    if kind == "point":
-        return PointSet(float(data.get("location", 0.0)))
-    if kind == "sequence":
-        return SequenceSet(float(data["p"]), offset=float(data.get("offset", 0.0)))
-    if kind == "grid":
-        spacing = data.get("spacing")
-        return UniformGrid(
-            None if spacing is None else float(spacing),
-            offset=float(data.get("offset", 0.0)),
-        )
-    if kind == "cantor":
-        if "blocks" in data:
-            blocks = tuple((int(c), float(r)) for c, r in data["blocks"])
-            schedule = CantorSchedule(blocks, offset=float(data.get("offset", 0.0)))
-        else:
-            schedule = CantorSchedule.from_ratios(
-                [float(r) for r in data["ratios"]], offset=float(data.get("offset", 0.0))
-            )
-        return _with_preferred(schedule, data)
-    if kind == "union":
-        union = UnionModel(tuple(model_from_dict(m) for m in data["members"]))
-        return _with_preferred(union, data)
-    if kind == "product":
-        return ProductModel(model_from_dict(data["left"]), model_from_dict(data["right"]))
-    if kind == "holder":
-        return HolderImage(model_from_dict(data["base"]), float(data["alpha"]))
-    if kind == "carpet":
-        return CarpetParams(
-            int(data["m"]), int(data["n"]), tuple(int(c) for c in data["column_counts"])
-        )
-    raise InputError(f"unknown model kind {kind!r}")
+        raise InputError(f"model spec needs a known 'kind', got {data!r}")
+    if cls is CantorSchedule and "blocks" not in data:
+        ratios = [float(r) for r in data["ratios"]]
+        data = {**data, "blocks": CantorSchedule.from_ratios(ratios).blocks}
+    return cls(
+        **{
+            f.name: _FIELD_DECODERS[f.name](data[f.name])
+            for f in fields(cls)
+            if f.init and (f.name in data or f.default is MISSING)
+        }
+    )

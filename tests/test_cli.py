@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -286,3 +287,51 @@ def test_unknown_config_key_exits_two(tmp_path):
     code = main(["estimate", "--config", str(cfg), "--out", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"tol": "abc"},
+        {"seed": "x"},
+        {"base": "x"},
+        {"s": "x"},
+        {"log2_delta": "x"},
+        {"grid": 5},
+        {"s_grid": 5},
+        {"seed": 1e300 * 1e300},
+        {"alphas": ["x"]},
+    ],
+    ids=lambda cfg: "-".join(f"{k}={v}" for k, v in cfg.items()),
+)
+def test_malformed_config_values_exit_two(tmp_path, capsys, config):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x.json"
+    code = main(["carpet", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["phi", "--phi2", "log_corrected", "--alphas", "x"],
+        ["frostman", "--base", "1"],
+        ["frostman", "--base", "0"],
+        ["frostman", "--base", "-3"],
+        ["phi", "--grid=-inf:-1:3"],
+        ["phi", "--grid=-4:nan:3"],
+        ["interpolate", "--s-grid", "0.2:inf:3"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_malformed_flags_exit_two(tmp_path, capsys, args):
+    out = tmp_path / "x.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(args + ["--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")

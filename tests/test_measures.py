@@ -52,6 +52,12 @@ def test_frostman_levels_need_window_headroom():
         frostman_levels(PowerLaw(0.5), -0.5 * LOG3, base=3)
 
 
+@pytest.mark.parametrize("base", [1, 0, -3, 2.5, 3.0, True])
+def test_frostman_levels_need_an_integer_base_of_two_or_more(base):
+    with pytest.raises(DomainError):
+        frostman_levels(PowerLaw(0.5), -6 * LOG3, base=base)
+
+
 # --- construction -----------------------------------------------------------
 
 
