@@ -57,6 +57,10 @@ from .setmodels import (
 
 _LINEAR_LOG_FLOOR = -680.0  # below this, exp() underflows and the DP is off limits
 _STATE_CAP = 500_000  # cover-graph states before the DP gives up
+# cover-graph moves before the DP gives up: a move costs 130-150 bytes of
+# resident memory while the graph is built (0.2M-3.7M-move graphs), so a
+# build that fails here stays under about 0.8 GB
+_MOVE_CAP = 5_000_000
 _TOL = 1e-12
 
 
@@ -273,6 +277,7 @@ class _CoverGraph:
         x0 = starts[0]
         edges: dict[float, dict] = {x0: {}}
         stack = [x0]
+        moves = 0
         while stack:
             x = stack.pop()
             cands: dict[Optional[float], float] = {}
@@ -298,6 +303,7 @@ class _CoverGraph:
             if prev is None or lo < prev:
                 cands[after_lo] = lo
             edges[x] = cands
+            moves += len(cands)
             for nxt in cands:
                 if nxt is not None and nxt not in edges:
                     edges[nxt] = {}
@@ -305,6 +311,11 @@ class _CoverGraph:
             if len(edges) > state_cap:
                 raise BudgetError(
                     f"cover DP exceeded {state_cap} states; coarsen the window "
+                    "or use an analytic route"
+                )
+            if moves > _MOVE_CAP:
+                raise BudgetError(
+                    f"cover DP exceeded {_MOVE_CAP} moves; coarsen the window "
                     "or use an analytic route"
                 )
         positions = sorted(edges, reverse=True)
@@ -371,7 +382,8 @@ def cover_cost_dp(
     optimal cover uses only these moves (push every interval of an optimal
     cover to an extreme, one fractional piece per covered run, placed
     last).  The reachable states are finite and the search stops with a
-    budget error beyond ``state_cap`` of them.
+    budget error beyond ``state_cap`` of them, or beyond ``_MOVE_CAP``
+    moves, which bounds the graph's memory.
 
     Storage: the states are numbered by decreasing position and each keeps
     a flat row of (length, successor index) moves, so memory is linear in

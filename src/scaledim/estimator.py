@@ -53,9 +53,11 @@ def critical_exponent(
     """Locate the cost-1 crossing at one scale, certified on both sides.
 
     Bisections run until the certified endpoint is within ``tol`` of the
-    true crossing of each bound curve.  When even at the ambient cap the
-    upper cost stays above 1 while the lower bound certifies nothing, the
-    bracket is vacuous and an indeterminate error is raised.
+    true crossing of each bound curve, or until the bracket's midpoint
+    rounds onto an endpoint (a ``tol`` below the float spacing).  When
+    even at the ambient cap the upper cost stays above 1 while the lower
+    bound certifies nothing, the bracket is vacuous and an indeterminate
+    error is raised.
     """
     if not tol > 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
@@ -80,6 +82,8 @@ def critical_exponent(
         bad, good = 0.0, s_cap  # invariant: upper(bad) > 0 >= upper(good)
         while good - bad > tol:
             mid = 0.5 * (bad + good)
+            if mid == bad or mid == good:
+                break  # tol is below the float spacing of the bracket
             if costs(mid).log_cost_upper <= 0.0:
                 good = mid
             else:
@@ -97,6 +101,8 @@ def critical_exponent(
         good, bad = 0.0, s_cap  # invariant: lower(good) >= 0 > lower(bad)
         while bad - good > tol:
             mid = 0.5 * (bad + good)
+            if mid == bad or mid == good:
+                break  # tol is below the float spacing of the bracket
             if costs(mid).log_cost_lower >= 0.0:
                 good = mid
             else:

@@ -6,13 +6,23 @@ sets with diameters in [x, delta].  Tabulating that sup over delta yields
 a scale function whose dimension profile reproduces s; a family of them,
 one per s, interpolates between the model's lower and upper estimates.
 
+The search at one scale probes a ladder of window bottoms: the cap
+delta/(-log delta) first, then the deepest floor 2**40 * log delta.
+Feasibility is monotone in the bottom (shrinking x only adds covers), so
+an infeasible deepest floor means every rung above it is infeasible too
+and the scale is budget-exceeded after two probes.  When the deepest
+floor is feasible, or its route cannot resolve a window that deep (DP
+routes and Holder images raise there), the search walks the floors
+k * log delta for k = 2, 4, ... from the top to the first feasible one
+and bisects between it and the rung above, exactly as if the deepest
+probe had not been made.
+
 A family is computed scale-major: the outer loop runs over the scales,
-the inner one over the exponents.  The search at one scale always probes
-the same ladder of windows -- the cap delta/(-log delta), then the floors
-k * log delta for k = 2, 4, ..., 2**40 -- so each scale prepares those
-windows once (:func:`scaledim.covers.prepare`), evaluates them for every
-s and drops them before the next scale.  Bisection windows depend on s
-and are prepared for one evaluation.  The only links between rows are the
+the inner one over the exponents.  Every exponent at one scale probes
+the same ladder, so each scale prepares its rungs once
+(:func:`scaledim.covers.prepare`), evaluates them for every s and drops
+them before the next scale.  Bisection windows depend on s and are
+prepared for one evaluation.  The only links between rows are the
 running max along the scales of one exponent and the lift across the
 exponents at one scale, and both are at hand in this order.
 """
@@ -24,15 +34,17 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .covers import CoverCost, ScaleWindow, prepare
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, ScaledimError
 from .estimator import dimension_profile
 from .scalefun import InterpolatedScale, LogCorrected, MinFamily, Tabulated
 from .setmodels import model_id
 
 #: Deepest floor probed before declaring the budget unreachable, as a
-#: multiple of log delta.  The doubling search reaches it in ~40 probes,
-#: so a generous ceiling costs little and lets highly inhomogeneous
-#: models push the window bottom many orders below delta.
+#: multiple of log delta.  It is probed right after the cap, and one
+#: infeasible evaluation there settles the scale; only a feasible (or
+#: unresolvable) deepest floor sends the search down the doubling floors.
+#: So a generous ceiling costs little and lets highly inhomogeneous models
+#: push the window bottom many orders below delta.
 MAX_FLOOR_FACTOR = 2**40
 
 
@@ -44,7 +56,9 @@ class PhiSPoint:
     diameters in [phi_s, delta]); ``upper_gap`` bounds how far above it
     the true sup could sit.  ``at_cap`` marks the ceiling delta/(-log
     delta); ``budget_exceeded`` marks scales where even the deepest
-    probed floor stayed infeasible.
+    floor ``MAX_FLOOR_FACTOR * log_delta`` is infeasible (by monotonicity,
+    so is every floor above it).  Such a point carries that floor as
+    ``log_phi_s`` and an infinite ``upper_gap``.
     """
 
     log_delta: float
@@ -91,14 +105,16 @@ def _phi_s_point(
     """:func:`phi_s_at` whose cap and floor windows come from ``ladder``.
 
     ``ladder`` maps window bottoms to prepared windows of this scale; the
-    cap and the doubling floors are prepared into it on first use, so
-    every exponent at this scale shares them.  Bisection probes depend on
-    ``s`` and are prepared for one evaluation only.
+    cap, the deepest floor and the doubling floors are prepared into it on
+    first use, so every exponent at this scale shares them.  Bisection
+    probes depend on ``s`` and are prepared for one evaluation only.
     """
     if s < 0.0:
         raise InputError(f"s must be >= 0, got {s}")
     if not tol > 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
+    if not (budget > 0.0 and math.isfinite(budget)):
+        raise InputError(f"budget must be finite and positive, got {budget}")
     if not -log_delta > 3.0:
         raise InputError(
             f"scale too coarse: need -log delta > 3, got log delta = {log_delta:g}"
@@ -120,22 +136,30 @@ def _phi_s_point(
     if feasible(log_cap, rung=True):
         return PhiSPoint(log_delta, log_cap, True, False, 0.0)
 
-    # expand downward to a certified-feasible floor
-    lo = None
+    # Feasibility is monotone in the bottom, so an infeasible deepest floor
+    # settles every rung above it.  Routes that cannot resolve a window that
+    # deep raise instead; the walk below then raises at the first floor
+    # that is too deep for them, unless a feasible floor comes first.
+    deepest = MAX_FLOOR_FACTOR * log_delta
+    try:
+        if not feasible(deepest, rung=True):
+            return PhiSPoint(log_delta, deepest, False, True, math.inf)
+    except ScaledimError:
+        pass
+
+    # expand downward to the first certified-feasible floor, which the
+    # deepest floor bounds when it evaluated
     hi = log_cap
     k = 2
-    while k <= MAX_FLOOR_FACTOR:
-        cand = k * log_delta
-        if feasible(cand, rung=True):
-            lo = cand
-            break
-        hi = cand
+    while not feasible(k * log_delta, rung=True):
+        hi = k * log_delta
         k *= 2
-    if lo is None:
-        return PhiSPoint(log_delta, hi, False, True, math.inf)
+    lo = k * log_delta
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # tol is below the float spacing of the bracket
         if feasible(mid):
             lo = mid
         else:
@@ -160,9 +184,17 @@ def phi_s_at(
 
     Feasibility is monotone (shrinking x only adds covers), so the sup is
     located by bisection on log x in (deep floor, delta/(-log delta)].
+    The probes go: the cap (feasible: the point is at the cap); the
+    deepest floor ``MAX_FLOOR_FACTOR * log_delta`` (infeasible: the budget
+    is exceeded at this scale, and no floor above it needs a probe); then
+    the doubling floors from the top down to the first feasible one, and
+    bisection until the bracket is within ``tol`` or can no longer split
+    in floats.  A route that raises at the deepest floor sends the search
+    down the floors as well, where any error it meets is raised.
     Cost brackets that straddle the budget count as infeasible — the
     returned value is always certified, and ``upper_gap`` reports the
-    distance to the nearest certified-infeasible point.
+    distance to the nearest certified-infeasible point.  ``budget`` must
+    be finite and positive.
     """
     return _phi_s_point(model, s, log_delta, {}, tol=tol, budget=budget, oracle=oracle)
 

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import scaledim
+from scaledim import covers
 from scaledim.cli import main
 
 
@@ -227,6 +232,45 @@ def test_unreachable_resolution_exits_three(tmp_path):
     )
     assert code == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "a-dir"])
+def test_unwritable_out_exits_two(tmp_path, capsys, target):
+    out = tmp_path / target
+    code = main(["carpet", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write --out ")
+    assert os.listdir(tmp_path) == []  # no temp file left behind
+
+
+def test_cover_graph_over_the_move_budget_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(covers, "_MOVE_CAP", 1000)
+    out = tmp_path / "x.json"
+    model = '{"kind": "holder", "base": {"kind": "sequence", "p": 1.0}, "alpha": 0.5}'
+    code = main(
+        ["interpolate", "--model", model, "--grid=-5.5:-5:2", "--s-grid", "0.3:0.5:2",
+         "--out", str(out)]
+    )
+    assert code == 3
+    assert "exceeded 1000 moves" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_estimate_with_tol_below_float_spacing_ends(tmp_path):
+    # both bisections used to run forever here, so the run is a child
+    # process that a timeout can stop
+    out = tmp_path / "e.csv"
+    src = os.path.dirname(os.path.dirname(scaledim.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "scaledim.cli", "estimate", "--tol", "1e-300",
+         "--grid=-24:-24:2", "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    _, fine = run(tmp_path, "fine.csv", ["estimate", "--tol", "1e-12", "--grid=-24:-24:2"])
+    row = [float(v) for v in out.read_text().splitlines()[3].split(",")]
+    fine_row = [float(v) for v in fine.read_text().splitlines()[3].split(",")]
+    assert row == pytest.approx(fine_row, abs=1e-12)
 
 
 # --- determinism and configuration ---------------------------------------------------

@@ -254,6 +254,22 @@ def test_dp_errors_keep_their_types(monkeypatch):
         cover_cost(model, window, 0.5, oracle="dp")
 
 
+def test_dp_move_budget_stops_the_graph_build(monkeypatch):
+    model = SequenceSet(1.0)
+    window = ScaleWindow.from_linear(2.0**-10, 2.0**-5)
+    items = skeleton(model, window.lo)
+    full = covers._CoverGraph(items, window, covers._STATE_CAP)
+    moves = sum(len(row) for row in full.rows)
+    assert moves > len(full.rows)  # a tighter bound than the state count
+    monkeypatch.setattr(covers, "_MOVE_CAP", moves)
+    assert cover_cost_dp(items, window, 0.5) == full.cost(0.5)
+    monkeypatch.setattr(covers, "_MOVE_CAP", moves - 1)
+    with pytest.raises(BudgetError, match=f"exceeded {moves - 1} moves"):
+        cover_cost_dp(items, window, 0.5)
+    with pytest.raises(BudgetError, match="moves"):
+        cover_cost(model, window, 0.5, oracle="dp")
+
+
 def test_prepare_rejects_bad_oracles_and_exponents():
     window = ScaleWindow.from_linear(0.01, 0.1)
     with pytest.raises(InputError):

@@ -2,12 +2,17 @@
 
 import hashlib
 import math
+import os
+import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import scaledim
 from scaledim import covers, interpolation
-from scaledim.errors import InputError
+from scaledim.errors import InputError, ScaledimError
 from scaledim.interpolation import (
     hausdorff_endpoint_family,
     phi_s_at,
@@ -16,7 +21,16 @@ from scaledim.interpolation import (
     verify_interpolation,
 )
 from scaledim.scalefun import PowerLaw
-from scaledim.setmodels import CantorSchedule, SequenceSet, build_stability_pair
+from scaledim.setmodels import (
+    CantorSchedule,
+    HolderImage,
+    PointSet,
+    ProductModel,
+    SequenceSet,
+    UniformGrid,
+    UnionModel,
+    build_stability_pair,
+)
 
 LOG2 = math.log(2.0)
 GRID = [-k * LOG2 for k in (12, 24, 36, 48)]
@@ -43,6 +57,34 @@ def test_phi_s_point_caps_above_box_dimension(seq):
     assert pt.log_phi_s == pytest.approx(
         -20 * LOG2 - math.log(20 * LOG2), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
+def test_phi_s_budget_must_be_finite_and_positive(seq, budget):
+    with pytest.raises(InputError, match="budget"):
+        phi_s_at(seq, 0.4, -20 * LOG2, budget=budget)
+
+
+def test_phi_s_bisection_stops_at_float_spacing(seq):
+    # a tol below the float spacing of the bracket used to bisect forever,
+    # so the call runs in a child process that a timeout can stop
+    code = (
+        "import math\n"
+        "from scaledim.interpolation import phi_s_at\n"
+        "from scaledim.setmodels import SequenceSet\n"
+        "p = phi_s_at(SequenceSet(1.0), 0.4, -20 * math.log(2.0), tol=1e-300)\n"
+        "print(p.log_phi_s.hex(), p.upper_gap.hex())\n"
+    )
+    src = os.path.dirname(os.path.dirname(scaledim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    log_phi_s, gap = (float.fromhex(v) for v in done.stdout.split())
+    fine = phi_s_at(seq, 0.4, -20 * LOG2, tol=1e-9)
+    assert log_phi_s == pytest.approx(fine.log_phi_s, abs=1e-9)
+    assert gap == pytest.approx(fine.upper_gap, abs=1e-9)
 
 
 def test_phi_s_tables_are_pointwise_ordered(seq):
@@ -189,6 +231,105 @@ def test_ladder_windows_are_prepared_once_per_scale(monkeypatch):
     rungs = {(ld - math.log(-ld), ld) for ld in grid}
     rungs |= {(2**e * ld, ld) for ld in grid for e in range(1, 41)}
     ladder = [w for w in windows if w in rungs]
-    assert len(ladder) == len(set(ladder)) <= 15 * 41
-    # computed exponent by exponent, 405 dropped points probed all 41 rungs
+    assert len(ladder) == len(set(ladder))
+    # every point sits at the cap or is settled by the deepest floor, so
+    # each scale prepares exactly those two rungs (walking all 41 rungs for
+    # every dropped point prepared 615)
+    assert len(ladder) == 2 * 15
+    assert {lo for lo, _ in ladder} == {ld - math.log(-ld) for ld in grid} | {
+        interpolation.MAX_FLOOR_FACTOR * ld for ld in grid
+    }
     assert sum(len(t.dropped) for t in tables) == 405
+
+
+# --- pinned search ---------------------------------------------------------
+
+_MT = CantorSchedule.middle_thirds
+_CANTOR_DIM = math.log(2.0) / math.log(3.0)
+# (name, model, dimension the exponents are drawn around, oracles)
+_PINNED_MODELS = [
+    ("point", PointSet(0.3), 0.0, ("auto", "dp")),
+    ("sequence", SequenceSet(1.0), 0.5, ("auto", "dp")),
+    ("sequence_offset", SequenceSet(0.5, offset=2.0), 2.0 / 3.0, ("auto", "dp")),
+    ("grid", UniformGrid(1.0 / 64.0), 1.0, ("auto", "dp")),
+    ("grid_refining", UniformGrid(), 1.0, ("auto",)),
+    ("cantor", _MT(10), _CANTOR_DIM, ("auto",)),
+    ("cantor_short", _MT(5), _CANTOR_DIM, ("auto", "dp")),
+    ("cantor_two_block", _two_block_cantor(), 0.55, ("auto", "dp")),
+    ("union", UnionModel((SequenceSet(1.0), _MT(8, offset=2.0))), _CANTOR_DIM, ("auto",)),
+    (
+        "union_short",
+        UnionModel((_MT(5), CantorSchedule(((3, 0.25),), offset=2.0))),
+        _CANTOR_DIM,
+        ("auto", "dp"),
+    ),
+    ("product", ProductModel(_MT(10), _MT(10)), 2.0 * _CANTOR_DIM, ("auto",)),
+    ("product_sequence", ProductModel(_MT(6), SequenceSet(1.0)), _CANTOR_DIM + 0.5, ("auto",)),
+    ("holder", HolderImage(SequenceSet(1.0), 0.5), 2.0 / 3.0, ("auto", "dp")),
+]
+# Drawn cases left out: DP builds that run out of memory (seq/dp 0.218 and
+# 0.15, holder/auto 0.597, holder/dp 0.59) or take 0.5-10 s to end at the
+# state cap, a materialization cap or a deep bisection.
+_PINNED_SKIPPED = {
+    ("sequence", "dp", 0.218, 8),
+    ("sequence", "dp", 0.15, 4.5),
+    ("cantor_short", "dp", 0.558, 8),
+    ("cantor_short", "dp", 0.545, 5),
+    ("cantor_short", "dp", 0.389, 4.5),
+    ("cantor_two_block", "dp", 0.478, 6),
+    ("cantor_two_block", "dp", 0.468, 8),
+    ("union_short", "dp", 0.692, 6),
+    ("union_short", "dp", 0.386, 6),
+    ("union_short", "dp", 0.471, 6),
+    ("union_short", "dp", 0.595, 6),
+    ("holder", "auto", 0.597, 5),
+    ("holder", "auto", 0.424, 12),
+    ("holder", "dp", 0.59, 5),
+    ("holder", "dp", 0.629, 8),
+}
+
+
+def _pinned_cases():
+    """Seeded (name, model, oracle, s, -log2 delta) draws, exponents on
+    both sides of each model's dimension."""
+    rng = random.Random(20261018)
+    cases = []
+    for name, model, dim, oracles in _PINNED_MODELS:
+        for oracle in oracles:
+            for _ in range(5):
+                s_max = 1.0 if oracle == "dp" else 2.0
+                s = round(min(max(dim + rng.uniform(-0.35, 0.35), 0.0), s_max), 3)
+                levels = [4.5, 5, 6, 8] if oracle == "dp" else [4.5, 5, 6, 8, 12, 20, 40]
+                k = rng.choice(levels)
+                if (name, oracle, s, k) not in _PINNED_SKIPPED:
+                    cases.append((name, model, oracle, s, k))
+    return cases
+
+
+def test_phi_s_search_matches_recorded_points():
+    """Every ``PhiSPoint`` field in hex, or the error, over seeded cases;
+    the digest was recorded before the search learned to probe the
+    deepest floor first."""
+    cases = _pinned_cases()
+    assert len(cases) == 105 - len(_PINNED_SKIPPED)
+    lines = []
+    outcomes = {"cap": 0, "bisected": 0, "exceeded": 0, "error": 0}
+    for name, model, oracle, s, k in cases:
+        try:
+            p = phi_s_at(model, s, -k * LOG2, tol=1e-2, oracle=oracle)
+        except ScaledimError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+            outcomes["error"] += 1
+        else:
+            outcome = (
+                f"{p.log_delta.hex()} {p.log_phi_s.hex()} {p.at_cap} "
+                f"{p.budget_exceeded} {p.upper_gap.hex()}"
+            )
+            kind = "cap" if p.at_cap else "exceeded" if p.budget_exceeded else "bisected"
+            outcomes[kind] += 1
+        lines.append(f"{name} {oracle} {s!r} {k!r}: {outcome}")
+    assert outcomes == {"cap": 44, "bisected": 14, "exceeded": 11, "error": 21}
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (
+        "b5b71fae39541936a02152e79b448f0149ea78178eac281102c369d4d5442a89"
+    )
