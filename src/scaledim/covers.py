@@ -37,6 +37,7 @@ downstream root finding can certify both sides.  Routines:
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -831,6 +832,38 @@ def prepare(
         f"no cover route for model kind "
         f"{getattr(model, 'kind', type(model).__name__)!r}"
     )
+
+
+def upper_bound_slack(model, s: float, *, oracle: str = "auto") -> Optional[float]:
+    """How far the upper bound of :func:`prepare` at exponent ``s`` can
+    rise as the window bottom falls with the top fixed, or None where no
+    such bound is known.
+
+    The true cost never rises (a lower bottom only adds covers), but a
+    route's bound need not follow it.  For points the bound is s * log lo,
+    which falls exactly.  For Cantor schedules on an analytic route it is
+    the best single-level cover, which falls but for rounding: the
+    in-window levels only gain members as the bottom falls, and their cost
+    is linear in the level between block boundaries, so the boundaries and
+    the two end levels reach the minimum over all of them; the subdivided
+    level depends on the top alone; a fattened level is fattened to a
+    lower bottom or enters the window.  Rounding moves each line by a few
+    units in the last place of its terms, which are at most
+    (depth + 1) log 2 + s |log length(depth)|.
+
+    Grids try only the window's two ends as piece length, though their
+    bound is lowest at an interior length; products spread their candidate
+    sides over the window; the sequence route's integer indices move with
+    the bottom; DP routes rebuild the skeleton at the bottom's resolution;
+    unions add the rounding of a log-sum.  These answer None.
+    """
+    if isinstance(model, PointSet):
+        return 0.0
+    if isinstance(model, CantorSchedule) and oracle != "dp":
+        depth = model.depth
+        terms = (depth + 1) * LOG2 + s * abs(model.log_length(depth))
+        return 16.0 * sys.float_info.epsilon * terms
+    return None
 
 
 def cover_cost(

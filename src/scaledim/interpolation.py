@@ -7,15 +7,18 @@ a scale function whose dimension profile reproduces s; a family of them,
 one per s, interpolates between the model's lower and upper estimates.
 
 The search at one scale probes a ladder of window bottoms: the cap
-delta/(-log delta) first, then the deepest floor 2**40 * log delta.
-Feasibility is monotone in the bottom (shrinking x only adds covers), so
-an infeasible deepest floor means every rung above it is infeasible too
-and the scale is budget-exceeded after two probes.  When the deepest
-floor is feasible, or its route cannot resolve a window that deep (DP
-routes and Holder images raise there), the search walks the floors
-k * log delta for k = 2, 4, ... from the top to the first feasible one
-and bisects between it and the rung above, exactly as if the deepest
-probe had not been made.
+delta/(-log delta), then the floors k * log delta for k = 2, 4, ...,
+2**40 from the top down to the first feasible one, and bisects between
+it and the rung above.  The true cost only falls as the bottom falls
+(shrinking x only adds covers), but a route's computed upper bound need
+not, and feasibility is read off that bound.  Where the route's bound is
+known to fall too, up to a rounding slack
+(:func:`scaledim.covers.upper_bound_slack`: points and Cantor schedules
+under analytic routes), the deepest floor 2**40 * log delta is probed
+right after the cap, and if it is infeasible by more than the slack the
+scale is budget-exceeded after two probes.  Otherwise the floors are
+walked as if that probe had not been made, so every point and error is
+the walk's.
 
 A family is computed scale-major: the outer loop runs over the scales,
 the inner one over the exponents.  Every exponent at one scale probes
@@ -33,18 +36,19 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .covers import CoverCost, ScaleWindow, prepare
+from .covers import CoverCost, ScaleWindow, prepare, upper_bound_slack
 from .errors import ConfigError, InputError, ScaledimError
 from .estimator import dimension_profile
 from .scalefun import InterpolatedScale, LogCorrected, MinFamily, Tabulated
 from .setmodels import model_id
 
 #: Deepest floor probed before declaring the budget unreachable, as a
-#: multiple of log delta.  It is probed right after the cap, and one
-#: infeasible evaluation there settles the scale; only a feasible (or
-#: unresolvable) deepest floor sends the search down the doubling floors.
-#: So a generous ceiling costs little and lets highly inhomogeneous models
-#: push the window bottom many orders below delta.
+#: multiple of log delta.  On routes whose upper bound falls with the
+#: bottom it is probed right after the cap, and one clearly infeasible
+#: evaluation there settles the scale; elsewhere the doubling search
+#: reaches it in ~40 probes.  So a generous ceiling costs little and lets
+#: highly inhomogeneous models push the window bottom many orders below
+#: delta.
 MAX_FLOOR_FACTOR = 2**40
 
 
@@ -55,10 +59,10 @@ class PhiSPoint:
     ``log_phi_s`` is certified feasible (a cover within budget exists with
     diameters in [phi_s, delta]); ``upper_gap`` bounds how far above it
     the true sup could sit.  ``at_cap`` marks the ceiling delta/(-log
-    delta); ``budget_exceeded`` marks scales where even the deepest
-    floor ``MAX_FLOOR_FACTOR * log_delta`` is infeasible (by monotonicity,
-    so is every floor above it).  Such a point carries that floor as
-    ``log_phi_s`` and an infinite ``upper_gap``.
+    delta); ``budget_exceeded`` marks scales where every floor down to
+    ``MAX_FLOOR_FACTOR * log_delta`` is infeasible, whether the walk
+    probed them all or the deepest one settled them.  Such a point
+    carries that floor as ``log_phi_s`` and an infinite ``upper_gap``.
     """
 
     log_delta: float
@@ -105,7 +109,7 @@ def _phi_s_point(
     """:func:`phi_s_at` whose cap and floor windows come from ``ladder``.
 
     ``ladder`` maps window bottoms to prepared windows of this scale; the
-    cap, the deepest floor and the doubling floors are prepared into it on
+    cap and the floors (the deepest one included) are prepared into it on
     first use, so every exponent at this scale shares them.  Bisection
     probes depend on ``s`` and are prepared for one evaluation only.
     """
@@ -136,25 +140,33 @@ def _phi_s_point(
     if feasible(log_cap, rung=True):
         return PhiSPoint(log_delta, log_cap, True, False, 0.0)
 
-    # Feasibility is monotone in the bottom, so an infeasible deepest floor
-    # settles every rung above it.  Routes that cannot resolve a window that
-    # deep raise instead; the walk below then raises at the first floor
-    # that is too deep for them, unless a feasible floor comes first.
-    deepest = MAX_FLOOR_FACTOR * log_delta
-    try:
-        if not feasible(deepest, rung=True):
-            return PhiSPoint(log_delta, deepest, False, True, math.inf)
-    except ScaledimError:
-        pass
+    # The true cost only falls as the bottom falls.  Where the route's
+    # upper bound does too, up to a known slack, a deepest floor that is
+    # infeasible by more than that slack settles every rung above it.  A
+    # route that cannot resolve a window that deep raises; the walk below
+    # then meets the same error unless a feasible floor comes first.
+    slack = upper_bound_slack(model, s, oracle=oracle)
+    if slack is not None:
+        deepest = MAX_FLOOR_FACTOR * log_delta
+        try:
+            if cost(deepest, rung=True).log_cost_upper > log_budget + slack:
+                return PhiSPoint(log_delta, deepest, False, True, math.inf)
+        except ScaledimError:
+            pass
 
-    # expand downward to the first certified-feasible floor, which the
-    # deepest floor bounds when it evaluated
+    # expand downward to a certified-feasible floor
+    lo = None
     hi = log_cap
     k = 2
-    while not feasible(k * log_delta, rung=True):
-        hi = k * log_delta
+    while k <= MAX_FLOOR_FACTOR:
+        cand = k * log_delta
+        if feasible(cand, rung=True):
+            lo = cand
+            break
+        hi = cand
         k *= 2
-    lo = k * log_delta
+    if lo is None:
+        return PhiSPoint(log_delta, hi, False, True, math.inf)
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -184,13 +196,17 @@ def phi_s_at(
 
     Feasibility is monotone (shrinking x only adds covers), so the sup is
     located by bisection on log x in (deep floor, delta/(-log delta)].
-    The probes go: the cap (feasible: the point is at the cap); the
-    deepest floor ``MAX_FLOOR_FACTOR * log_delta`` (infeasible: the budget
-    is exceeded at this scale, and no floor above it needs a probe); then
-    the doubling floors from the top down to the first feasible one, and
-    bisection until the bracket is within ``tol`` or can no longer split
-    in floats.  A route that raises at the deepest floor sends the search
-    down the floors as well, where any error it meets is raised.
+    The probes go: the cap (feasible: the point is at the cap); then the
+    doubling floors from the top down to the first feasible one (none
+    down to ``MAX_FLOOR_FACTOR * log_delta``: the budget is exceeded at
+    this scale), and bisection until the bracket is within ``tol`` or can
+    no longer split in floats.  Where the route's upper bound falls with
+    the bottom up to a known slack
+    (:func:`scaledim.covers.upper_bound_slack`), the deepest floor is
+    probed right after the cap: infeasible by more than the slack, it
+    settles the scale as budget-exceeded, since no floor above it can
+    then be feasible; feasible, near the budget or raising, it leaves the
+    walk to decide, so the result is the walk's.
     Cost brackets that straddle the budget count as infeasible — the
     returned value is always certified, and ``upper_gap`` reports the
     distance to the nearest certified-infeasible point.  ``budget`` must

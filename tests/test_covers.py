@@ -27,6 +27,7 @@ from scaledim.errors import BudgetError, DomainError, InputError, ResolutionErro
 from scaledim.setmodels import (
     CantorSchedule,
     HolderImage,
+    PointSet,
     ProductModel,
     SequenceSet,
     UniformGrid,
@@ -469,6 +470,57 @@ def test_cost_monotone_under_window_widening(s, hi_exp, d1, d2):
     cn = cover_cost(mt, narrow, s, oracle="dp")
     cw = cover_cost(mt, wide, s, oracle="dp")
     assert cw.log_cost_upper <= cn.log_cost_upper + 1e-9
+
+
+def test_upper_bounds_fall_with_the_bottom_within_their_slack():
+    """Seeded Cantor schedules, deep ones and exponents at a block's
+    similarity dimension (where every level costs about 1) included: down
+    a ladder of bottoms under a fixed top, the upper bound never rises by
+    more than ``upper_bound_slack``."""
+    rng = np.random.default_rng(20261019)
+    checked = 0
+    for _ in range(300):
+        blocks = tuple(
+            (
+                int(rng.choice([rng.integers(1, 31), rng.integers(1, 10**6)])),
+                float(rng.choice([1.0 / 3.0, 0.25, rng.uniform(0.01, 1.0 / 3.0)])),
+            )
+            for _ in range(rng.integers(1, 4))
+        )
+        model = CantorSchedule(blocks, offset=float(rng.uniform(0.0, 1.0)))
+        ratio = blocks[rng.integers(len(blocks))][1]
+        s = float(rng.uniform(0.0, 1.0)) if rng.random() < 0.5 else math.log(2.0) / -math.log(ratio)
+        slack = covers.upper_bound_slack(model, s)
+        bottom = model.log_length(model.depth)
+        log_hi = float(rng.uniform(bottom, 0.0))
+        step = max(1, model.depth // 9)
+        los = {log_hi - float(rng.exponential(5.0)) for _ in range(12)}
+        los |= {log_hi * 2.0**e for e in (1, 5, 20, 40)}
+        los |= {model.log_length(j) for j in range(0, model.depth + 1, step)}
+        los |= {math.nextafter(lo, -math.inf) for lo in list(los)}
+        lowest = math.inf
+        for lo in sorted((lo for lo in los if lo <= log_hi), reverse=True):
+            upper = prepare(model, ScaleWindow(lo, log_hi))(s).log_cost_upper
+            assert upper <= lowest + slack
+            lowest = min(lowest, upper)
+            checked += 1
+    assert checked > 5000
+
+
+def test_upper_bound_slack_is_known_only_for_nested_routes():
+    mt = middle_thirds(8)
+    assert covers.upper_bound_slack(PointSet(0.5), 0.7) == 0.0
+    assert 0.0 < covers.upper_bound_slack(mt, 0.7) < 1e-12
+    assert covers.upper_bound_slack(mt, 0.7, oracle="analytic") > 0.0
+    for model, oracle in [
+        (mt, "dp"),
+        (UniformGrid(1.0 / 64.0), "auto"),
+        (SequenceSet(1.0), "auto"),
+        (ProductModel(mt, mt), "auto"),
+        (UnionModel((mt, PointSet(3.0))), "auto"),
+        (HolderImage(SequenceSet(1.0), 0.5), "auto"),
+    ]:
+        assert covers.upper_bound_slack(model, 0.5, oracle=oracle) is None
 
 
 def test_bracket_never_inverted():

@@ -306,17 +306,14 @@ def _pinned_cases():
     return cases
 
 
-def test_phi_s_search_matches_recorded_points():
-    """Every ``PhiSPoint`` field in hex, or the error, over seeded cases;
-    the digest was recorded before the search learned to probe the
-    deepest floor first."""
-    cases = _pinned_cases()
-    assert len(cases) == 105 - len(_PINNED_SKIPPED)
+def _search_digest(cases):
+    """Outcome counts and the sha256 over every case's ``PhiSPoint``
+    fields in hex, or its error."""
     lines = []
     outcomes = {"cap": 0, "bisected": 0, "exceeded": 0, "error": 0}
-    for name, model, oracle, s, k in cases:
+    for label, model, s, k, options in cases:
         try:
-            p = phi_s_at(model, s, -k * LOG2, tol=1e-2, oracle=oracle)
+            p = phi_s_at(model, s, -k * LOG2, tol=1e-2, **options)
         except ScaledimError as exc:
             outcome = f"{type(exc).__name__}: {exc}"
             outcomes["error"] += 1
@@ -327,9 +324,70 @@ def test_phi_s_search_matches_recorded_points():
             )
             kind = "cap" if p.at_cap else "exceeded" if p.budget_exceeded else "bisected"
             outcomes[kind] += 1
-        lines.append(f"{name} {oracle} {s!r} {k!r}: {outcome}")
+        lines.append(f"{label}: {outcome}")
+    return outcomes, hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_phi_s_search_matches_recorded_points():
+    """Every ``PhiSPoint`` field in hex, or the error, over seeded cases;
+    the digest was recorded before the search learned to probe the
+    deepest floor first."""
+    cases = _pinned_cases()
+    assert len(cases) == 105 - len(_PINNED_SKIPPED)
+    outcomes, digest = _search_digest(
+        (f"{name} {oracle} {s!r} {k!r}", model, s, k, {"oracle": oracle})
+        for name, model, oracle, s, k in cases
+    )
     assert outcomes == {"cap": 44, "bisected": 14, "exceeded": 11, "error": 21}
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == (
         "b5b71fae39541936a02152e79b448f0149ea78178eac281102c369d4d5442a89"
     )
+
+
+def _off_budget_cases():
+    """Seeded (name, model, s, -log2 delta, budget) draws on the analytic
+    routes with budgets other than 1, where the grid's upper bound is not
+    monotone in the window bottom."""
+    rng = random.Random(20261019)
+    budgets = (math.exp(0.01), math.exp(-0.01), 0.5, 3.0)
+    cases = [("grid", UniformGrid(1.0 / 64.0), 0.999, 3.0001 / LOG2, math.exp(0.01))]
+    for name, model, dim, _ in _PINNED_MODELS:
+        if name == "holder":  # a DP route under auto
+            continue
+        for _ in range(6):
+            s_max = 2.0 if isinstance(model, ProductModel) else 1.0
+            s = round(min(max(dim + rng.uniform(-0.35, 0.35), 0.0), s_max), 3)
+            k = rng.choice([4.33, 5, 6, 8, 12, 20, 40])
+            cases.append((name, model, s, k, rng.choice(budgets)))
+    return cases
+
+
+def test_phi_s_search_matches_recorded_points_off_budget():
+    """As above with budgets other than 1; recorded before the search
+    learned to probe the deepest floor first."""
+    outcomes, digest = _search_digest(
+        (f"{name} {s!r} {k!r} {budget!r}", model, s, k, {"budget": budget})
+        for name, model, s, k, budget in _off_budget_cases()
+    )
+    assert outcomes == {"cap": 14, "bisected": 10, "exceeded": 24, "error": 25}
+    assert digest == (
+        "4fb3d1ffebbb0ee99666d10c5e8499a3069afec044f9ef6c08db654e4c42eb8c"
+    )
+
+
+def test_grid_deepest_floor_does_not_settle_the_scale():
+    # The grid's upper bound tries the window's two ends as piece length
+    # and is lowest at (1 - s) / s, so it rises again as the bottom falls
+    # below that: here the k = 2 floor is feasible and the deepest is not.
+    grid, s, log_delta = UniformGrid(1.0 / 64.0), 0.999, -3.0001
+    budget = math.exp(0.01)
+    assert covers.upper_bound_slack(grid, s) is None
+
+    def upper(k):
+        window = covers.ScaleWindow(k * log_delta, log_delta)
+        return covers.cover_cost(grid, window, s).log_cost_upper
+
+    assert upper(2) <= math.log(budget) < upper(interpolation.MAX_FLOOR_FACTOR)
+    p = phi_s_at(grid, s, log_delta, budget=budget)
+    assert not p.budget_exceeded and not p.at_cap
+    assert 2 * log_delta <= p.log_phi_s < log_delta - math.log(-log_delta)
