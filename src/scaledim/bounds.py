@@ -9,7 +9,6 @@ the modeling error these checks exist to catch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -234,16 +233,14 @@ class MutualDependencyReport:
 def check_mutual_dependency(
     profile_theta: DimensionProfile,
     profile_box: DimensionProfile,
-    *,
-    assouad: float = 1.0,
-    slack: float = 0.05,
 ) -> MutualDependencyReport:
     """Flag profiles claiming positive box dimension but a too-small theta one.
 
     A positive box dimension forces dimension at least f(theta) at every
-    window exponent; a theta-estimate below f(theta) - slack while the box
-    estimate exceeds EPS_ZERO is inconsistent.  Profiles whose box estimate
-    is (numerically) zero pass vacuously.
+    window exponent, taken with Assouad dimension 1 (sets on the line); a
+    theta-estimate below f(theta) - 0.05 while the box estimate exceeds
+    EPS_ZERO is inconsistent.  Profiles whose box estimate is
+    (numerically) zero pass vacuously.
     """
     if profile_theta.model != profile_box.model:
         raise InputError(
@@ -266,10 +263,10 @@ def check_mutual_dependency(
             violation=False,
             note="box estimate is zero; positivity holds vacuously",
         )
-    b = min(box_est, assouad)
-    d = DimInputs(box_lower=b, box_upper=b, assouad=assouad, theta=theta)
+    b = min(box_est, 1.0)
+    d = DimInputs(box_lower=b, box_upper=b, assouad=1.0, theta=theta)
     floor = general_lower_bound(d, use_upper_box=True)
-    violation = theta_est < floor - slack
+    violation = theta_est < floor - 0.05
     note = (
         "theta estimate falls below the box-driven floor"
         if violation

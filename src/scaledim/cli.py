@@ -43,7 +43,7 @@ from .covers import (
     cover_cost_dp,
     cover_cost_exhaustive,
 )
-from .errors import ComputationError, ConfigError, InputError, ValidationError
+from .errors import ComputationError, ConfigError, ValidationError
 from .estimator import critical_exponent, dimension_profile
 from .interpolation import phi_s_family
 from .measures import (
@@ -55,7 +55,6 @@ from .measures import (
 from .scalefun import (
     LogCorrected,
     PowerLaw,
-    StretchedExponential,
     check_admissible,
     equivalent,
     exponent_pair,
@@ -283,6 +282,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"--inputs is not valid JSON: {exc}")
         if not isinstance(inputs, dict):
             raise ConfigError("--inputs must be a JSON object")
+    seed = _from_spec(int, pick("seed"), "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     s_val = pick("s")
     log2_delta = pick("log2_delta")
     out = pick("out")
@@ -297,7 +299,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         tol=tol,
         out=str(out),
         format=fmt,
-        seed=_from_spec(int, pick("seed"), "seed"),
+        seed=seed,
         formula=pick("formula"),
         inputs=inputs,
         s=None if s_val is None else _from_spec(float, s_val, "s"),

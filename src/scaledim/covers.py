@@ -254,7 +254,7 @@ class _CoverGraph:
     Nothing here depends on ``s``, so one graph serves every exponent.
     """
 
-    def __init__(self, items: Skeleton, window: ScaleWindow, state_cap: int) -> None:
+    def __init__(self, items: Skeleton, window: ScaleWindow) -> None:
         items = _validate_skeleton(items)
         _require_linear(window)
         lo, hi = window.lo, window.hi
@@ -309,9 +309,9 @@ class _CoverGraph:
                 if nxt is not None and nxt not in edges:
                     edges[nxt] = {}
                     stack.append(nxt)
-            if len(edges) > state_cap:
+            if len(edges) > _STATE_CAP:
                 raise BudgetError(
-                    f"cover DP exceeded {state_cap} states; coarsen the window "
+                    f"cover DP exceeded {_STATE_CAP} states; coarsen the window "
                     "or use an analytic route"
                 )
             if moves > _MOVE_CAP:
@@ -366,7 +366,6 @@ def cover_cost_dp(
     window: ScaleWindow,
     s: float,
     *,
-    state_cap: int = _STATE_CAP,
     want_pieces: bool = False,
 ) -> CoverCost:
     """Exact minimum cover cost of a skeleton, for s in [0, 1].
@@ -383,7 +382,7 @@ def cover_cost_dp(
     optimal cover uses only these moves (push every interval of an optimal
     cover to an extreme, one fractional piece per covered run, placed
     last).  The reachable states are finite and the search stops with a
-    budget error beyond ``state_cap`` of them, or beyond ``_MOVE_CAP``
+    budget error beyond ``_STATE_CAP`` of them, or beyond ``_MOVE_CAP``
     moves, which bounds the graph's memory.
 
     Storage: the states are numbered by decreasing position and each keeps
@@ -393,7 +392,7 @@ def cover_cost_dp(
     of values -- no recursion, no float-keyed lookups.
     """
     _validate_exponent(s)
-    return _CoverGraph(items, window, state_cap).cost(s, want_pieces)
+    return _CoverGraph(items, window).cost(s, want_pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -412,29 +411,23 @@ def _check_mass_exponent(s: float) -> None:
         raise DomainError(f"exponent must be nonnegative, got {s}")
 
 
-def _mass_lines(
-    schedule: CantorSchedule, window: ScaleWindow, mass_level: Optional[int]
-) -> list[_Line]:
+def _mass_lines(schedule: CantorSchedule, window: ScaleWindow) -> list[_Line]:
     """The bands of :func:`schedule_mass_constant`: log c = max(a - s * b)."""
     depth = schedule.depth
-    j_cap = depth if mass_level is None else min(int(mass_level), depth)
-    if j_cap < 0:
-        raise DomainError(f"mass_level must be nonnegative, got {mass_level}")
     log_lo, log_hi = window.log_lo, window.log_hi
 
     lines: list[_Line] = []
     if log_hi >= 0.0:
         # |U| >= seed length: mu <= 1; -0.0 - s * m is -s * m bit for bit
         lines.append((-0.0, max(0.0, log_lo)))
-    log_len_cap = schedule.log_length(j_cap)
-    if log_lo < log_len_cap:
-        lines.append((-j_cap * LOG2, log_lo))  # below the truncation level
+    if log_lo < schedule.log_length(depth):
+        lines.append((-depth * LOG2, log_lo))  # below the deepest level
 
-    if j_cap >= 1:
-        cand: set[int] = {1, j_cap}
+    if depth >= 1:
+        cand: set[int] = {1, depth}
         for lv, _ in schedule.level_boundaries():
             for shift in (0, 1):
-                if 1 <= lv + shift <= j_cap:
+                if 1 <= lv + shift <= depth:
                     cand.add(lv + shift)
         for target in (log_lo, log_hi):
             for fn in (
@@ -444,7 +437,7 @@ def _mass_lines(
                 lv = fn(target)
                 if lv is not None:
                     for shift in (-1, 0, 1):
-                        if 1 <= lv + shift <= j_cap:
+                        if 1 <= lv + shift <= depth:
                             cand.add(lv + shift)
         for level in sorted(cand):
             log_len = schedule.log_length(level)
@@ -475,16 +468,13 @@ def _mass_constant(lines: list[_Line], s: float) -> float:
 
 
 def schedule_mass_constant(
-    schedule: CantorSchedule,
-    window: ScaleWindow,
-    s: float,
-    mass_level: Optional[int] = None,
+    schedule: CantorSchedule, window: ScaleWindow, s: float
 ) -> float:
     """log of a valid constant c with mu(U) <= c * |U| ** s on the window.
 
     mu is the natural measure of the schedule (mass 2**-j per level-j
-    interval), truncated at ``mass_level`` if given: below that level the
-    bound mu(U) <= 2**-mass_level is used instead of refining further.
+    interval); below the schedule's depth the bound mu(U) <= 2**-depth is
+    used instead of refining further.
 
     The bound per diameter band: an interval U with |U| < length(L-1)
     meets at most one level-(L-1) interval (the gaps separating them are
@@ -497,7 +487,7 @@ def schedule_mass_constant(
     maximum.
     """
     _check_mass_exponent(s)  # ahead of the build's own errors
-    return _mass_constant(_mass_lines(schedule, window, mass_level), s)
+    return _mass_constant(_mass_lines(schedule, window), s)
 
 
 def _single_level_lines(schedule: CantorSchedule, window: ScaleWindow) -> list[_Line]:
@@ -539,7 +529,7 @@ def _single_level_lines(schedule: CantorSchedule, window: ScaleWindow) -> list[_
 
 
 def _prepare_cantor(
-    schedule: CantorSchedule, window: ScaleWindow, mass_level: Optional[int]
+    schedule: CantorSchedule, window: ScaleWindow
 ) -> Callable[[float], CoverCost]:
     # each list is built by the first call that reaches it; the upper
     # bound comes first, so a window with no single-level cover (a top
@@ -554,7 +544,7 @@ def _prepare_cantor(
             upper = _single_level_lines(schedule, window)
         log_upper = min([a + s * b for a, b in upper])
         if mass is None:
-            mass = _mass_lines(schedule, window, mass_level)
+            mass = _mass_lines(schedule, window)
         log_lower = max(-_mass_constant(mass, s), s * window.log_lo)
         log_lower = min(log_lower, log_upper)
         return CoverCost(log_lower, log_upper, "single-level")
@@ -563,10 +553,7 @@ def _prepare_cantor(
 
 
 def cover_cost_cantor(
-    schedule: CantorSchedule,
-    window: ScaleWindow,
-    s: float,
-    mass_level: Optional[int] = None,
+    schedule: CantorSchedule, window: ScaleWindow, s: float
 ) -> CoverCost:
     """Cover cost bracket for a Cantor schedule, symbolic in the depth.
 
@@ -577,7 +564,7 @@ def cover_cost_cantor(
     Both are extrema of lines in ``s``, which :func:`prepare` builds once
     per window.
     """
-    return _prepare_cantor(schedule, window, mass_level)(s)
+    return _prepare_cantor(schedule, window)(s)
 
 
 # ---------------------------------------------------------------------------
@@ -780,18 +767,14 @@ def _prepare_dp(model, window: ScaleWindow) -> Callable[[float], CoverCost]:
         _validate_exponent(s)
         if graph is None:
             _require_linear(window)  # before materializing at resolution lo
-            graph = _CoverGraph(skeleton(model, window.lo), window, _STATE_CAP)
+            graph = _CoverGraph(skeleton(model, window.lo), window)
         return graph.cost(s)
 
     return cost
 
 
 def prepare(
-    model,
-    window: ScaleWindow,
-    *,
-    oracle: str = "auto",
-    mass_level: Optional[int] = None,
+    model, window: ScaleWindow, *, oracle: str = "auto"
 ) -> Callable[[float], CoverCost]:
     """The cover cost of one (model, window) as a function of ``s``.
 
@@ -811,17 +794,14 @@ def prepare(
     if isinstance(model, ProductModel):
         return _prepare_product(model, window, oracle)
     if isinstance(model, UnionModel):
-        members = [
-            prepare(m, window, oracle=oracle, mass_level=mass_level)
-            for m in model.members
-        ]
+        members = [prepare(m, window, oracle=oracle) for m in model.members]
         return lambda s: combine_union([m(s) for m in members], model.gap, window)
     if oracle == "dp":
         return _prepare_dp(model, window)
     if isinstance(model, SequenceSet):
         return lambda s: cover_cost_sequence(model.p, window, s)
     if isinstance(model, CantorSchedule):
-        return _prepare_cantor(model, window, mass_level)
+        return _prepare_cantor(model, window)
     if isinstance(model, UniformGrid):
         return lambda s: cover_cost_grid(model.spacing_at(window.lo), window, s)
     if isinstance(model, HolderImage):
@@ -867,13 +847,8 @@ def upper_bound_slack(model, s: float, *, oracle: str = "auto") -> Optional[floa
 
 
 def cover_cost(
-    model,
-    window: ScaleWindow,
-    s: float,
-    *,
-    oracle: str = "auto",
-    mass_level: Optional[int] = None,
+    model, window: ScaleWindow, s: float, *, oracle: str = "auto"
 ) -> CoverCost:
     """Cover cost bracket for any line model (or product of line models);
     one evaluation of :func:`prepare`."""
-    return prepare(model, window, oracle=oracle, mass_level=mass_level)(s)
+    return prepare(model, window, oracle=oracle)(s)

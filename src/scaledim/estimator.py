@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .covers import CoverCost, ScaleWindow, prepare
 from .errors import ConfigError, IndeterminateError
@@ -32,12 +32,25 @@ class CriticalExponent:
     evaluations: int
 
     @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.s_lower + self.s_upper)
-
-    @property
     def width(self) -> float:
         return self.s_upper - self.s_lower
+
+
+def _bisect(
+    holds: Callable[[float], bool], yes: float, no: float, tol: float
+) -> tuple[float, float]:
+    """Halve the bracket between ``yes`` (holds) and ``no`` (does not),
+    in either order, until the two are within ``tol`` or the midpoint
+    rounds onto one of them (a ``tol`` below the float spacing)."""
+    while abs(yes - no) > tol:
+        mid = 0.5 * (yes + no)
+        if mid == yes or mid == no:
+            break
+        if holds(mid):
+            yes = mid
+        else:
+            no = mid
+    return yes, no
 
 
 def critical_exponent(
@@ -48,7 +61,6 @@ def critical_exponent(
     tol: float = 1e-3,
     oracle: str = "auto",
     s_max: Optional[float] = None,
-    mass_level: Optional[int] = None,
 ) -> CriticalExponent:
     """Locate the cost-1 crossing at one scale, certified on both sides.
 
@@ -63,7 +75,7 @@ def critical_exponent(
         raise ConfigError(f"tol must be positive, got {tol}")
     window = ScaleWindow(phi.eval_phi_log(log_delta), log_delta)
     s_cap = float(ambient_dimension(model)) if s_max is None else float(s_max)
-    cost_at = prepare(model, window, oracle=oracle, mass_level=mass_level)
+    cost_at = prepare(model, window, oracle=oracle)
     cache: dict[float, CoverCost] = {}
 
     def costs(s: float) -> CoverCost:
@@ -79,16 +91,7 @@ def critical_exponent(
         s_upper = s_cap
         clamped_upper = True
     else:
-        bad, good = 0.0, s_cap  # invariant: upper(bad) > 0 >= upper(good)
-        while good - bad > tol:
-            mid = 0.5 * (bad + good)
-            if mid == bad or mid == good:
-                break  # tol is below the float spacing of the bracket
-            if costs(mid).log_cost_upper <= 0.0:
-                good = mid
-            else:
-                bad = mid
-        s_upper = good
+        s_upper, _ = _bisect(lambda s: costs(s).log_cost_upper <= 0.0, s_cap, 0.0, tol)
 
     # lower curve: largest s with log lower cost >= 0
     clamped_lower = False
@@ -98,16 +101,7 @@ def critical_exponent(
         s_lower = 0.0
         clamped_lower = True
     else:
-        good, bad = 0.0, s_cap  # invariant: lower(good) >= 0 > lower(bad)
-        while bad - good > tol:
-            mid = 0.5 * (bad + good)
-            if mid == bad or mid == good:
-                break  # tol is below the float spacing of the bracket
-            if costs(mid).log_cost_lower >= 0.0:
-                good = mid
-            else:
-                bad = mid
-        s_lower = good
+        s_lower, _ = _bisect(lambda s: costs(s).log_cost_lower >= 0.0, 0.0, s_cap, tol)
 
     if clamped_upper and s_lower <= tol:
         probe = costs(s_cap)
@@ -158,8 +152,6 @@ def dimension_profile(
     *,
     tol: float = 1e-3,
     oracle: str = "auto",
-    mass_level: Optional[int] = None,
-    include_preferred_scales: bool = True,
 ) -> DimensionProfile:
     """Run :func:`critical_exponent` along a grid of scales.
 
@@ -171,17 +163,12 @@ def dimension_profile(
     grid = sorted(set(float(x) for x in log_deltas), reverse=True)
     if not grid:
         raise ConfigError("scale grid is empty")
-    if include_preferred_scales:
-        preferred = getattr(model, "preferred_log_scales", ())
-        for ld in preferred:
-            if grid[-1] <= ld <= grid[0]:
-                grid.append(float(ld))
-        grid = sorted(set(grid), reverse=True)
+    for ld in getattr(model, "preferred_log_scales", ()):
+        if grid[-1] <= ld <= grid[0]:
+            grid.append(float(ld))
+    grid = sorted(set(grid), reverse=True)
     points = tuple(
-        critical_exponent(
-            model, phi, ld, tol=tol, oracle=oracle, mass_level=mass_level
-        )
-        for ld in grid
+        critical_exponent(model, phi, ld, tol=tol, oracle=oracle) for ld in grid
     )
     tail_size = max(1, len(points) // 3)
     tail = points[-tail_size:]

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 from .covers import CoverCost, ScaleWindow, prepare, upper_bound_slack
 from .errors import ConfigError, InputError, ScaledimError
-from .estimator import dimension_profile
+from .estimator import _bisect, dimension_profile
 from .scalefun import InterpolatedScale, LogCorrected, MinFamily, Tabulated
 from .setmodels import model_id
 
@@ -168,14 +168,7 @@ def _phi_s_point(
     if lo is None:
         return PhiSPoint(log_delta, hi, False, True, math.inf)
 
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # tol is below the float spacing of the bracket
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(feasible, lo, hi, tol)
     # hi may be only conservatively infeasible; report the certified gap
     gap = hi - lo
     if not cost(hi).log_cost_lower > log_budget:
@@ -352,16 +345,14 @@ def verify_interpolation(
     *,
     tol: float = 1e-3,
     x_tol: float = 0.05,
-    slack_upper: float = 0.05,
-    slack_lower: float = 0.1,
     budget: float = 1.0,
     oracle: str = "auto",
 ) -> InterpolationReport:
     """Build the family and check its profiles land on the prescribed s.
 
     For each exponent the recovered scale function is fed back through
-    the estimator; the upper estimate should land within ``slack_upper``
-    of s, the lower within ``slack_lower`` of min(s, lower box estimate),
+    the estimator; the upper estimate should land within 0.05 of s, the
+    lower within 0.1 of min(s, lower box estimate),
     the upper estimates should be monotone across s, and the tables
     pointwise ordered.
     """
@@ -399,8 +390,8 @@ def verify_interpolation(
                 upper_estimate=prof.upper_estimate,
                 lower_estimate=prof.lower_estimate,
                 lower_target=lower_target,
-                upper_ok=abs(prof.upper_estimate - tab.s) <= slack_upper,
-                lower_ok=abs(prof.lower_estimate - lower_target) <= slack_lower,
+                upper_ok=abs(prof.upper_estimate - tab.s) <= 0.05,
+                lower_ok=abs(prof.lower_estimate - lower_target) <= 0.1,
             )
         )
     finite = [r for r in rows if math.isfinite(r.upper_estimate)]
@@ -430,7 +421,6 @@ def hausdorff_endpoint_family(
     log_deltas: Sequence[float],
     *,
     box_upper_estimate: float,
-    members: int = 3,
     tol: float = 0.05,
     budget: float = 1.0,
     oracle: str = "auto",
@@ -438,7 +428,7 @@ def hausdorff_endpoint_family(
     """Pointwise-min family realizing the bottom endpoint exponent.
 
     The endpoint itself may not be attained by any single table, but the
-    min of tables at s + 1/n for n = N, N+1, ... is admissible and squeezes
+    min of tables at s + 1/n for n = N, N+1, N+2 is admissible and squeezes
     down to it.  N must satisfy s + 1/N < box_upper_estimate so that every
     member exponent stays realizable.
     """
@@ -447,10 +437,8 @@ def hausdorff_endpoint_family(
             "endpoint construction needs s below the box estimate, got "
             f"s={s}, box={box_upper_estimate}"
         )
-    if members < 1:
-        raise InputError(f"members must be >= 1, got {members}")
     n0 = math.floor(1.0 / (box_upper_estimate - s)) + 1
-    exponents = [s + 1.0 / n for n in range(n0, n0 + members)]
+    exponents = [s + 1.0 / n for n in range(n0, n0 + 3)]
     tables = phi_s_family(
         model, exponents, log_deltas, tol=tol, budget=budget, oracle=oracle
     )

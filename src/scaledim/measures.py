@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .covers import ScaleWindow
-from .errors import BudgetError, DomainError, InputError
+from .errors import BudgetError, DomainError, InputError, ResolutionError
 from .estimator import critical_exponent
 from .scalefun import ScaleFunction
 from .setmodels import CantorSchedule, skeleton
@@ -43,21 +43,13 @@ class FrostmanMeta:
     """Construction record attached to a built measure.
 
     ``cube_indices`` are the level-``level_fine`` cube indices of the
-    atoms, in atom order.  Coarser ancestors follow by exact integer
-    division, avoiding float boundary drift for atoms sitting exactly on
-    cube edges.
+    atoms, in atom order.
     """
 
     base: int
     level_fine: int
     chain_length: int
     cube_indices: np.ndarray
-
-    def ancestors(self, level: int) -> np.ndarray:
-        """Cube index of each atom at a coarser level."""
-        if not 0 <= level <= self.level_fine:
-            raise InputError(f"level must lie in [0, {self.level_fine}], got {level}")
-        return self.cube_indices // self.base ** (self.level_fine - level)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,15 +80,6 @@ class AtomicMeasure:
             raise InputError("locations must be sorted ascending")
         if not np.all(mas > 0.0):
             raise InputError("masses must be positive")
-
-    @classmethod
-    def from_atoms(
-        cls, atoms: Sequence[tuple[float, float]], pre_normalization_total: float = 1.0
-    ) -> "AtomicMeasure":
-        arr = sorted((float(x), float(w)) for x, w in atoms)
-        loc = np.array([x for x, _ in arr])
-        mas = np.array([w for _, w in arr])
-        return cls(loc, mas, pre_normalization_total)
 
     @property
     def total(self) -> float:
@@ -184,7 +167,7 @@ def _seed(model, log_delta: float, phi: ScaleFunction, base: int) -> _Seed:
             "use a finer-grained route or a coarser delta"
         )
     if np.abs([q_first, q_last]).max() >= 2.0**63:
-        raise OverflowError(f"level-{m} cube indices do not fit in 64 bits")
+        raise ResolutionError(f"level-{m} cube indices do not fit in 64 bits")
     q_first = q_first.astype(np.int64)
     spans = q_last.astype(np.int64) - q_first + 1
     owner = np.repeat(np.arange(spans.size), spans)
@@ -263,21 +246,13 @@ class BallMassReport:
     radii: tuple[float, ...]
 
 
-def _scan_radii(window: ScaleWindow, radii: Optional[Sequence[float]]) -> list[float]:
-    """The sorted radius scan: 33 log-spaced radii by default."""
-    if radii is None:
-        n_r = 33
-        radii = [
-            math.exp(window.log_lo + t * (window.log_hi - window.log_lo))
-            for t in np.linspace(0.0, 1.0, n_r)[1:-1]
-        ]
-        radii += [window.lo, window.hi]
-    radii = sorted(float(r) for r in radii)
-    if not radii:
-        raise InputError("radius scan is empty")
-    if radii[0] < window.lo * (1.0 - 1e-9) or radii[-1] > window.hi * (1.0 + 1e-9):
-        raise InputError("scan radii must lie within the window")
-    return radii
+def _scan_radii(window: ScaleWindow) -> list[float]:
+    """The sorted radius scan: 33 log-spaced radii across the window."""
+    radii = [
+        math.exp(window.log_lo + t * (window.log_hi - window.log_lo))
+        for t in np.linspace(0.0, 1.0, 33)[1:-1]
+    ]
+    return sorted(float(r) for r in radii + [window.lo, window.hi])
 
 
 def _scan_runs(
@@ -316,46 +291,14 @@ def _scan_runs(
     ]
 
 
-def verify_ball_mass(
-    mu: AtomicMeasure,
-    window: ScaleWindow,
-    s: float,
-    *,
-    radii: Optional[Sequence[float]] = None,
-    centers: Optional[Sequence[float]] = None,
-) -> BallMassReport:
-    """Smallest c with mu(B(x, r)) <= c r^s over the scanned radii.
+def verify_ball_mass(mu: AtomicMeasure, window: ScaleWindow, s: float) -> BallMassReport:
+    """Smallest c with mu(B(x, r)) <= c r^s over the 33 scanned radii.
 
     Balls are open.  For each radius the maximization over centers is
     exact: the heaviest ball's leftmost atom starts a contiguous run of
     atoms of diameter < 2r, so sweeping run starts finds the maximum.
-    An explicit center grid restricts the scan instead.
     """
-    radii = _scan_radii(window, radii)
-    locs = mu.locations
-    prefix = mu.prefix_masses()
-    if centers is None:
-        return _scan_runs(locs, radii, [prefix], [s])[0]
-    cg = np.asarray(centers, dtype=float)
-    best = -math.inf
-    witness = (0.0, radii[0], 0.0)
-    for r in radii:
-        lo_idx = np.searchsorted(locs, cg - r, side="right")
-        hi_idx = np.searchsorted(locs, cg + r, side="left")
-        run_masses = prefix[hi_idx] - prefix[lo_idx]
-        i = int(np.argmax(run_masses))
-        mass = float(run_masses[i])
-        ratio = mass / r**s
-        if ratio > best:
-            best = ratio
-            witness = (float(cg[i]), r, mass)
-    return BallMassReport(
-        c_observed=best,
-        witness_center=witness[0],
-        witness_radius=witness[1],
-        witness_mass=witness[2],
-        radii=tuple(radii),
-    )
+    return _scan_runs(mu.locations, _scan_radii(window), [mu.prefix_masses()], [s])[0]
 
 
 def ball_to_set_constant(c_ball: float, s: float) -> float:
@@ -524,7 +467,7 @@ def massfrostman_roundtrip(
         window = ScaleWindow(phi.eval_phi_log(ld), ld)
         reports = _scan_runs(
             seed.locations,
-            _scan_radii(window, None),
+            _scan_radii(window),
             [mu.prefix_masses() for _, mu in built],
             [s_values[j] for j, _ in built],
         )

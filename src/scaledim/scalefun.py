@@ -71,12 +71,6 @@ class ScaleFunction:
             )
         return min(value, log_delta)
 
-    def eval_phi(self, delta: float) -> float:
-        """phi(delta) in linear scale; only usable when delta is representable."""
-        if not delta > 0.0:
-            raise DomainError(f"delta must be positive, got {delta}")
-        return math.exp(self.eval_phi_log(math.log(delta)))
-
 
 @dataclass(frozen=True)
 class PowerLaw(ScaleFunction):

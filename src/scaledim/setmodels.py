@@ -41,6 +41,11 @@ SEQUENCE_N_CAP = 10_000_000
 Skeleton = list[tuple[float, float]]
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # basic models
 
@@ -51,6 +56,9 @@ class PointSet:
 
     location: float = 0.0
     kind: str = field(default="point", init=False)
+
+    def __post_init__(self) -> None:
+        _check_finite("point location", self.location)
 
     def extent(self) -> tuple[float, float]:
         return (self.location, self.location)
@@ -71,6 +79,7 @@ class SequenceSet:
     def __post_init__(self) -> None:
         if not self.p > 0.0:
             raise DomainError(f"sequence exponent p must be positive, got {self.p}")
+        _check_finite("offset", self.offset)
 
     def extent(self) -> tuple[float, float]:
         return (self.offset, self.offset + 1.0)
@@ -155,6 +164,7 @@ class UniformGrid:
     def __post_init__(self) -> None:
         if self.spacing is not None and not 0.0 < self.spacing <= 1.0:
             raise DomainError(f"grid spacing must be in (0, 1], got {self.spacing}")
+        _check_finite("offset", self.offset)
 
     def extent(self) -> tuple[float, float]:
         return (self.offset, self.offset + 1.0)
@@ -199,6 +209,7 @@ class CantorSchedule:
     def __post_init__(self) -> None:
         if not self.blocks:
             raise InputError("CantorSchedule needs at least one block")
+        _check_finite("offset", self.offset)
         norm = []
         for count, ratio in self.blocks:
             count = int(count)
@@ -612,9 +623,7 @@ def stability_inequality(
     return lhs, rhs
 
 
-def build_stability_pair(
-    phi: ScaleFunction, levels: int, *, depth_margin: float = 2.0
-) -> StabilityPair:
+def build_stability_pair(phi: ScaleFunction, levels: int) -> StabilityPair:
     """Build the alternating sparse/dense pair of Cantor sets for a window.
 
     Each set alternates between decades of strong contraction (ratio 1/5)
@@ -699,7 +708,7 @@ def build_stability_pair(
         scan_regime(n)
         if n + 1 == levels:
             # structure must extend below the finest checkpoint window floor
-            required_depth = depth_margin * (
+            required_depth = 2.0 * (
                 phi.eval_phi_log(log_r_seq[-1]) / _LOG_DENSE
             )
         n += 1

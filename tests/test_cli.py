@@ -234,6 +234,54 @@ def test_unreachable_resolution_exits_three(tmp_path):
     assert not out.exists()
 
 
+def test_frostman_cube_indices_past_64_bits_exit_three(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code = main(
+        ["frostman", "--model", '{"kind": "point", "location": 0.3}', "--s", "0.5",
+         "--log2-delta", "-36", "--out", str(out)]
+    )
+    assert code == 3
+    assert capsys.readouterr().err == "error: level-16 cube indices do not fit in 64 bits\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        '{"kind": "point", "location": NaN}',
+        '{"kind": "point", "location": Infinity}',
+        '{"kind": "sequence", "p": 1.0, "offset": -Infinity}',
+        '{"kind": "grid", "spacing": 0.1, "offset": NaN}',
+        '{"kind": "cantor", "blocks": [[8, 0.25]], "offset": Infinity}',
+    ],
+    ids=["point-nan", "point-inf", "sequence-minus-inf", "grid-nan", "cantor-inf"],
+)
+def test_frostman_non_finite_position_exits_two(tmp_path, capsys, model):
+    out = tmp_path / "x.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["frostman", "--model", model, "--s", "0.5", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_negative_seed_exits_two(tmp_path, capsys, via):
+    out = tmp_path / "v.json"
+    if via == "flag":
+        args = ["verify", "--seed", "-1"]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        args = ["verify", "--config", str(cfg)]
+    code = main(args + ["--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "a-dir"])
 def test_unwritable_out_exits_two(tmp_path, capsys, target):
     out = tmp_path / target

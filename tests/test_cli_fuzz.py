@@ -1,7 +1,7 @@
 """CLI fuzz: arbitrary specs and config values exit 0, 2 or 3, never crash.
 
-Covers the cheap commands (``phi``, ``bounds``, ``carpet``) and every
-config-file key but ``out``.  A traceback escaping ``main`` fails the test, as
+Covers the cheap commands (``phi``, ``bounds``, ``carpet``), ``frostman``
+over line models placed anywhere, and every config-file key but ``out``.  A traceback escaping ``main`` fails the test, as
 does any exit code other than 0 (success), 2 (invalid input) or 3 (a
 well-formed computation that failed).
 """
@@ -209,6 +209,39 @@ def carpets(draw) -> dict:
 def test_carpet_exits_cleanly(out_dir, carpet, junk):
     spec = {"kind": "carpet"} | carpet | junk
     _exits_cleanly(out_dir, ["carpet", "--model", _dumps(spec)])
+
+
+# --- frostman -----------------------------------------------------------------
+
+# every field valid but the position, which may be anything numeric
+frostman_models = st.one_of(
+    st.builds(lambda x: {"kind": "point", "location": x}, numbers),
+    st.builds(
+        lambda p, x: {"kind": "sequence", "p": p, "offset": x},
+        st.floats(1.0, 4.0),
+        numbers,
+    ),
+    st.builds(
+        lambda r, x: {"kind": "grid", "spacing": r, "offset": x},
+        st.sampled_from([None, 0.1, 2.0**-6]),
+        numbers,
+    ),
+    st.builds(
+        lambda blocks, x: {"kind": "cantor", "blocks": blocks, "offset": x},
+        st.lists(
+            st.tuples(st.integers(1, 20), st.floats(0.05, 1.0 / 3.0)),
+            min_size=1,
+            max_size=3,
+        ),
+        numbers,
+    ),
+)
+
+
+@settings(FUZZ, max_examples=60)
+@given(model=frostman_models)
+def test_frostman_exits_cleanly(out_dir, model):
+    _exits_cleanly(out_dir, ["frostman", "--model", _dumps(model)])
 
 
 # --- config-file values ---------------------------------------------------------

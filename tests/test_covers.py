@@ -248,9 +248,9 @@ def test_dp_errors_keep_their_types(monkeypatch):
     with pytest.raises(ResolutionError):
         cover_cost(HolderImage(model, 0.5), deep, 0.5)  # auto routes Holder to DP
     window = ScaleWindow.from_linear(2.0**-10, 2.0**-5)
-    with pytest.raises(BudgetError):
-        cover_cost_dp(skeleton(model, window.lo), window, 0.5, state_cap=5)
     monkeypatch.setattr(covers, "_STATE_CAP", 5)
+    with pytest.raises(BudgetError):
+        cover_cost_dp(skeleton(model, window.lo), window, 0.5)
     with pytest.raises(BudgetError):
         cover_cost(model, window, 0.5, oracle="dp")
 
@@ -259,7 +259,7 @@ def test_dp_move_budget_stops_the_graph_build(monkeypatch):
     model = SequenceSet(1.0)
     window = ScaleWindow.from_linear(2.0**-10, 2.0**-5)
     items = skeleton(model, window.lo)
-    full = covers._CoverGraph(items, window, covers._STATE_CAP)
+    full = covers._CoverGraph(items, window)
     moves = sum(len(row) for row in full.rows)
     assert moves > len(full.rows)  # a tighter bound than the state count
     monkeypatch.setattr(covers, "_MOVE_CAP", moves)
@@ -535,7 +535,7 @@ def test_schedule_mass_constant_middle_thirds_is_two():
     mt = middle_thirds()
     log_len = mt.log_length(9)
     window = ScaleWindow(log_len, mt.log_length(5))
-    log_c = schedule_mass_constant(mt, window, LOG23, mass_level=9)
+    log_c = schedule_mass_constant(mt, window, LOG23)
     assert math.exp(log_c) == pytest.approx(2.0, abs=1e-9)
 
 
@@ -546,25 +546,21 @@ def test_schedule_mass_constant_middle_thirds_is_two():
 # same floats, the same error types and the same messages.
 
 
-def _reference_mass_constant(schedule, window, s, mass_level=None):
+def _reference_mass_constant(schedule, window, s):
     if s < 0.0 or math.isnan(s):
         raise DomainError(f"exponent must be nonnegative, got {s}")
     depth = schedule.depth
-    j_cap = depth if mass_level is None else min(int(mass_level), depth)
-    if j_cap < 0:
-        raise DomainError(f"mass_level must be nonnegative, got {mass_level}")
     log_lo, log_hi = window.log_lo, window.log_hi
     terms = []
     if log_hi >= 0.0:
         terms.append(-s * max(0.0, log_lo))
-    log_len_cap = schedule.log_length(j_cap)
-    if log_lo < log_len_cap:
-        terms.append(-j_cap * covers.LOG2 - s * log_lo)
-    if j_cap >= 1:
-        cand = {1, j_cap}
+    if log_lo < schedule.log_length(depth):
+        terms.append(-depth * covers.LOG2 - s * log_lo)
+    if depth >= 1:
+        cand = {1, depth}
         for lv, _ in schedule.level_boundaries():
             for shift in (0, 1):
-                if 1 <= lv + shift <= j_cap:
+                if 1 <= lv + shift <= depth:
                     cand.add(lv + shift)
         for target in (log_lo, log_hi):
             for fn in (
@@ -574,7 +570,7 @@ def _reference_mass_constant(schedule, window, s, mass_level=None):
                 lv = fn(target)
                 if lv is not None:
                     for shift in (-1, 0, 1):
-                        if 1 <= lv + shift <= j_cap:
+                        if 1 <= lv + shift <= depth:
                             cand.add(lv + shift)
         for level in sorted(cand):
             log_len = schedule.log_length(level)
@@ -594,7 +590,7 @@ def _reference_mass_constant(schedule, window, s, mass_level=None):
     return max(terms)
 
 
-def _reference_cantor(schedule, window, s, mass_level=None):
+def _reference_cantor(schedule, window, s):
     covers._validate_exponent(s)
     depth = schedule.depth
     log_bottom = schedule.log_length(depth)
@@ -628,7 +624,7 @@ def _reference_cantor(schedule, window, s, mass_level=None):
             f"length {log_bottom:.6g}; no single-level cover fits"
         )
     log_upper = min(candidates)
-    log_c = _reference_mass_constant(schedule, window, s, mass_level=mass_level)
+    log_c = _reference_mass_constant(schedule, window, s)
     log_lower = max(-log_c, s * log_lo)
     log_lower = min(log_lower, log_upper)
     return CoverCost(log_lower, log_upper, "single-level")
@@ -646,10 +642,9 @@ def _outcome(fn, *args, **kwargs):
 
 
 def _random_cantor_cases(rng, count):
-    """Seeded (schedule, window, mass_level, exponents) cases: multi-block
-    schedules up to depth 10**6, windows reaching above the seed length,
-    degenerate and level-exact windows, tops just and well below the deepest
-    level, and truncation levels None, 0, inside and beyond the depth."""
+    """Seeded (schedule, window, exponents) cases: multi-block schedules up
+    to depth 10**6, windows reaching above the seed length, degenerate and
+    level-exact windows, and tops just and well below the deepest level."""
     ratios = (1.0 / 3.0, 0.3, 0.25, 0.2, 0.1)
     schedules = [
         middle_thirds(40),
@@ -680,12 +675,13 @@ def _random_cantor_cases(rng, count):
             log_hi = float(rng.uniform(bottom, 1.5))
             width = 0.0 if kind == 3 else float(rng.uniform(0.0, log_hi - bottom + 2.0))
             log_lo = log_hi - width
-        mass_level = (None, 0, int(rng.integers(0, depth + 1)), depth + 3, -1)[
-            int(rng.integers(5))
-        ]
+        # two draws that once picked a mass truncation level, kept so that
+        # the seeded stream, and with it every case, stays the same
+        rng.integers(0, depth + 1)
+        rng.integers(5)
         exponents = [0.0, 1.0] + [float(v) for v in rng.uniform(0.0, 1.0, 3)]
         exponents += [float(rng.choice([-0.25, 1.5, math.nan]))]
-        yield sched, ScaleWindow(log_lo, log_hi), mass_level, exponents
+        yield sched, ScaleWindow(log_lo, log_hi), exponents
 
 
 def test_cantor_top_just_below_the_deepest_level_is_a_resolution_error():
@@ -706,16 +702,16 @@ def test_cantor_top_just_below_the_deepest_level_is_a_resolution_error():
 def test_prepared_cantor_matches_the_reference_route():
     rng = np.random.default_rng(20260816)
     compared = 0
-    for sched, window, mass_level, exponents in _random_cantor_cases(rng, 600):
-        cost = prepare(sched, window, mass_level=mass_level)
+    for sched, window, exponents in _random_cantor_cases(rng, 600):
+        cost = prepare(sched, window)
         for s in rng.permutation(exponents):  # reuse in a shuffled s order
             s = float(s)
-            expected = _outcome(_reference_cantor, sched, window, s, mass_level)
+            expected = _outcome(_reference_cantor, sched, window, s)
             assert _outcome(cost, s) == expected
-            assert _outcome(cover_cost_cantor, sched, window, s, mass_level) == expected
+            assert _outcome(cover_cost_cantor, sched, window, s) == expected
             assert _outcome(
-                schedule_mass_constant, sched, window, 2.0 * s, mass_level
-            ) == _outcome(_reference_mass_constant, sched, window, 2.0 * s, mass_level)
+                schedule_mass_constant, sched, window, 2.0 * s
+            ) == _outcome(_reference_mass_constant, sched, window, 2.0 * s)
             compared += 1
     assert compared == 600 * 6
 

@@ -105,10 +105,6 @@ def test_profile_injects_model_checkpoint_scales():
     pair = build_stability_pair(PowerLaw(0.5), 2)
     grid = [-100 * LOG2, -200 * LOG2]
     with_marks = dimension_profile(pair.union, PowerLaw(0.5), grid, tol=5e-3)
-    without = dimension_profile(
-        pair.union, PowerLaw(0.5), grid, tol=5e-3, include_preferred_scales=False
-    )
-    assert len(without.points) == 2
     assert len(with_marks.points) == 3
     injected = [p.log_delta for p in with_marks.points if p.log_delta not in grid]
     assert injected == pytest.approx([pair.state.log_r_seq[0]])
@@ -158,9 +154,7 @@ def test_dp_profile_builds_one_skeleton_per_model_and_scale(monkeypatch):
         (points, {points: 2}),
     ]:
         calls.clear()
-        prof = dimension_profile(
-            model, PowerLaw(0.5), grid, oracle="dp", include_preferred_scales=False
-        )
+        prof = dimension_profile(model, PowerLaw(0.5), grid, oracle="dp")
         assert calls == expected
         assert [p.evaluations for p in prof.points] == [12, 12]
 

@@ -7,7 +7,7 @@ import pytest
 
 from scaledim import measures
 from scaledim.covers import ScaleWindow
-from scaledim.errors import BudgetError, DomainError, InputError
+from scaledim.errors import BudgetError, DomainError, InputError, ResolutionError
 from scaledim.measures import (
     AtomicMeasure,
     ball_to_set_constant,
@@ -122,8 +122,14 @@ def test_atom_cap_counts_distinct_seeded_cubes(thirds, monkeypatch):
 
 def test_seeded_cube_indices_never_wrap():
     # level 16 in base 20: the one seeded cube index is 0.3 * 20**16 > 2**63
-    with pytest.raises(OverflowError):
+    with pytest.raises(ResolutionError):
         build_frostman_measure(PointSet(0.3), 0.5, -25.0, PowerLaw(0.5))
+
+
+def test_roundtrip_passes_the_cube_index_overflow_on():
+    # log delta -20 seeds at level 13, which fits; -25 needs level 16
+    with pytest.raises(ResolutionError, match="do not fit in 64 bits"):
+        massfrostman_roundtrip(PointSet(0.3), PowerLaw(0.5), [0.5], [-20.0, -25.0])
 
 
 def test_natural_measure_is_uniform(thirds):

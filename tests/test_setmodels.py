@@ -29,6 +29,23 @@ from scaledim.setmodels import (
 LOG2 = math.log(2.0)
 
 
+# --- positions ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_positions_must_be_finite(bad):
+    for make in (
+        lambda: PointSet(bad),
+        lambda: SequenceSet(1.0, offset=bad),
+        lambda: UniformGrid(0.1, offset=bad),
+        lambda: CantorSchedule(((3, 0.25),), offset=bad),
+        lambda: translate(PointSet(0.5), bad),
+        lambda: model_from_dict({"kind": "cantor", "blocks": [[2, 0.3]], "offset": bad}),
+    ):
+        with pytest.raises(DomainError, match="must be finite"):
+            make()
+
+
 # --- sequence sets --------------------------------------------------------
 
 
