@@ -1,13 +1,26 @@
 """Set models: generators, schedules, carpets, serialization."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from scaledim.errors import DomainError, InputError, ResolutionError
-from scaledim.scalefun import PowerLaw
+from scaledim.errors import (
+    DomainError,
+    InputError,
+    ResolutionError,
+    ScaledimError,
+    ScheduleOverflowError,
+)
+from scaledim.scalefun import (
+    LogCorrected,
+    MinFamily,
+    PowerLaw,
+    StretchedExponential,
+    Tabulated,
+)
 from scaledim.setmodels import (
     CantorSchedule,
     CarpetParams,
@@ -308,3 +321,59 @@ def test_stability_marks_track_block_lengths(pair):
 def test_stability_needs_at_least_one_level():
     with pytest.raises(InputError):
         build_stability_pair(PowerLaw(0.5), 0)
+
+
+# a switch exponent past the cap: the table's -1e300 floor puts k_1 at 300
+_CAP_PHI = Tabulated(((-1.7e308, -1.7e308), (-200.0, -1e300), (-1.0, -1e300)))
+
+_STABILITY_PHIS = {
+    "power 0.5": PowerLaw(0.5),
+    "power 0.05": PowerLaw(0.05),
+    "power 0.9": PowerLaw(0.9),
+    "power 1": PowerLaw(1.0),
+    "power 0.001": PowerLaw(0.001),
+    "power 1e-10": PowerLaw(1e-10),
+    "log corrected": LogCorrected(),
+    "stretched 0.1": StretchedExponential(0.1),
+    "stretched 0.5": StretchedExponential(0.5),
+    "min": MinFamily((PowerLaw(0.5), LogCorrected())),
+    "min active": MinFamily((PowerLaw(0.8), PowerLaw(0.2)), active_below=(0.0, -1e4)),
+    "table": Tabulated(((-1e9, -4e9), (-50.0, -120.0), (-1.0, -2.0))),
+    "table steep": Tabulated(
+        ((-1e12, -1e15), (-1e5, -1e9), (-100.0, -5000.0), (-1.0, -2.0))
+    ),
+    "table cap": _CAP_PHI,
+    "table 1e250": Tabulated(((-1.7e308, -1.7e308), (-200.0, -1e250), (-1.0, -1e250))),
+}
+
+
+def test_stability_pairs_match_the_recorded_digest():
+    """The repr of every part of the pair, or the error, over a spread of
+    scale functions and levels; recorded before the switch search was
+    rewritten as a direct scan."""
+    lines = []
+    for name, phi in _STABILITY_PHIS.items():
+        for levels in range(1, 7):
+            try:
+                p = build_stability_pair(phi, levels)
+            except ScaledimError as exc:
+                outcome = f"{type(exc).__name__}: {exc}"
+            else:
+                outcome = repr((p.e_set, p.f_set, p.union, p.state, p.sparse_end_scales()))
+            lines.append(f"{name} {levels}: {outcome}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "c81ee5093053aa08d16d819f20952ca48b4f4153b7409d5929021b92119a8ee8"
+
+
+def test_stability_switch_past_the_cap_is_a_schedule_overflow():
+    with pytest.raises(ScheduleOverflowError, match=r"^regime switch exponent exceeded cap 300$"):
+        build_stability_pair(_CAP_PHI, 2)
+
+
+def test_stability_phi_not_evaluable_is_a_schedule_overflow():
+    with pytest.raises(
+        ScheduleOverflowError,
+        match=r"^scale function not evaluable at checkpoint scale log r = -1\.14e\+27: "
+        r"delta \*\* \(-c\) overflows",
+    ):
+        build_stability_pair(StretchedExponential(0.5), 3)
