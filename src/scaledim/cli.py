@@ -144,7 +144,7 @@ def parse_grid(spec, name: str = "grid", min_points: int = 2) -> tuple[float, fl
     """
     try:
         a, b, n = spec.split(":") if isinstance(spec, str) else spec
-        a, b, n = float(a), float(b), int(n)
+        a, b, n = float(a), float(b), _integer(n)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a:b:n with numeric entries, got {spec!r}")
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -158,6 +158,14 @@ def parse_grid(spec, name: str = "grid", min_points: int = 2) -> tuple[float, fl
 
 def parse_s_grid(spec) -> tuple[float, float, int]:
     return parse_grid(spec, "s-grid", 1)
+
+
+def _integer(value) -> int:
+    """``int(value)`` that refuses bools and floats with a fractional part."""
+    n = int(value)
+    if isinstance(value, bool) or (isinstance(value, float) and n != value):
+        raise ValueError(f"{value!r} is not an integer")
+    return n
 
 
 def _from_spec(build, spec, what: str):
@@ -282,7 +290,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"--inputs is not valid JSON: {exc}")
         if not isinstance(inputs, dict):
             raise ConfigError("--inputs must be a JSON object")
-    seed = _from_spec(int, pick("seed"), "seed")
+    seed = _from_spec(_integer, pick("seed"), "seed")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     s_val = pick("s")
@@ -304,7 +312,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         inputs=inputs,
         s=None if s_val is None else _from_spec(float, s_val, "s"),
         log2_delta=None if log2_delta is None else _from_spec(float, log2_delta, "log2_delta"),
-        base=_from_spec(int, pick("base"), "base"),
+        base=_from_spec(_integer, pick("base"), "base"),
         phi2=phi2,
         alphas=_from_spec(parse_alphas, pick("alphas"), "alphas"),
     )

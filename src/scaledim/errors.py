@@ -39,11 +39,8 @@ class ResolutionError(ComputationError):
 
 
 class ScheduleOverflowError(ComputationError):
-    """A schedule scan exceeded its level budget; carries partial state."""
-
-    def __init__(self, message, partial_state=None):
-        super().__init__(message)
-        self.partial_state = partial_state
+    """A schedule scan ran past its exponent cap or its regime budget, or
+    met a checkpoint scale where the scale function is not defined."""
 
 
 class BudgetError(ComputationError):

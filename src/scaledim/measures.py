@@ -105,7 +105,8 @@ def frostman_levels(
     cubes sit just below the window bottom; l is the largest integer with
     8 * b^-(m-l) <= delta, so the coarsest capped level stays comfortably
     inside the window.  A window too narrow for the hierarchy (l < 0) is
-    rejected, and so is a base that is not an integer >= 2.
+    rejected, and so is a base that is not an integer >= 2; a level whose
+    b^m overflows a float is a ``ResolutionError``.
     """
     if not isinstance(base, (int, np.integer)) or isinstance(base, bool) or base < 2:
         raise DomainError(f"cube base must be an integer >= 2, got {base!r}")
@@ -118,6 +119,10 @@ def frostman_levels(
             "window too narrow for the cube hierarchy: need "
             f"phi(delta) <= delta/16 with room to spare (m={m}, l={le})"
         )
+    try:
+        float(base) ** m
+    except OverflowError:
+        raise ResolutionError(f"level-{m} cubes in base {base} lie below float range")
     return m, le
 
 
@@ -176,9 +181,13 @@ def _seed(model, log_delta: float, phi: ScaleFunction, base: int) -> _Seed:
     cubes, first = np.unique(reached, return_index=True)
     locations = np.maximum(bounds[owner[first], 0], cubes / scale)
 
-    # cap-chain ancestors by exact integer division, finest to coarsest
+    # cap-chain ancestors by exact integer division, finest to coarsest; a
+    # divisor above every |cube| (cubes are sorted) gives the same quotients
+    # and fits in int64
+    top = max(-int(cubes[0]), int(cubes[-1])) + 1
     inverses = tuple(
-        np.unique(cubes // base ** (k + 1), return_inverse=True)[1] for k in range(le)
+        np.unique(cubes // min(base ** (k + 1), top), return_inverse=True)[1]
+        for k in range(le)
     )
     return _Seed(base, m, le, cubes, locations, inverses)
 

@@ -189,6 +189,19 @@ class UniformGrid:
 # Cantor schedules
 
 
+def _run_length(pairs) -> tuple[tuple[int, float], ...]:
+    """(count, ratio) runs with empty runs dropped and equal neighbours merged."""
+    blocks: list[tuple[int, float]] = []
+    for count, ratio in pairs:
+        if count <= 0:
+            continue
+        if blocks and blocks[-1][1] == ratio:
+            blocks[-1] = (blocks[-1][0] + count, ratio)
+        else:
+            blocks.append((count, ratio))
+    return tuple(blocks)
+
+
 @dataclass(frozen=True)
 class CantorSchedule:
     """Cantor set built by contracting [offset, offset+1] level by level.
@@ -230,13 +243,7 @@ class CantorSchedule:
         """Build from an explicit per-level ratio list (run-length encoded)."""
         if not ratios:
             raise InputError("need at least one ratio")
-        blocks: list[tuple[int, float]] = []
-        for r in ratios:
-            if blocks and blocks[-1][1] == float(r):
-                blocks[-1] = (blocks[-1][0] + 1, blocks[-1][1])
-            else:
-                blocks.append((1, float(r)))
-        return cls(tuple(blocks), offset=offset)
+        return cls(_run_length((1, float(r)) for r in ratios), offset=offset)
 
     @classmethod
     def middle_thirds(cls, depth: int, offset: float = 0.0) -> "CantorSchedule":
@@ -610,28 +617,19 @@ _LOG_DENSE = math.log(_DENSE_RATIO)
 _K_CAP = 300  # 10**k must stay well inside float range
 
 
-def stability_inequality(
-    phi: ScaleFunction, log_dense_mark: float, k_base: int, k: int, log_r: float
-) -> tuple[float, float]:
-    """(lhs, rhs) of the regime-switch test at candidate exponent k.
-
-    The switch happens at the first k where the dense set's interval log
-    length at level 10**k drops below log phi(r), i.e. lhs < rhs.
-    """
-    lhs = (10.0**k - 10.0**k_base) * _LOG_DENSE + log_dense_mark
-    rhs = phi.eval_phi_log(log_r)
-    return lhs, rhs
-
-
 def build_stability_pair(phi: ScaleFunction, levels: int) -> StabilityPair:
     """Build the alternating sparse/dense pair of Cantor sets for a window.
 
     Each set alternates between decades of strong contraction (ratio 1/5)
-    and weak contraction (ratio 1/3), out of phase with the other, with the
-    switch exponents k_1 < k_2 < ... chosen from phi: regime n ends at the
-    first exponent where the dense set's intervals sink below
-    phi(r_n), r_n being the sparse set's length two decades into the
-    regime.  ``levels`` is the number of checkpoint scales r_n returned.
+    and weak contraction (ratio 1/3), out of phase with the other.  Regime
+    n starts at level 10**k_n; its sparse set (E for even n, F for odd n)
+    contracts strongly at levels 10**k_n .. 10**(k_n+1) - 1 and weakly
+    after, while the dense set contracts weakly throughout.  r_n is the
+    sparse set's length two decades into the regime, and k_{n+1} is the
+    first k > k_n at which the dense set's level-10**k log length
+    ``mark + (10**k - 10**k_n) * log(1/3)`` falls below log phi(r_n).
+    ``levels`` is the number of checkpoint scales r_n returned; regimes
+    go on until 10**k reaches 2 log phi(r) / log(1/3) at the finest r_n.
     """
     if levels < 1:
         raise InputError(f"levels must be >= 1, got {levels}")
@@ -640,17 +638,14 @@ def build_stability_pair(phi: ScaleFunction, levels: int) -> StabilityPair:
     log_f = [0.0]
     log_r_seq: list[float] = []
     required_depth = 0.0
-
-    def scan_regime(n: int) -> None:
+    n = 0
+    while n <= levels or 10.0 ** ks[-1] < required_depth:
+        if n > levels + 8:
+            raise ScheduleOverflowError("schedule depth expansion did not converge")
         k_base = ks[n]
-        sparse_is_e = n % 2 == 0
-        sparse_mark = log_e[n] if sparse_is_e else log_f[n]
-        dense_mark = log_f[n] if sparse_is_e else log_e[n]
-        log_r = (
-            9.0 * 10.0**k_base * _LOG_SPARSE
-            + 90.0 * 10.0**k_base * _LOG_DENSE
-            + sparse_mark
-        )
+        sparse, dense = (log_e, log_f) if n % 2 == 0 else (log_f, log_e)
+        strong = 9.0 * 10.0**k_base * _LOG_SPARSE
+        log_r = strong + 90.0 * 10.0**k_base * _LOG_DENSE + sparse[n]
         if n < levels:
             log_r_seq.append(log_r)
         try:
@@ -658,90 +653,37 @@ def build_stability_pair(phi: ScaleFunction, levels: int) -> StabilityPair:
         except DomainError as exc:
             raise ScheduleOverflowError(
                 f"scale function not evaluable at checkpoint scale "
-                f"log r = {log_r:.3g}: {exc}",
-                partial_state=None,
+                f"log r = {log_r:.3g}: {exc}"
             )
-        # smallest k > k_base with (10**k - 10**k_base) * log(1/3) + mark < rhs
-        excess = (rhs - dense_mark) / _LOG_DENSE  # positive steps needed
-        target = 10.0**k_base + excess
-        k_next = max(k_base + 1, int(math.ceil(math.log10(max(target, 1.0)))) - 1)
-        while True:
-            if k_next > _K_CAP:
-                raise ScheduleOverflowError(
-                    f"regime switch exponent exceeded cap {_K_CAP}",
-                    partial_state=StabilityScheduleState(
-                        tuple(ks), tuple(log_e), tuple(log_f), tuple(log_r_seq)
-                    )
-                    if len(log_r_seq) == len(ks) - 1
-                    else None,
-                )
-            lhs, _ = stability_inequality(phi, dense_mark, k_base, k_next, log_r)
-            if lhs < rhs and k_next > k_base:
-                if k_next == k_base + 1:
-                    break
-                prev_lhs, _ = stability_inequality(
-                    phi, dense_mark, k_base, k_next - 1, log_r
-                )
-                if prev_lhs >= rhs:
-                    break
-                k_next -= 1
-            else:
-                k_next += 1
-        ks.append(k_next)
-        sparse_growth = 9.0 * 10.0**k_base * _LOG_SPARSE + (
-            10.0**k_next - 10.0 ** (k_base + 1)
-        ) * _LOG_DENSE
-        dense_growth = (10.0**k_next - 10.0**k_base) * _LOG_DENSE
-        if sparse_is_e:
-            log_e.append(log_e[n] + sparse_growth)
-            log_f.append(log_f[n] + dense_growth)
-        else:
-            log_e.append(log_e[n] + dense_growth)
-            log_f.append(log_f[n] + sparse_growth)
-
-    n = 0
-    while n <= levels or 10.0 ** ks[-1] < required_depth:
-        if n > levels + 8:
-            raise ScheduleOverflowError(
-                "schedule depth expansion did not converge", partial_state=None
-            )
-        scan_regime(n)
+        # the cap is tested first: 10.0**k overflows from k = 309 on
+        k = k_base + 1
+        while k <= _K_CAP and dense[n] + (10.0**k - 10.0**k_base) * _LOG_DENSE >= rhs:
+            k += 1
+        if k > _K_CAP:
+            raise ScheduleOverflowError(f"regime switch exponent exceeded cap {_K_CAP}")
+        ks.append(k)
+        sparse.append(
+            sparse[n] + (strong + (10.0**k - 10.0 ** (k_base + 1)) * _LOG_DENSE)
+        )
+        dense.append(dense[n] + (10.0**k - 10.0**k_base) * _LOG_DENSE)
         if n + 1 == levels:
             # structure must extend below the finest checkpoint window floor
-            required_depth = 2.0 * (
-                phi.eval_phi_log(log_r_seq[-1]) / _LOG_DENSE
-            )
+            required_depth = 2.0 * (phi.eval_phi_log(log_r_seq[-1]) / _LOG_DENSE)
         n += 1
 
     depth = 10 ** ks[-1] - 1  # schedule steps 1 .. 10**k_last - 1
-    regime_count = len(ks) - 1
 
     def assemble(sparse_parity: int) -> CantorSchedule:
-        blocks: list[tuple[int, float]] = []
-
-        def push(count: int, ratio: float) -> None:
-            if count <= 0:
-                return
-            if blocks and blocks[-1][1] == ratio:
-                blocks[-1] = (blocks[-1][0] + count, ratio)
-            else:
-                blocks.append((count, ratio))
-
+        runs = []
         cursor = 1
-        for i in range(regime_count):
-            if i % 2 != sparse_parity:
-                continue
-            lo = 10 ** ks[i]
-            hi = min(10 ** (ks[i] + 1) - 1, depth)
-            if lo > depth:
-                break
-            push(lo - cursor, _DENSE_RATIO)
-            push(hi - lo + 1, _SPARSE_RATIO)
+        for i in range(sparse_parity, len(ks) - 1, 2):
+            lo, hi = 10 ** ks[i], 10 ** (ks[i] + 1) - 1
+            runs += [(lo - cursor, _DENSE_RATIO), (hi - lo + 1, _SPARSE_RATIO)]
             cursor = hi + 1
-        push(depth - cursor + 1, _DENSE_RATIO)
+        runs.append((depth - cursor + 1, _DENSE_RATIO))
         return CantorSchedule(
-            tuple(blocks),
-            offset=0.0 if sparse_parity == 0 else 2.0,
+            _run_length(runs),
+            offset=2.0 * sparse_parity,
             preferred_log_scales=tuple(log_r_seq),
         )
 

@@ -246,6 +246,27 @@ def test_frostman_cube_indices_past_64_bits_exit_three(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "log2_delta, code, err",
+    [
+        ("-70", 0, ""),
+        ("-519", 3, "error: level-239 cubes in base 20 lie below float range\n"),
+        ("-2000", 3, "error: level-925 cubes in base 20 lie below float range\n"),
+    ],
+    ids=["-70", "-519", "-2000"],
+)
+def test_frostman_at_deep_levels(tmp_path, capsys, log2_delta, code, err):
+    out = tmp_path / "x.json"
+    argv = ["frostman", "--model", '{"kind": "point", "location": 0.0}', "--s", "0.5",
+            "--log2-delta", log2_delta, "--format", "json", "--out", str(out)]
+    assert main(argv) == code
+    assert capsys.readouterr().err == err
+    if code == 0:
+        assert json.loads(out.read_text())["atoms"] == 1
+    else:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "model",
     [
         '{"kind": "point", "location": NaN}',
@@ -393,6 +414,11 @@ def test_unknown_config_key_exits_two(tmp_path):
         {"s_grid": 5},
         {"seed": 1e300 * 1e300},
         {"alphas": ["x"]},
+        {"seed": 7.9},
+        {"seed": True},
+        {"base": 20.7},
+        {"grid": [-12, -6, 4.9]},
+        {"s_grid": [0.2, 0.8, True]},
     ],
     ids=lambda cfg: "-".join(f"{k}={v}" for k, v in cfg.items()),
 )

@@ -132,6 +132,27 @@ def test_roundtrip_passes_the_cube_index_overflow_on():
         massfrostman_roundtrip(PointSet(0.3), PowerLaw(0.5), [0.5], [-20.0, -25.0])
 
 
+def test_cap_chain_divisors_past_64_bits_keep_one_atom():
+    # log2 delta -70 seeds at level 32 with a 15-level chain: 20**15 > 2**63,
+    # but the only cube index is 0
+    log_delta = -70 * LOG2
+    mu = build_frostman_measure(PointSet(0.0), 0.5, log_delta, PowerLaw(0.5))
+    assert (mu.meta.level_fine, mu.meta.chain_length) == (32, 15)
+    assert mu.to_rows() == [(0.0, 1.0)]
+    scales = [-60 * LOG2, log_delta]
+    report = massfrostman_roundtrip(PointSet(0.0), PowerLaw(0.5), [0.5], scales)
+    assert report.rows[0].built
+
+
+@pytest.mark.parametrize("log2_delta, level", [(-519, 239), (-2000, 925)])
+def test_cubes_below_float_range_are_resolution_errors(log2_delta, level):
+    message = f"^level-{level} cubes in base 20 lie below float range$"
+    with pytest.raises(ResolutionError, match=message):
+        frostman_levels(PowerLaw(0.5), log2_delta * LOG2)
+    with pytest.raises(ResolutionError, match=message):
+        build_frostman_measure(PointSet(0.0), 0.5, log2_delta * LOG2, PowerLaw(0.5))
+
+
 def test_natural_measure_is_uniform(thirds):
     nat = natural_cantor_measure(thirds, 9)
     assert len(nat.locations) == 512

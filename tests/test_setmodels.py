@@ -365,9 +365,11 @@ def test_stability_pairs_match_the_recorded_digest():
     assert digest == "c81ee5093053aa08d16d819f20952ca48b4f4153b7409d5929021b92119a8ee8"
 
 
-def test_stability_switch_past_the_cap_is_a_schedule_overflow():
+# PowerLaw(5e-324) maps the first checkpoint scale to log phi = -inf
+@pytest.mark.parametrize("phi", [_CAP_PHI, PowerLaw(5e-324)], ids=["table", "minus-inf"])
+def test_stability_switch_past_the_cap_is_a_schedule_overflow(phi):
     with pytest.raises(ScheduleOverflowError, match=r"^regime switch exponent exceeded cap 300$"):
-        build_stability_pair(_CAP_PHI, 2)
+        build_stability_pair(phi, 2)
 
 
 def test_stability_phi_not_evaluable_is_a_schedule_overflow():
