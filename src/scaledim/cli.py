@@ -144,7 +144,7 @@ def parse_grid(spec, name: str = "grid", min_points: int = 2) -> tuple[float, fl
     """
     try:
         a, b, n = spec.split(":") if isinstance(spec, str) else spec
-        a, b, n = float(a), float(b), _integer(n)
+        a, b, n = _real(a), _real(b), _integer(n)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a:b:n with numeric entries, got {spec!r}")
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -166,6 +166,13 @@ def _integer(value) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and n != value):
         raise ValueError(f"{value!r} is not an integer")
     return n
+
+
+def _real(value) -> float:
+    """``float(value)`` that refuses bools."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
 def _from_spec(build, spec, what: str):
@@ -265,7 +272,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             return overrides[name]
         return GLOBAL_DEFAULTS[name]
 
-    tol = _from_spec(float, pick("tol"), "tol")
+    tol = _from_spec(_real, pick("tol"), "tol")
     if not tol > 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
     fmt = str(pick("format"))
@@ -310,8 +317,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         seed=seed,
         formula=pick("formula"),
         inputs=inputs,
-        s=None if s_val is None else _from_spec(float, s_val, "s"),
-        log2_delta=None if log2_delta is None else _from_spec(float, log2_delta, "log2_delta"),
+        s=None if s_val is None else _from_spec(_real, s_val, "s"),
+        log2_delta=None if log2_delta is None else _from_spec(_real, log2_delta, "log2_delta"),
         base=_from_spec(_integer, pick("base"), "base"),
         phi2=phi2,
         alphas=_from_spec(parse_alphas, pick("alphas"), "alphas"),
@@ -348,6 +355,8 @@ def s_grid_values(cfg: RunConfig) -> list[float]:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -358,7 +367,7 @@ def _fmt(value) -> str:
 
 
 def _csv_field(text: str) -> str:
-    if any(ch in text for ch in ',"\n'):
+    if "," in text or '"' in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 

@@ -15,6 +15,15 @@ caps, the normalization and the prefix sums.  :func:`massfrostman_roundtrip`
 therefore builds the structure once per scale and runs only the cap chain
 and the scoring per s; :func:`build_frostman_measure` and
 :func:`verify_ball_mass` run the same steps for a single s.
+
+The ball-mass scan searches run ends only at radii that can still set a
+maximum.  The heaviest ball mass never decreases with the radius, so at a
+radius r it is at most the heaviest mass at any larger radius; where that
+mass over r^s is below the best ratio already found, r cannot reach the
+maximum and is skipped.  The bound holds in floats (the prefix masses never
+decrease, the run ends never decrease in r, and float subtraction and
+division are monotone), so the constants and witnesses are those of the
+full scan, bit for bit.
 """
 
 from __future__ import annotations
@@ -131,7 +140,9 @@ class _Seed:
     """The s-independent part of a Frostman construction at one scale.
 
     ``inverses[k]`` maps each atom to its level-(m-k-1) cube among the
-    occupied ones, as ``np.unique(..., return_inverse=True)`` numbers them.
+    occupied ones, numbered from 0 in ascending order (as
+    ``np.unique(..., return_inverse=True)`` would).  The atoms' cubes are
+    sorted, so these numbers are run counts, found without sorting.
     """
 
     base: int
@@ -178,18 +189,28 @@ def _seed(model, log_delta: float, phi: ScaleFunction, base: int) -> _Seed:
     owner = np.repeat(np.arange(spans.size), spans)
     offset = np.cumsum(spans) - spans  # of each item's range in `reached`
     reached = np.arange(owner.size) + np.repeat(q_first - offset, spans)
-    cubes, first = np.unique(reached, return_index=True)
+    # `reached` never decreases, so each cube's first item opens a run
+    first = np.flatnonzero(_run_starts(reached))
+    cubes = reached[first]
     locations = np.maximum(bounds[owner[first], 0], cubes / scale)
 
     # cap-chain ancestors by exact integer division, finest to coarsest; a
     # divisor above every |cube| (cubes are sorted) gives the same quotients
-    # and fits in int64
+    # and fits in int64.  Sorted quotients are numbered by counting runs.
     top = max(-int(cubes[0]), int(cubes[-1])) + 1
     inverses = tuple(
-        np.unique(cubes // min(base ** (k + 1), top), return_inverse=True)[1]
+        np.cumsum(_run_starts(cubes // min(base ** (k + 1), top))) - 1
         for k in range(le)
     )
     return _Seed(base, m, le, cubes, locations, inverses)
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from their predecessor."""
+    starts = np.empty(values.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
 
 
 def _cap_chain(seed: _Seed, s: float) -> AtomicMeasure:
@@ -272,22 +293,63 @@ def _scan_runs(
 ) -> list[BallMassReport]:
     """Ball-mass scan of several measures on the same atoms.
 
-    For each radius the run ends are searched once and every measure
-    (given by its prefix masses and exponent) is scored against them.
+    A searched radius has its run ends searched once, and every measure
+    (given by its prefix masses and exponent) takes its heaviest run
+    against them.  Only radii that can still set some measure's maximum
+    are searched.  The heaviest run mass never decreases with the radius:
+    the run ends ``searchsorted(locs, locs + 2r)`` never decrease in r, the
+    prefix masses are a running sum of positive masses, and float
+    subtraction is monotone.  Float division is monotone too, so at a
+    radius r below a searched radius r' a measure's ratio is at most its
+    heaviest run mass at r' over r**s.  Every fourth radius, counted down
+    from the largest, is searched first; each other radius, from the top
+    down, is searched only if that bound, from the nearest searched radius
+    above it, is not strictly below some measure's best ratio so far.  A
+    skipped radius thus has every ratio strictly below the maximum, and
+    scoring the searched radii in ascending order gives the maximum and
+    its witness (the smallest radius reaching it) of the full scan, bit
+    for bit.
     """
-    best = [-math.inf] * len(prefixes)
-    witness = [(0.0, radii[0], 0.0)] * len(prefixes)
-    for r in radii:
+    n = locs.size
+    reached = [-math.inf] * len(prefixes)  # best ratio of each measure so far
+    # radius index -> (ratio, mass, first atom, run end) of each measure
+    runs: dict[int, list[tuple[float, float, int, int]]] = {}
+
+    def search(k: int) -> None:
+        r = radii[k]
         ends = np.searchsorted(locs, locs + 2.0 * r, side="left")
+        row = []
         for j, (prefix, s) in enumerate(zip(prefixes, exponents)):
-            run_masses = prefix[ends] - prefix[: locs.size]
+            run_masses = prefix[ends] - prefix[:n]
             i = int(np.argmax(run_masses))
             mass = float(run_masses[i])
             ratio = mass / r**s
+            reached[j] = max(reached[j], ratio)
+            row.append((ratio, mass, i, int(ends[i])))
+        runs[k] = row
+
+    # coarse pass: every fourth radius, from the largest down
+    top = len(radii) - 1
+    for k in range(top, -1, -4):
+        search(k)
+    above = top  # the nearest searched radius above k
+    for k in range(top - 1, -1, -1):
+        if k not in runs:
+            r = radii[k]
+            heaviest = (mass for _, mass, _, _ in runs[above])
+            if any(m / r**s >= b for m, s, b in zip(heaviest, exponents, reached)):
+                search(k)
+        if k in runs:
+            above = k
+
+    best = [-math.inf] * len(prefixes)
+    witness = [(0.0, radii[0], 0.0)] * len(prefixes)
+    for k in sorted(runs):
+        for j, (ratio, mass, i, end) in enumerate(runs[k]):
             if ratio > best[j]:
-                center = 0.5 * (locs[i] + locs[ends[i] - 1]) if mass > 0.0 else locs[i]
+                center = 0.5 * (locs[i] + locs[end - 1]) if mass > 0.0 else locs[i]
                 best[j] = ratio
-                witness[j] = (center, r, mass)
+                witness[j] = (center, radii[k], mass)
     return [
         BallMassReport(
             c_observed=c,
@@ -444,10 +506,16 @@ def massfrostman_roundtrip(
 
     Structure once per scale, masses and scan per s: each scale's
     skeleton, seeded cubes, atoms and cap-chain ancestry are built once
-    for the whole s grid, and each scan radius's run ends are searched
-    once and scored against every s.  A row whose construction fails at
-    some scale (s outside [0, 1], or a domain, input or budget error)
-    stops there, unbuilt, with the constants of the scales before.
+    for the whole s grid, and each searched radius's run ends are
+    searched once and scored against every s.  A radius is searched only
+    if, for some s, the heaviest run mass at a larger searched radius,
+    over r**s, is not below the best ratio so far; the heaviest run mass
+    never decreases with the radius, so a skipped radius cannot set any
+    constant, and the constants equal the full scan's bit for bit.
+
+    A row whose construction fails at some scale (s outside [0, 1], or a
+    domain, input or budget error) stops there, unbuilt, with the
+    constants of the scales before.
     """
     grid = sorted(set(float(x) for x in log_deltas), reverse=True)
     if len(grid) < 2:

@@ -419,6 +419,11 @@ def test_unknown_config_key_exits_two(tmp_path):
         {"base": 20.7},
         {"grid": [-12, -6, 4.9]},
         {"s_grid": [0.2, 0.8, True]},
+        {"tol": True},
+        {"s": True},
+        {"log2_delta": False},
+        {"grid": [True, -6, 3]},
+        {"grid": [-12, True, 3]},
     ],
     ids=lambda cfg: "-".join(f"{k}={v}" for k, v in cfg.items()),
 )

@@ -195,6 +195,145 @@ def test_ball_mass_frostman_reference(thirds):
     assert len(report.radii) == 33
 
 
+def _full_scan(locs, radii, prefixes, exponents):
+    """Reference ball-mass scan: every radius searched, every measure scored."""
+    best = [-math.inf] * len(prefixes)
+    witness = [(0.0, radii[0], 0.0)] * len(prefixes)
+    for r in radii:
+        ends = np.searchsorted(locs, locs + 2.0 * r, side="left")
+        for j, (prefix, s) in enumerate(zip(prefixes, exponents)):
+            run_masses = prefix[ends] - prefix[: locs.size]
+            i = int(np.argmax(run_masses))
+            mass = float(run_masses[i])
+            ratio = mass / r**s
+            if ratio > best[j]:
+                center = 0.5 * (locs[i] + locs[ends[i] - 1]) if mass > 0.0 else locs[i]
+                best[j] = ratio
+                witness[j] = (center, r, mass)
+    return [
+        measures.BallMassReport(c, w[0], w[1], w[2], tuple(radii))
+        for c, w in zip(best, witness)
+    ]
+
+
+def _report_hex(report):
+    fields = (
+        report.c_observed,
+        report.witness_center,
+        report.witness_radius,
+        report.witness_mass,
+    )
+    return tuple(float(v).hex() for v in fields)
+
+
+CRITERION_07_S = [0.45 + 0.025 * k for k in range(16)]
+_RNG = np.random.default_rng(20260816)
+SCAN_EXPONENTS = [0.0, 1.0, *(float(s) for s in _RNG.random(3))]
+
+
+def _scan_cases():
+    phi = PowerLaw(0.5)
+    thirds = CantorSchedule.from_ratios([1.0 / 3.0] * 20)
+    seeded = [
+        ("thirds", thirds, -6 * LOG3, 3),
+        ("sequence p=1", SequenceSet(1.0), -12 * LOG2, 20),
+        ("sequence p=2", SequenceSet(2.0), -13 * LOG2, 20),
+        ("grid", UniformGrid(1e-4), -12 * LOG2, 20),
+    ]
+    for name, model, ld, base in seeded:
+        window = ScaleWindow(phi.eval_phi_log(ld), ld)
+        for s in SCAN_EXPONENTS:
+            yield name, build_frostman_measure(model, s, ld, phi, base=base), window, s
+    n = 257
+    uniform = AtomicMeasure(np.linspace(0.0, 1.0, n), np.full(n, 1.0 / n))
+    one = AtomicMeasure(np.array([0.5]), np.array([1.0]))
+    for name, mu in [("uniform", uniform), ("one atom", one)]:
+        for s in SCAN_EXPONENTS:
+            yield name, mu, ScaleWindow.from_linear(2.0**-8, 2.0**-4), s
+    rng = np.random.default_rng(7)
+    # repeated locations and masses make ties between radii and run starts
+    locs = np.sort(rng.choice(np.linspace(0.0, 1.0, 41), 300))
+    masses = rng.choice([1.0, 2.0, 3.0], locs.size)
+    tied = AtomicMeasure(locs, masses / masses.sum())
+    for s in SCAN_EXPONENTS:
+        yield "tied", tied, ScaleWindow.from_linear(0.01, 0.4), s
+
+
+@pytest.mark.parametrize(
+    "name, mu, window, s",
+    list(_scan_cases()),
+    ids=[f"{name}-s{k % len(SCAN_EXPONENTS)}" for k, (name, *_) in enumerate(_scan_cases())],
+)
+def test_ball_mass_scan_matches_the_full_scan(name, mu, window, s):
+    expected = _full_scan(
+        mu.locations, measures._scan_radii(window), [mu.prefix_masses()], [s]
+    )[0]
+    got = verify_ball_mass(mu, window, s)
+    assert _report_hex(got) == _report_hex(expected)
+    assert got.radii == expected.radii
+
+
+def test_ball_mass_witness_is_the_smallest_radius_reaching_the_maximum():
+    # two atoms of unequal mass: at s = 0 the ratio is the heaviest run mass,
+    # which is 1 from the first radius whose ball holds both atoms on; every
+    # radius index, coarse or not, must be able to open that plateau
+    window = ScaleWindow.from_linear(0.01, 1.0)
+    radii = measures._scan_radii(window)
+    for k in range(1, len(radii)):
+        gap = radii[k - 1] + radii[k]
+        mu = AtomicMeasure(np.array([0.0, gap]), np.array([0.25, 0.75]))
+        report = verify_ball_mass(mu, window, 0.0)
+        assert (report.c_observed, report.witness_radius) == (1.0, radii[k])
+        assert report.witness_center == 0.5 * gap
+
+
+@pytest.mark.parametrize("s_grid", [SCAN_EXPONENTS, CRITERION_07_S])
+def test_multi_measure_scan_matches_the_full_scan(thirds, s_grid):
+    phi = PowerLaw(0.5)
+    ld = -7 * LOG3
+    seed = measures._seed(thirds, ld, phi, 3)
+    prefixes = [measures._cap_chain(seed, s).prefix_masses() for s in s_grid]
+    args = (seed.locations, measures._scan_radii(ScaleWindow(phi.eval_phi_log(ld), ld)))
+    expected = _full_scan(*args, prefixes, s_grid)
+    got = measures._scan_runs(*args, prefixes, s_grid)
+    assert [_report_hex(r) for r in got] == [_report_hex(r) for r in expected]
+
+
+@pytest.mark.parametrize(
+    "model, s_grid, scales, base",
+    [
+        ("thirds", CRITERION_07_S, [-6 * LOG3, -7 * LOG3, -8 * LOG3], 3),
+        ("sequence p=1", SCAN_EXPONENTS, [-12 * LOG2, -13 * LOG2], 20),
+        ("sequence p=2", SCAN_EXPONENTS, [-12 * LOG2, -13 * LOG2], 20),
+    ],
+)
+def test_roundtrip_constants_match_the_full_scan(monkeypatch, model, s_grid, scales, base):
+    model = SEED_MODELS["cantor" if model == "thirds" else model]
+    args = (model, PowerLaw(0.5), s_grid, scales)
+    got = massfrostman_roundtrip(*args, base=base)
+    monkeypatch.setattr(measures, "_scan_runs", _full_scan)
+    expected = massfrostman_roundtrip(*args, base=base)
+    assert [[c.hex() for c in r.c_values] for r in got.rows] == [
+        [c.hex() for c in r.c_values] for r in expected.rows
+    ]
+
+
+def test_roundtrip_scan_skips_radii_that_cannot_set_the_maximum(thirds, monkeypatch):
+    # the criterion-07 thirds inputs: the full scan searches all 33 radii
+    # at each of 3 scales
+    searches = []
+    real = np.searchsorted
+
+    def counting(*args, **kwargs):
+        searches.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(measures.np, "searchsorted", counting)
+    scales = [-6 * LOG3, -7 * LOG3, -8 * LOG3]
+    massfrostman_roundtrip(thirds, PowerLaw(0.5), CRITERION_07_S, scales, base=3)
+    assert len(searches) <= len(scales) * 33 // 2
+
+
 def test_ball_to_set_constant_scales_by_diameter_power():
     assert ball_to_set_constant(1.0, 0.5) == pytest.approx(2.0**0.5, abs=1e-15)
     assert ball_to_set_constant(1.4115146778577006, 0.6) == pytest.approx(
