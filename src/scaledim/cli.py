@@ -231,7 +231,7 @@ def parse_phi_spec(spec) -> dict:
 
 def parse_alphas(spec) -> tuple[float, ...]:
     if isinstance(spec, (list, tuple)):
-        vals = [float(v) for v in spec]
+        vals = [_real(v) for v in spec]
     else:
         vals = [float(v) for v in str(spec).split(",") if v.strip()]
     if not vals:
@@ -355,14 +355,12 @@ def s_grid_values(cfg: RunConfig) -> list[float]:
 
 
 def _fmt(value) -> str:
-    if type(value) is float:
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
     return str(value)
 
 

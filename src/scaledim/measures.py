@@ -140,9 +140,7 @@ class _Seed:
     """The s-independent part of a Frostman construction at one scale.
 
     ``inverses[k]`` maps each atom to its level-(m-k-1) cube among the
-    occupied ones, numbered from 0 in ascending order (as
-    ``np.unique(..., return_inverse=True)`` would).  The atoms' cubes are
-    sorted, so these numbers are run counts, found without sorting.
+    occupied ones, as ``np.unique(..., return_inverse=True)`` numbers them.
     """
 
     base: int
@@ -189,28 +187,18 @@ def _seed(model, log_delta: float, phi: ScaleFunction, base: int) -> _Seed:
     owner = np.repeat(np.arange(spans.size), spans)
     offset = np.cumsum(spans) - spans  # of each item's range in `reached`
     reached = np.arange(owner.size) + np.repeat(q_first - offset, spans)
-    # `reached` never decreases, so each cube's first item opens a run
-    first = np.flatnonzero(_run_starts(reached))
-    cubes = reached[first]
+    cubes, first = np.unique(reached, return_index=True)
     locations = np.maximum(bounds[owner[first], 0], cubes / scale)
 
     # cap-chain ancestors by exact integer division, finest to coarsest; a
     # divisor above every |cube| (cubes are sorted) gives the same quotients
-    # and fits in int64.  Sorted quotients are numbered by counting runs.
+    # and fits in int64
     top = max(-int(cubes[0]), int(cubes[-1])) + 1
     inverses = tuple(
-        np.cumsum(_run_starts(cubes // min(base ** (k + 1), top))) - 1
+        np.unique(cubes // min(base ** (k + 1), top), return_inverse=True)[1]
         for k in range(le)
     )
     return _Seed(base, m, le, cubes, locations, inverses)
-
-
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a sorted array that differ from their predecessor."""
-    starts = np.empty(values.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(values[1:], values[:-1], out=starts[1:])
-    return starts
 
 
 def _cap_chain(seed: _Seed, s: float) -> AtomicMeasure:

@@ -424,6 +424,7 @@ def test_unknown_config_key_exits_two(tmp_path):
         {"log2_delta": False},
         {"grid": [True, -6, 3]},
         {"grid": [-12, True, 3]},
+        {"alphas": [True, 0.5]},
     ],
     ids=lambda cfg: "-".join(f"{k}={v}" for k, v in cfg.items()),
 )
