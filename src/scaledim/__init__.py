@@ -106,6 +106,7 @@ from .setmodels import (
     PointSet,
     ProductModel,
     SequenceSet,
+    Skeleton,
     StabilityPair,
     StabilityScheduleState,
     UniformGrid,

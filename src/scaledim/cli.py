@@ -66,6 +66,7 @@ from .setmodels import (
     CarpetParams,
     HolderImage,
     SequenceSet,
+    Skeleton,
     carpet_dimensions,
     model_from_dict,
     model_id,
@@ -690,8 +691,7 @@ def _check_dp_vs_exhaustive(rng) -> dict:
         window = ScaleWindow.from_linear(lo, hi)
         spans = {float(b - a) for a in pts for b in pts if b > a}
         diams = sorted({min(max(sp, lo), hi) for sp in spans} | {lo})
-        items = [(float(p), float(p)) for p in pts]
-        dp = cover_cost_dp(items, window, s)
+        dp = cover_cost_dp(Skeleton(pts, pts), window, s)
         ex = cover_cost_exhaustive(pts, window, s, diams)
         worst = max(
             worst, abs(math.exp(dp.log_cost_upper) - math.exp(ex.log_cost_upper))

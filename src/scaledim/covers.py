@@ -42,6 +42,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .errors import BudgetError, DomainError, InputError, ResolutionError
 from .logspace import LOG2, log_add, log_sum
 from .setmodels import (
@@ -221,17 +223,27 @@ def cover_cost_exhaustive(
 # exact DP on a materialized skeleton
 
 
-def _validate_skeleton(items: Skeleton) -> Skeleton:
-    if not items:
+def _validate_skeleton(items) -> Skeleton:
+    """A :class:`Skeleton` of sorted, disjoint items.
+
+    Any other sequence of (start, end) pairs is converted here, the one
+    place where pairs become arrays.
+    """
+    if not isinstance(items, Skeleton):
+        pairs = np.asarray(items, dtype=float).reshape(-1, 2)
+        items = Skeleton(pairs[:, 0], pairs[:, 1])
+    starts, ends = items.starts, items.ends
+    if starts.size == 0:
         raise InputError("skeleton is empty")
-    norm = [(float(a), float(b)) for a, b in items]
-    for a, b in norm:
-        if math.isnan(a) or math.isnan(b) or b < a:
-            raise InputError(f"bad skeleton item ({a}, {b})")
-    for (_, b0), (a1, _) in zip(norm, norm[1:]):
-        if a1 < b0 - 1e-15:
-            raise InputError("skeleton items must be sorted and disjoint")
-    return norm
+    # count_nonzero rather than all()/any(): a fraction of the fixed cost
+    # on the few-item skeletons of shallow windows
+    ordered = starts <= ends  # False for b < a and for NaN on either side
+    if np.count_nonzero(ordered) < starts.size:
+        i = int(np.argmin(ordered))
+        raise InputError(f"bad skeleton item ({float(starts[i])}, {float(ends[i])})")
+    if np.count_nonzero(starts[1:] < ends[:-1] - 1e-15):
+        raise InputError("skeleton items must be sorted and disjoint")
+    return items
 
 
 def _require_linear(window: ScaleWindow) -> None:
@@ -258,9 +270,9 @@ class _CoverGraph:
         items = _validate_skeleton(items)
         _require_linear(window)
         lo, hi = window.lo, window.hi
-        starts = [a for a, _ in items]
-        ends = [b for _, b in items]
-        n = len(items)
+        starts = items.starts.tolist()
+        ends = items.ends.tolist()
+        n = len(starts)
 
         def next_uncovered(covered_end: float) -> Optional[float]:
             k = bisect_right(starts, covered_end)
@@ -362,7 +374,7 @@ class _CoverGraph:
 
 
 def cover_cost_dp(
-    items: Skeleton,
+    items: Skeleton | Sequence[tuple[float, float]],
     window: ScaleWindow,
     s: float,
     *,
@@ -370,7 +382,9 @@ def cover_cost_dp(
 ) -> CoverCost:
     """Exact minimum cover cost of a skeleton, for s in [0, 1].
 
-    Built in two parts: a cover graph once per (skeleton, window), then a
+    ``items`` is a :class:`~scaledim.setmodels.Skeleton` or any sequence
+    of sorted, disjoint (start, end) pairs, converted to one.  Built in
+    two parts: a cover graph once per (skeleton, window), then a
     value sweep per ``s``.  :func:`prepare` keeps the graph across
     exponents; this function builds it for a single ``s``.
 
@@ -727,7 +741,9 @@ def _prepare_product(
             best = -math.inf
             for i in range(splits + 1):
                 s_e = s_lo + (s_hi - s_lo) * i / splits
-                s_f = s - s_e
+                # s_e <= s up to rounding; the clamp is sound since
+                # L <= 1 gives L ** (s_e + s_f) <= L ** s
+                s_f = max(0.0, s - s_e)
                 log_c = schedule_mass_constant(
                     model.left, window, s_e
                 ) + schedule_mass_constant(model.right, window, s_f)

@@ -159,7 +159,8 @@ def _seed(model, log_delta: float, phi: ScaleFunction, base: int) -> _Seed:
     floored range reaches the cube decides.  The atom budget is checked
     on the count of distinct cubes before any per-cube array exists;
     skeletons are sorted and disjoint, so neighbouring items share at most
-    their boundary cube.
+    their boundary cube.  The cube ranges are floored straight from the
+    skeleton's ``starts`` and ``ends`` arrays.
     """
     m, le = frostman_levels(phi, log_delta, base)
     items = skeleton(model, float(base) ** (-m))
@@ -167,11 +168,10 @@ def _seed(model, log_delta: float, phi: ScaleFunction, base: int) -> _Seed:
         raise InputError("model skeleton is empty")
 
     scale = float(base) ** m
-    bounds = np.array(items, dtype=float)
     # floors of floats are exact integers; counted as floats, since deep
     # levels can exceed int64 before the budget check has run
-    q_first = np.floor(bounds[:, 0] * scale)
-    q_last = np.floor(bounds[:, 1] * scale)
+    q_first = np.floor(items.starts * scale)
+    q_last = np.floor(items.ends * scale)
     n_cubes = float(np.sum(q_last - q_first + 1.0)) - np.count_nonzero(
         q_first[1:] == q_last[:-1]
     )
@@ -188,7 +188,7 @@ def _seed(model, log_delta: float, phi: ScaleFunction, base: int) -> _Seed:
     offset = np.cumsum(spans) - spans  # of each item's range in `reached`
     reached = np.arange(owner.size) + np.repeat(q_first - offset, spans)
     cubes, first = np.unique(reached, return_index=True)
-    locations = np.maximum(bounds[owner[first], 0], cubes / scale)
+    locations = np.maximum(items.starts[owner[first]], cubes / scale)
 
     # cap-chain ancestors by exact integer division, finest to coarsest; a
     # divisor above every |cube| (cubes are sorted) gives the same quotients
@@ -356,8 +356,13 @@ def verify_ball_mass(mu: AtomicMeasure, window: ScaleWindow, s: float) -> BallMa
     Balls are open.  For each radius the maximization over centers is
     exact: the heaviest ball's leftmost atom starts a contiguous run of
     atoms of diameter < 2r, so sweeping run starts finds the maximum.
+    The radii are linear floats: a window whose smallest radius, raised
+    to s, underflows to 0 is refused, since no ratio can be formed there.
     """
-    return _scan_runs(mu.locations, _scan_radii(window), [mu.prefix_masses()], [s])[0]
+    radii = _scan_radii(window)
+    if not (radii[0] > 0.0 and radii[0] ** s > 0.0):
+        raise InputError("window too deep for linear mass checks")
+    return _scan_runs(mu.locations, radii, [mu.prefix_masses()], [s])[0]
 
 
 def ball_to_set_constant(c_ball: float, s: float) -> float:

@@ -231,7 +231,12 @@ class Tabulated(ScaleFunction):
         i = bisect_right(lds, log_delta)
         (x0, y0), (x1, y1) = pts[i - 1], pts[i]
         t = (log_delta - x0) / (x1 - x0)
-        return y0 + t * (y1 - y0)
+        value = y0 + t * (y1 - y0)
+        if value > log_delta + _ADMISSIBILITY_EPS:
+            # |y0| dwarfs |y1| and t is near 1, so y1 - y0 rounded to -y0
+            # and the sum cancelled; from the right end nothing cancels
+            value = y1 - (x1 - log_delta) / (x1 - x0) * (y1 - y0)
+        return min(max(value, min(y0, y1)), max(y0, y1))
 
 
 @dataclass(frozen=True)

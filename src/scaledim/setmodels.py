@@ -11,9 +11,10 @@ Every model describes a set symbolically:
 * ``CarpetParams`` -- a self-affine carpet in the plane (closed-form
   dimensions only, no skeleton).
 
-``skeleton(model, resolution)`` materializes the model as a sorted list of
-disjoint intervals (points are zero-length intervals) that is exact down to
-``resolution``; cover computations below that resolution must use the
+``skeleton(model, resolution)`` materializes the model as a
+:class:`Skeleton`: sorted, disjoint intervals (points are zero-length
+intervals), exact down to ``resolution``, held as two float64 arrays of
+starts and ends.  Cover computations below that resolution must use the
 symbolic schedule data instead.
 """
 
@@ -23,6 +24,7 @@ import math
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,10 +37,31 @@ from .errors import (
 )
 from .scalefun import ScaleFunction
 
-MATERIALIZE_LEVEL_CAP = 20  # interval lists capped at 2**20 entries
+MATERIALIZE_LEVEL_CAP = 20  # skeletons capped at 2**20 intervals
 SEQUENCE_N_CAP = 10_000_000
 
-Skeleton = list[tuple[float, float]]
+
+@dataclass(frozen=True, eq=False)
+class Skeleton:
+    """Sorted, disjoint intervals [starts[i], ends[i]]; points have
+    start == end.
+
+    Both arrays are float64 and read-only.  ``len`` is the item count and
+    iteration yields (start, end) pairs of Python floats.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.starts.flags.writeable = False
+        self.ends.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.starts.size
+
+    def __iter__(self):
+        return zip(self.starts.tolist(), self.ends.tolist())
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -65,7 +88,8 @@ class PointSet:
 
     def skeleton(self, resolution: float) -> Skeleton:
         _check_resolution(resolution)
-        return [(self.location, self.location)]
+        xs = np.array([self.location], dtype=float)
+        return Skeleton(xs, xs)
 
 
 @dataclass(frozen=True)
@@ -109,10 +133,13 @@ class MaterializedSequence:
         return self.offset + n ** (-self.p)
 
     def skeleton(self) -> Skeleton:
+        """The cluster [offset, offset + n_split ** -p], then the points."""
         cluster_hi = self.offset + float(self.n_split) ** (-self.p)
-        items: Skeleton = [(self.offset, cluster_hi)]
-        items.extend((x, x) for x in self.points)
-        return items
+        points = self.points
+        return Skeleton(
+            np.concatenate(([self.offset], points)),
+            np.concatenate(([cluster_hi], points)),
+        )
 
 
 def _sequence_gap(p: float, n: int) -> float:
@@ -182,7 +209,7 @@ class UniformGrid:
                 f"{1 << MATERIALIZE_LEVEL_CAP} cap"
             )
         xs = self.offset + spacing * np.arange(count)
-        return [(float(x), float(x)) for x in xs]
+        return Skeleton(xs, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +383,7 @@ class CantorSchedule:
                 f"level {level} would materialize 2**{level} intervals; "
                 f"cap is 2**{MATERIALIZE_LEVEL_CAP}"
             )
-        starts = np.array([self.offset])
+        starts = np.array([self.offset], dtype=float)
         length = 1.0
         for step in range(1, level + 1):
             r = self.ratio_at(step)
@@ -373,9 +400,10 @@ class CantorSchedule:
         level = self.finest_level_not_below(log_res)
         if level is None:
             # resolution coarser than the seed: the seed interval suffices
-            return [(self.offset, self.offset + 1.0)]
-        starts, length = self.materialize(level)
-        return [(float(a), float(a) + length) for a in starts]
+            starts, length = np.array([self.offset], dtype=float), 1.0
+        else:
+            starts, length = self.materialize(level)
+        return Skeleton(starts, starts + length)
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +452,14 @@ class UnionModel:
         return (_model_extent(self.members[0])[0], _model_extent(self.members[-1])[1])
 
     def skeleton(self, resolution: float) -> Skeleton:
-        items: Skeleton = []
-        for m in self.members:
-            items.extend(skeleton(m, resolution))
-        items.sort()
-        for (a0, b0), (a1, _) in zip(items, items[1:]):
-            if a1 < b0 - 1e-15:
-                raise InputError("union member skeletons overlap")
-        return items
+        parts = [skeleton(m, resolution) for m in self.members]
+        starts, ends = _sort_items(
+            np.concatenate([p.starts for p in parts]),
+            np.concatenate([p.ends for p in parts]),
+        )
+        if np.count_nonzero(starts[1:] < ends[:-1] - 1e-15):
+            raise InputError("union member skeletons overlap")
+        return Skeleton(starts, ends)
 
 
 @dataclass(frozen=True)
@@ -481,23 +509,37 @@ class HolderImage:
         than that cannot be distinguished at the requested resolution.
         After mapping, leading items whose gaps fall below the resolution
         are merged into a single cluster interval.
+
+        The map is libm ``pow`` on each endpoint, the same function as
+        Python's ``float ** float``; ``np.power`` rounds differently in
+        the last place for some inputs.  Ends equal to their start (points)
+        reuse the mapped start.
         """
         _check_resolution(resolution)
         base_res = resolution ** (1.0 / self.alpha)
         items = skeleton(self.base, base_res)
-        mapped = [
-            (max(a, 0.0) ** self.alpha, max(b, 0.0) ** self.alpha) for a, b in items
-        ]
-        mapped.sort()
-        split = None
-        for i in range(len(mapped) - 1):
-            if mapped[i + 1][0] - mapped[i][1] >= resolution:
-                split = i
-                break
-        if split is None or split == 0:
-            return mapped
-        hull = (mapped[0][0], mapped[split][1])
-        return [hull] + mapped[split + 1 :]
+        starts = self._map(np.maximum(items.starts, 0.0))
+        ends = starts.copy()
+        spans = items.ends != items.starts
+        ends[spans] = self._map(np.maximum(items.ends[spans], 0.0))
+        starts, ends = _sort_items(starts, ends)
+        wide_gap = starts[1:] - ends[:-1] >= resolution
+        # the first wide gap; 0 also when there is none
+        split = int(np.argmax(wide_gap)) if wide_gap.size else 0
+        if split == 0:
+            return Skeleton(starts, ends)
+        # items 0..split become the hull [starts[0], ends[split]]; copies,
+        # so the result does not keep the whole mapped base alive
+        hull_start = starts[0]
+        starts, ends = starts[split:].copy(), ends[split:].copy()
+        starts[0] = hull_start
+        return Skeleton(starts, ends)
+
+    def _map(self, xs: np.ndarray) -> np.ndarray:
+        """x ** alpha by scalar libm pow, elementwise."""
+        return np.fromiter(
+            map(pow, xs.tolist(), repeat(self.alpha)), dtype=float, count=xs.size
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +750,12 @@ def build_stability_pair(phi: ScaleFunction, levels: int) -> StabilityPair:
 def _check_resolution(resolution: float) -> None:
     if not resolution > 0.0 or math.isinf(resolution):
         raise ResolutionError(f"resolution must be a positive float, got {resolution}")
+
+
+def _sort_items(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Items in (start, end) order, as sorting the pairs would give."""
+    order = np.lexsort((ends, starts))
+    return starts[order], ends[order]
 
 
 def skeleton(model, resolution: float) -> Skeleton:

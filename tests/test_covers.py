@@ -363,6 +363,23 @@ def test_product_marginal_counts_are_prepared_once_per_window(monkeypatch):
     assert len(calls) == 2 * len(set(calls))
 
 
+def test_product_lower_bound_split_keeps_exponents_nonnegative():
+    # the last split s_e = s * 7 / 7 rounds above s, so s - s_e < 0
+    thirds = CantorSchedule.from_ratios([1.0 / 3.0] * 40)
+    model = ProductModel(thirds, thirds)
+    got = cover_cost(model, ScaleWindow(-3.0, -1.0), 0.4334596009276963)
+    assert got.log_cost_lower <= got.log_cost_upper
+    rng = np.random.default_rng(17)
+    for model in (model, _cantor_product()):
+        for _ in range(8):
+            log_hi = -float(rng.uniform(0.5, 4.0))
+            window = ScaleWindow(log_hi - float(rng.uniform(0.2, 3.0)), log_hi)
+            cost = prepare(model, window)
+            for s in rng.uniform(0.0, 2.0, 30):
+                got = cost(float(s))
+                assert got.log_cost_lower <= got.log_cost_upper
+
+
 # Cantor x Cantor product costs recorded before the marginal counts were
 # prepared once per window: (oracle, window log lo, s, lower hex, upper hex)
 PRODUCT_COSTS = [

@@ -179,6 +179,24 @@ def test_ball_mass_single_atom_is_exact():
     assert report.witness_mass == pytest.approx(1.0)
 
 
+def test_ball_mass_refuses_windows_too_deep_for_linear_radii():
+    # lo = e**-800 underflows to 0.0; the scan would divide 0.0 by 0.0**s
+    mu = AtomicMeasure([0.1, 0.5], [0.5, 0.5])
+    deep = ScaleWindow(-800.0, -1.0)
+    with pytest.raises(InputError, match="window too deep for linear mass checks"):
+        verify_ball_mass(mu, deep, 0.5)
+    with pytest.raises(InputError, match="window too deep for linear mass checks"):
+        mass_lower_bound(mu, deep, 0.5, 1.0, 1.0)
+    # lo = 1e-200 is a normal float, but lo**2 underflows to 0.0
+    with pytest.raises(InputError, match="window too deep for linear mass checks"):
+        verify_ball_mass(mu, ScaleWindow.from_linear(1e-200, 1e-100), 2.0)
+    # below the DP's linear floor, lo = e**-690 and lo**0.5 are normal
+    # floats, so the scan still runs
+    report = verify_ball_mass(mu, ScaleWindow(-690.0, -1.0), 0.5)
+    assert report.radii[0] == math.exp(-690.0)
+    assert 0.0 < report.c_observed < math.inf
+
+
 def test_ball_mass_uniform_atoms_have_small_constant():
     n = 257
     uni = AtomicMeasure(np.linspace(0.0, 1.0, n), np.full(n, 1.0 / n), 1.0, None)

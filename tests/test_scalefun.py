@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +108,27 @@ def test_tabulated_interpolates_in_log_log():
     assert tab.eval_phi_log(-20.0) == -40.0
     assert tab.eval_phi_log(-10.0) == -15.0
     assert tab.eval_phi_log(-15.0) == pytest.approx(-27.5, abs=1e-12)
+
+
+def test_tabulated_interpolation_stays_between_its_breakpoints():
+    # y0 + t * (y1 - y0) cancels to 0 here: t rounds to 1.0 and
+    # -1e280 + 1e280 is 0, above log delta
+    tab = Tabulated(((-1e200, -1e280), (-1.0, -1e20)))
+    assert tab.eval_phi_log(-113.36) == pytest.approx(-112.36e80, rel=1e-12)
+    # seeded tables with a deep left and a shallow right breakpoint,
+    # queried near the right one, where t rounds to 1.0 or close to it
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        x0 = -(10.0 ** rng.uniform(0.0, 200.0))
+        x1 = -(10.0 ** rng.uniform(0.0, 5.0))
+        y0 = x0 * 10.0 ** rng.uniform(0.0, 100.0)
+        y1 = x1 * 10.0 ** rng.uniform(0.0, 100.0)
+        if not (x0 < x1 and y0 <= y1):
+            continue
+        tab = Tabulated(((x0, y0), (x1, y1)))
+        for x in x1 * 10.0 ** rng.uniform(0.0, 4.0, 5):
+            if x >= x0:
+                assert y0 <= tab.eval_phi_log(float(x)) <= y1
 
 
 def test_tabulated_rejects_value_above_delta():

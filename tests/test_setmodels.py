@@ -36,6 +36,7 @@ from scaledim.setmodels import (
     model_from_dict,
     model_id,
     model_to_dict,
+    skeleton,
     translate,
 )
 
@@ -73,10 +74,10 @@ def test_sequence_split_index_follows_gap_rule():
 def test_sequence_skeleton_has_cluster_plus_points():
     ms = build_sequence_set(1.0, 0.01)
     items = ms.skeleton()
-    cluster = items[0]
+    cluster = (items.starts[0], items.ends[0])
     assert cluster[0] == 0.0 and cluster[1] == pytest.approx(1.0 / ms.n_split)
     assert len(items) == ms.n_split  # cluster + points 1..n_split-1
-    assert items[-1] == (1.0, 1.0)
+    assert (items.starts[-1], items.ends[-1]) == (1.0, 1.0)
 
 
 def test_sequence_split_grows_with_resolution():
@@ -143,6 +144,126 @@ def test_holder_image_of_inverse_sequence_is_sqrt_sequence():
     assert common > 10
     np.testing.assert_allclose(
         sorted(got_pts)[-common:], sorted(want_pts)[-common:], atol=1e-12
+    )
+
+
+# --- skeletons -------------------------------------------------------------
+
+
+def _list_skeleton(model, resolution):
+    """Skeletons as lists of (start, end) pairs, built the way the models
+    built them before they held arrays: the oracle the array skeletons
+    must match bit for bit."""
+    if isinstance(model, PointSet):
+        return [(model.location, model.location)]
+    if isinstance(model, SequenceSet):
+        ms = build_sequence_set(model.p, resolution, offset=model.offset)
+        cluster_hi = ms.offset + float(ms.n_split) ** (-ms.p)
+        items = [(ms.offset, cluster_hi)]
+        items.extend((x, x) for x in ms.points)
+        return items
+    if isinstance(model, UniformGrid):
+        spacing = model.spacing_at(resolution)
+        count = int(math.floor(1.0 / spacing)) + 1
+        xs = model.offset + spacing * np.arange(count)
+        return [(float(x), float(x)) for x in xs]
+    if isinstance(model, CantorSchedule):
+        level = model.finest_level_not_below(math.log(resolution))
+        if level is None:
+            return [(model.offset, model.offset + 1.0)]
+        starts, length = model.materialize(level)
+        return [(float(a), float(a) + length) for a in starts]
+    if isinstance(model, UnionModel):
+        items = []
+        for m in model.members:
+            items.extend(_list_skeleton(m, resolution))
+        items.sort()
+        return items
+    if isinstance(model, HolderImage):
+        items = _list_skeleton(model.base, resolution ** (1.0 / model.alpha))
+        mapped = [
+            (max(a, 0.0) ** model.alpha, max(b, 0.0) ** model.alpha) for a, b in items
+        ]
+        mapped.sort()
+        split = None
+        for i in range(len(mapped) - 1):
+            if mapped[i + 1][0] - mapped[i][1] >= resolution:
+                split = i
+                break
+        if split is None or split == 0:
+            return mapped
+        return [(mapped[0][0], mapped[split][1])] + mapped[split + 1 :]
+    raise TypeError(f"no list skeleton for {model!r}")
+
+
+def _hex_pairs(pairs):
+    return [(float(a).hex(), float(b).hex()) for a, b in pairs]
+
+
+SKELETON_MODELS = {
+    "point": PointSet(0),
+    "sequence": SequenceSet(1.5, offset=0.25),
+    "fixed grid": UniformGrid(2.0**-9, offset=-0.125),
+    "refining grid": UniformGrid(None),
+    "cantor": CantorSchedule.middle_thirds(30, offset=1),
+    "cantor deep": CantorSchedule(((4, 0.2), (14, 0.3))),
+    "union": UnionModel(
+        (
+            SequenceSet(1.0),
+            CantorSchedule.middle_thirds(30, offset=2.0),
+            PointSet(3.5),
+            UniformGrid(2.0**-7, offset=4.0),
+        )
+    ),
+    "holder point": HolderImage(PointSet(0.3), 0.5),
+    "holder sequence": HolderImage(SequenceSet(1.0), 0.5),
+    "holder sequence p2": HolderImage(SequenceSet(2.0), 0.7),
+    "holder cantor": HolderImage(CantorSchedule.from_ratios([0.25, 1.0 / 3.0] * 10), 0.6),
+}
+
+
+def _skeleton_resolutions(name):
+    """Seeded resolutions: coarser than the unit interval down to 2**-13,
+    and a deep one for the Cantor schedule with 2**18 intervals."""
+    rng = np.random.default_rng(29)
+    out = [1.5, 0.5] + [2.0 ** -float(rng.uniform(1.0, 13.0)) for _ in range(8)]
+    if name == "cantor deep":
+        out.append(0.2**4 * 0.3**14)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SKELETON_MODELS))
+def test_array_skeletons_match_the_list_skeletons_bit_for_bit(name):
+    model = SKELETON_MODELS[name]
+    for res in _skeleton_resolutions(name):
+        assert _hex_pairs(skeleton(model, res)) == _hex_pairs(_list_skeleton(model, res))
+
+
+@pytest.mark.parametrize("name", sorted(SKELETON_MODELS))
+def test_skeleton_invariants(name):
+    for res in _skeleton_resolutions(name):
+        items = skeleton(SKELETON_MODELS[name], res)
+        starts, ends = items.starts, items.ends
+        assert starts.dtype == ends.dtype == np.float64
+        assert starts.shape == ends.shape == (len(items),)
+        assert len(items) >= 1
+        assert np.all(starts <= ends)
+        assert np.all(starts[1:] >= ends[:-1])  # sorted and disjoint
+        assert not starts.flags.writeable and not ends.flags.writeable
+        pairs = list(items)
+        assert len(pairs) == len(items)
+        assert all(type(a) is float and type(b) is float for a, b in pairs)
+
+
+def test_holder_skeleton_digest():
+    # sha256 over the hex items, recorded from the list-based skeleton
+    items = skeleton(HolderImage(SequenceSet(1.0), 0.5), 20.0**-5)
+    digest = hashlib.sha256()
+    for a, b in items:
+        digest.update(f"{a.hex()} {b.hex()}\n".encode())
+    assert len(items) == 13_680
+    assert digest.hexdigest() == (
+        "d690597a572c14d3c9ae79178afe61356d4a67f9f7323fa6735526ed58c5921c"
     )
 
 
@@ -350,7 +471,10 @@ _STABILITY_PHIS = {
 def test_stability_pairs_match_the_recorded_digest():
     """The repr of every part of the pair, or the error, over a spread of
     scale functions and levels; recorded before the switch search was
-    rewritten as a direct scan."""
+    rewritten as a direct scan.  The "table 1e250" rows were re-recorded
+    when Tabulated interpolation stopped cancelling to 0 between its
+    -1.7e308 and -1e250 breakpoints: they build a pair now instead of
+    raising InvalidFunctionError."""
     lines = []
     for name, phi in _STABILITY_PHIS.items():
         for levels in range(1, 7):
@@ -362,7 +486,7 @@ def test_stability_pairs_match_the_recorded_digest():
                 outcome = repr((p.e_set, p.f_set, p.union, p.state, p.sparse_end_scales()))
             lines.append(f"{name} {levels}: {outcome}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "c81ee5093053aa08d16d819f20952ca48b4f4153b7409d5929021b92119a8ee8"
+    assert digest == "02131f9380b78b13ed98b7a4079c62bc134099244ca2c6801499795f0ad41b4e"
 
 
 # PowerLaw(5e-324) maps the first checkpoint scale to log phi = -inf
