@@ -14,6 +14,7 @@ Exit codes: 0 success (including verification runs that *find* violations),
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -42,6 +43,7 @@ from .covers import (
     cover_cost,
     cover_cost_dp,
     cover_cost_exhaustive,
+    prepare,
 )
 from .errors import ComputationError, ConfigError, ValidationError
 from .estimator import critical_exponent, dimension_profile
@@ -730,9 +732,9 @@ def _check_s_monotone(rng) -> dict:
         lo = hi * 2.0 ** -float(rng.integers(1, 4))
         s1 = float(rng.uniform(0.05, 0.8))
         s2 = s1 + float(rng.uniform(0.05, 0.2))
-        window = ScaleWindow.from_linear(lo, hi)
-        c1 = cover_cost(model, window, s1, oracle="dp")
-        c2 = cover_cost(model, window, s2, oracle="dp")
+        # one cover graph serves both exponents
+        cost = prepare(model, ScaleWindow.from_linear(lo, hi), oracle="dp")
+        c1, c2 = cost(s1), cost(s2)
         worst = max(worst, c2.log_cost_upper - c1.log_cost_upper)
     return {
         "name": "s-monotonicity",
@@ -877,7 +879,14 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
-def get_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused.
+
+    ``parse_args`` keeps no state between calls (each returns a fresh
+    namespace), and help text takes the terminal width when it is
+    printed, so one parser serves every :func:`main` call of a process.
+    """
     parser = argparse.ArgumentParser(
         prog="scaledim",
         description="Dimension estimation on scale windows [phi(delta), delta].",
@@ -925,7 +934,11 @@ def get_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
         if name == "phi":
             p.add_argument("--phi2", help="second scale function to compare against")
             p.add_argument("--alphas", help="comparison exponents, comma-separated")
-    return parser.parse_args(argv)
+    return parser
+
+
+def get_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    return _parser().parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

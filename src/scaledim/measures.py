@@ -297,8 +297,17 @@ def _scan_runs(
     scoring the searched radii in ascending order gives the maximum and
     its witness (the smallest radius reaching it) of the full scan, bit
     for bit.
+
+    Every run holds at least its first atom.  Where 2r is at most half the
+    float spacing at an atom, ``loc + 2r`` rounds back to ``loc`` and the
+    search would end the run before it starts, so the ends are then raised
+    to one past each start; raised ends still never decrease in r.  The
+    raise is applied only when the smallest 2r is within half the spacing
+    at the atom farthest from 0, the largest spacing of all.
     """
     n = locs.size
+    spacing = math.ulp(max(abs(float(locs[0])), abs(float(locs[-1]))))
+    first_ends = np.arange(1, n + 1) if 2.0 * radii[0] <= 0.5 * spacing else None
     reached = [-math.inf] * len(prefixes)  # best ratio of each measure so far
     # radius index -> (ratio, mass, first atom, run end) of each measure
     runs: dict[int, list[tuple[float, float, int, int]]] = {}
@@ -306,6 +315,8 @@ def _scan_runs(
     def search(k: int) -> None:
         r = radii[k]
         ends = np.searchsorted(locs, locs + 2.0 * r, side="left")
+        if first_ends is not None:
+            np.maximum(ends, first_ends, out=ends)
         row = []
         for j, (prefix, s) in enumerate(zip(prefixes, exponents)):
             run_masses = prefix[ends] - prefix[:n]

@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 import scaledim
-from scaledim import covers
+from scaledim import cli, covers
 from scaledim.cli import main
 
 
@@ -459,3 +459,55 @@ def test_malformed_flags_exit_two(tmp_path, capsys, args):
     assert code == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# --- one parser per process ------------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+
+
+def test_repeated_usage_error_exits_two_with_the_same_message(capsys):
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--nope"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        "usage: scaledim [-h] command ...\n"
+        "scaledim: error: unrecognized arguments: --nope\n"
+    )
+
+
+def test_flags_do_not_carry_over_between_runs(tmp_path):
+    code, out = run(tmp_path, "v7.json", ["verify", "--seed", "7"])
+    assert code == 0
+    assert json.loads(out.read_text())["seed"] == 7
+    code, out = run(tmp_path, "v.json", ["verify"])
+    assert code == 0
+    assert json.loads(out.read_text())["seed"] == 20260816
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: scaledim [-h] command ...")
+    for name in cli.COMMANDS:
+        assert f"\n    {name}" in text
+
+
+def test_module_entry_point_matches_in_process_run(tmp_path):
+    src = os.path.dirname(os.path.dirname(scaledim.__file__))
+    child = tmp_path / "child.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "scaledim.cli", "carpet", "--out", str(child)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    code, out = run(tmp_path, "in.json", ["carpet"])
+    assert code == 0
+    assert child.read_bytes() == out.read_bytes()

@@ -197,6 +197,19 @@ def test_ball_mass_refuses_windows_too_deep_for_linear_radii():
     assert 0.0 < report.c_observed < math.inf
 
 
+@pytest.mark.parametrize("locations", [[0.1, 0.5], [0.0, 0.5], [-0.5, -0.1], [-3.0, 1e6]])
+def test_ball_mass_counts_an_atom_in_its_own_ball_below_float_spacing(locations):
+    # 0.1 + 2e-20 == 0.1, so the run end search once gave the atom's own
+    # smallest ball mass 0 and c_observed 1.96e8; one atom of mass 0.5 in
+    # a ball of radius 1e-20 gives at least 0.5 / 1e-20**0.5 = 5e9
+    mu = AtomicMeasure(locations, [0.5, 0.5])
+    report = verify_ball_mass(mu, ScaleWindow.from_linear(1e-20, 1e-2), 0.5)
+    assert report.c_observed >= 0.5 / 1e-20**0.5
+    assert report.c_observed == verify_ball_mass(
+        AtomicMeasure([0.0, 1.0], [0.5, 0.5]), ScaleWindow.from_linear(1e-20, 1e-2), 0.5
+    ).c_observed
+
+
 def test_ball_mass_uniform_atoms_have_small_constant():
     n = 257
     uni = AtomicMeasure(np.linspace(0.0, 1.0, n), np.full(n, 1.0 / n), 1.0, None)
