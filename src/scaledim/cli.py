@@ -45,7 +45,7 @@ from .covers import (
     cover_cost_exhaustive,
     prepare,
 )
-from .errors import ComputationError, ConfigError, ValidationError
+from .errors import ComputationError, ConfigError, ValidationError, as_integer, as_real
 from .estimator import critical_exponent, dimension_profile
 from .interpolation import phi_s_family
 from .measures import (
@@ -147,7 +147,7 @@ def parse_grid(spec, name: str = "grid", min_points: int = 2) -> tuple[float, fl
     """
     try:
         a, b, n = spec.split(":") if isinstance(spec, str) else spec
-        a, b, n = _real(a), _real(b), _integer(n)
+        a, b, n = as_real(a), as_real(b), as_integer(n)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a:b:n with numeric entries, got {spec!r}")
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -161,21 +161,6 @@ def parse_grid(spec, name: str = "grid", min_points: int = 2) -> tuple[float, fl
 
 def parse_s_grid(spec) -> tuple[float, float, int]:
     return parse_grid(spec, "s-grid", 1)
-
-
-def _integer(value) -> int:
-    """``int(value)`` that refuses bools and floats with a fractional part."""
-    n = int(value)
-    if isinstance(value, bool) or (isinstance(value, float) and n != value):
-        raise ValueError(f"{value!r} is not an integer")
-    return n
-
-
-def _real(value) -> float:
-    """``float(value)`` that refuses bools."""
-    if isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
 
 
 def _from_spec(build, spec, what: str):
@@ -196,7 +181,7 @@ def parse_model_spec(spec) -> dict:
         try:
             with open(text) as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
             raise ConfigError(f"cannot read model file {spec!r}: {exc}")
     try:
         data = json.loads(text)
@@ -234,7 +219,7 @@ def parse_phi_spec(spec) -> dict:
 
 def parse_alphas(spec) -> tuple[float, ...]:
     if isinstance(spec, (list, tuple)):
-        vals = [_real(v) for v in spec]
+        vals = [as_real(v) for v in spec]
     else:
         vals = [float(v) for v in str(spec).split(",") if v.strip()]
     if not vals:
@@ -252,10 +237,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         try:
             with open(args.config) as fh:
                 file_cfg = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {args.config!r}: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
+            raise ConfigError(f"cannot read config file {args.config!r}: {exc}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = sorted(set(file_cfg) - set(CONFIG_KEYS))
@@ -275,7 +260,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             return overrides[name]
         return GLOBAL_DEFAULTS[name]
 
-    tol = _from_spec(_real, pick("tol"), "tol")
+    tol = _from_spec(as_real, pick("tol"), "tol")
     if not tol > 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
     fmt = str(pick("format"))
@@ -300,7 +285,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"--inputs is not valid JSON: {exc}")
         if not isinstance(inputs, dict):
             raise ConfigError("--inputs must be a JSON object")
-    seed = _from_spec(_integer, pick("seed"), "seed")
+    seed = _from_spec(as_integer, pick("seed"), "seed")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     s_val = pick("s")
@@ -308,6 +293,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     out = pick("out")
     if out is None:
         out = f"scaledim_{command}.{fmt}"
+    elif not isinstance(out, str):
+        raise ConfigError(f"out must be a path string, got {out!r}")
     return RunConfig(
         command=command,
         model=model,
@@ -315,14 +302,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         grid=grid,
         s_grid=s_grid,
         tol=tol,
-        out=str(out),
+        out=out,
         format=fmt,
         seed=seed,
         formula=pick("formula"),
         inputs=inputs,
-        s=None if s_val is None else _from_spec(_real, s_val, "s"),
-        log2_delta=None if log2_delta is None else _from_spec(_real, log2_delta, "log2_delta"),
-        base=_from_spec(_integer, pick("base"), "base"),
+        s=None if s_val is None else _from_spec(as_real, s_val, "s"),
+        log2_delta=None if log2_delta is None else _from_spec(as_real, log2_delta, "log2_delta"),
+        base=_from_spec(as_integer, pick("base"), "base"),
         phi2=phi2,
         alphas=_from_spec(parse_alphas, pick("alphas"), "alphas"),
     )
@@ -411,8 +398,9 @@ def _write_atomic(path: str, text: str) -> None:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-    except OSError as exc:
-        raise ConfigError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot write --out {path}: {reason}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +442,11 @@ def _dim_inputs(inputs: dict) -> DimInputs:
     if missing:
         raise ConfigError(f"inputs missing keys: {', '.join(missing)}")
     return DimInputs(
-        box_lower=float(inputs["box_lower"]),
-        box_upper=float(inputs["box_upper"]),
-        assouad=float(inputs["assouad"]),
-        theta=float(inputs.get("theta", 1.0)),
-        hausdorff=None if inputs.get("hausdorff") is None else float(inputs["hausdorff"]),
+        box_lower=as_real(inputs["box_lower"]),
+        box_upper=as_real(inputs["box_upper"]),
+        assouad=as_real(inputs["assouad"]),
+        theta=as_real(inputs.get("theta", 1.0)),
+        hausdorff=None if inputs.get("hausdorff") is None else as_real(inputs["hausdorff"]),
     )
 
 
@@ -476,36 +464,36 @@ def _bounds_result(formula: str, inputs: dict) -> dict:
     elif formula == "continuity_upper":
         result = {
             "value": continuity_upper_bound(
-                float(inputs["dim_theta"]), _dim_inputs(inputs), float(inputs["phi_target"])
+                as_real(inputs["dim_theta"]), _dim_inputs(inputs), as_real(inputs["phi_target"])
             )
         }
     elif formula == "continuity_lower":
         result = {
             "value": continuity_lower_bound(
-                float(inputs["dim_theta"]), _dim_inputs(inputs), float(inputs["phi_target"])
+                as_real(inputs["dim_theta"]), _dim_inputs(inputs), as_real(inputs["phi_target"])
             )
         }
     elif formula == "maincty":
-        dim = float(inputs["dim_phi_F"])
+        dim = as_real(inputs["dim_phi_F"])
         if dim == 0.0:
             result = {"applicable": False, "note": "bound not applicable, dimension 0 case"}
         else:
             alpha, ratio = maincty_bound(
-                dim, float(inputs["assouad"]), float(inputs["eta"])
+                dim, as_real(inputs["assouad"]), as_real(inputs["eta"])
             )
             result = {"applicable": True, "alpha": alpha, "ratio": ratio}
     elif formula == "holder":
         h = HolderInputs(
-            alpha=float(inputs["alpha"]),
-            gamma=float(inputs["gamma"]),
-            dim_phi_F=float(inputs["dim_phi_F"]),
-            assouad_image=float(inputs["assouad_image"]),
+            alpha=as_real(inputs["alpha"]),
+            gamma=as_real(inputs["gamma"]),
+            dim_phi_F=as_real(inputs["dim_phi_F"]),
+            assouad_image=as_real(inputs["assouad_image"]),
         )
         result = {"value": holder_bound(h)}
     elif formula == "product":
         lu, uu, ll, ul = product_bounds(
-            tuple(float(v) for v in inputs["e_dims"]),
-            tuple(float(v) for v in inputs["f_dims"]),
+            tuple(as_real(v) for v in inputs["e_dims"]),
+            tuple(as_real(v) for v in inputs["f_dims"]),
             self_product=bool(inputs.get("self_product", False)),
         )
         result = {

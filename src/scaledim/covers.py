@@ -223,29 +223,6 @@ def cover_cost_exhaustive(
 # exact DP on a materialized skeleton
 
 
-def _validate_skeleton(items) -> Skeleton:
-    """A :class:`Skeleton` of sorted, disjoint items.
-
-    Any other sequence of (start, end) pairs is converted here, the one
-    place where pairs become arrays.
-    """
-    if not isinstance(items, Skeleton):
-        pairs = np.asarray(items, dtype=float).reshape(-1, 2)
-        items = Skeleton(pairs[:, 0], pairs[:, 1])
-    starts, ends = items.starts, items.ends
-    if starts.size == 0:
-        raise InputError("skeleton is empty")
-    # count_nonzero rather than all()/any(): a fraction of the fixed cost
-    # on the few-item skeletons of shallow windows
-    ordered = starts <= ends  # False for b < a and for NaN on either side
-    if np.count_nonzero(ordered) < starts.size:
-        i = int(np.argmin(ordered))
-        raise InputError(f"bad skeleton item ({float(starts[i])}, {float(ends[i])})")
-    if np.count_nonzero(starts[1:] < ends[:-1] - 1e-15):
-        raise InputError("skeleton items must be sorted and disjoint")
-    return items
-
-
 def _require_linear(window: ScaleWindow) -> None:
     if not window.linear_representable():
         raise ResolutionError(
@@ -267,7 +244,6 @@ class _CoverGraph:
     """
 
     def __init__(self, items: Skeleton, window: ScaleWindow) -> None:
-        items = _validate_skeleton(items)
         _require_linear(window)
         lo, hi = window.lo, window.hi
         starts = items.starts.tolist()
@@ -406,6 +382,9 @@ def cover_cost_dp(
     of values -- no recursion, no float-keyed lookups.
     """
     _validate_exponent(s)
+    if not isinstance(items, Skeleton):
+        pairs = np.asarray(items, dtype=float).reshape(-1, 2)
+        items = Skeleton(pairs[:, 0], pairs[:, 1])
     return _CoverGraph(items, window).cost(s, want_pieces)
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the two number readers
+that every spec decoder uses; the decoders' callers turn the readers'
+ValueError into a validation error.
 
 Validation errors (bad user input, out-of-domain arguments) are kept separate
 from computation errors (a well-posed request the algorithms cannot complete)
@@ -53,3 +55,18 @@ class IndeterminateError(ComputationError):
     def __init__(self, message, bracket=None):
         super().__init__(message)
         self.bracket = bracket
+
+
+def as_integer(value) -> int:
+    """``int(value)`` that refuses bools and floats with a fractional part."""
+    n = int(value)
+    if isinstance(value, bool) or (isinstance(value, float) and n != value):
+        raise ValueError(f"{value!r} is not an integer")
+    return n
+
+
+def as_real(value) -> float:
+    """``float(value)`` that refuses bools."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)

@@ -158,14 +158,13 @@ def _seed(model, log_delta: float, phi: ScaleFunction, base: int) -> _Seed:
     skeleton point inside it: the first item (in skeleton order) whose
     floored range reaches the cube decides.  The atom budget is checked
     on the count of distinct cubes before any per-cube array exists;
-    skeletons are sorted and disjoint, so neighbouring items share at most
-    their boundary cube.  The cube ranges are floored straight from the
-    skeleton's ``starts`` and ``ends`` arrays.
+    a :class:`~scaledim.setmodels.Skeleton` is nonempty, sorted and
+    disjoint, so neighbouring items share at most their boundary cube.
+    The cube ranges are floored straight from the skeleton's ``starts``
+    and ``ends`` arrays.
     """
     m, le = frostman_levels(phi, log_delta, base)
     items = skeleton(model, float(base) ** (-m))
-    if not items:
-        raise InputError("model skeleton is empty")
 
     scale = float(base) ** m
     # floors of floats are exact integers; counted as floats, since deep

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Sequence
 
-from .errors import ConfigError, DomainError, InvalidFunctionError
+from .errors import ConfigError, DomainError, InvalidFunctionError, as_real
 
 _ADMISSIBILITY_EPS = 1e-12
 
@@ -493,9 +493,9 @@ _VARIANTS = {
 
 #: How ``scale_function_from_dict`` reads each parameter, by field name.
 _PARAM_DECODERS = {
-    "theta": float,
-    "c": float,
-    "s": float,
+    "theta": as_real,
+    "c": as_real,
+    "s": as_real,
     "model_id": str,
     "log_breakpoints": lambda v: tuple(tuple(p) for p in v),
     "table": lambda v: Tabulated(tuple(tuple(p) for p in v)),
@@ -551,5 +551,5 @@ def scale_function_from_dict(data: dict) -> ScaleFunction:
     }
     # the closed forms take domain_upper as a parameter; the others derive it
     if cls in (PowerLaw, LogCorrected, StretchedExponential) and "domain_upper" in data:
-        kwargs["domain_upper"] = float(data["domain_upper"])
+        kwargs["domain_upper"] = as_real(data["domain_upper"])
     return cls(**kwargs)

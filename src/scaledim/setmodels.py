@@ -34,6 +34,8 @@ from .errors import (
     InputError,
     ResolutionError,
     ScheduleOverflowError,
+    as_integer,
+    as_real,
 )
 from .scalefun import ScaleFunction
 
@@ -47,15 +49,34 @@ class Skeleton:
     start == end.
 
     Both arrays are float64 and read-only.  ``len`` is the item count and
-    iteration yields (start, end) pairs of Python floats.
+    iteration yields (start, end) pairs of Python floats.  The order is
+    checked here, the one place for it: a skeleton that exists is
+    nonempty, has no NaN, no item with start > end, and no item starting
+    more than 1e-15 before the previous one ends.
     """
 
     starts: np.ndarray
     ends: np.ndarray
 
     def __post_init__(self) -> None:
-        self.starts.flags.writeable = False
-        self.ends.flags.writeable = False
+        starts = np.asarray(self.starts, dtype=float)
+        ends = np.asarray(self.ends, dtype=float)
+        if starts.ndim != 1 or starts.shape != ends.shape:
+            raise InputError("skeleton starts and ends must be 1-D arrays of equal length")
+        if starts.size == 0:
+            raise InputError("skeleton is empty")
+        # count_nonzero rather than all()/any(): a fraction of the fixed cost
+        # on the few-item skeletons of shallow windows
+        ordered = starts <= ends  # False for b < a and for NaN on either side
+        if np.count_nonzero(ordered) < starts.size:
+            i = int(np.argmin(ordered))
+            raise InputError(f"bad skeleton item ({float(starts[i])}, {float(ends[i])})")
+        if np.count_nonzero(starts[1:] < ends[:-1] - 1e-15):
+            raise InputError("skeleton items must be sorted and disjoint")
+        starts.flags.writeable = False
+        ends.flags.writeable = False
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "ends", ends)
 
     def __len__(self) -> int:
         return self.starts.size
@@ -452,14 +473,13 @@ class UnionModel:
         return (_model_extent(self.members[0])[0], _model_extent(self.members[-1])[1])
 
     def skeleton(self, resolution: float) -> Skeleton:
+        # members are sorted by extent and their extents are disjoint, so
+        # their skeletons side by side are in order
         parts = [skeleton(m, resolution) for m in self.members]
-        starts, ends = _sort_items(
+        return Skeleton(
             np.concatenate([p.starts for p in parts]),
             np.concatenate([p.ends for p in parts]),
         )
-        if np.count_nonzero(starts[1:] < ends[:-1] - 1e-15):
-            raise InputError("union member skeletons overlap")
-        return Skeleton(starts, ends)
 
 
 @dataclass(frozen=True)
@@ -507,6 +527,7 @@ class HolderImage:
         The base is resolved at resolution ** (1/alpha): on [0, 1] the map
         is Holder, |x**a - y**a| <= |x - y| ** a, so base features finer
         than that cannot be distinguished at the requested resolution.
+        The map is increasing, so the mapped items keep the base's order.
         After mapping, leading items whose gaps fall below the resolution
         are merged into a single cluster interval.
 
@@ -522,7 +543,6 @@ class HolderImage:
         ends = starts.copy()
         spans = items.ends != items.starts
         ends[spans] = self._map(np.maximum(items.ends[spans], 0.0))
-        starts, ends = _sort_items(starts, ends)
         wide_gap = starts[1:] - ends[:-1] >= resolution
         # the first wide gap; 0 also when there is none
         split = int(np.argmax(wide_gap)) if wide_gap.size else 0
@@ -752,12 +772,6 @@ def _check_resolution(resolution: float) -> None:
         raise ResolutionError(f"resolution must be a positive float, got {resolution}")
 
 
-def _sort_items(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Items in (start, end) order, as sorting the pairs would give."""
-    order = np.lexsort((ends, starts))
-    return starts[order], ends[order]
-
-
 def skeleton(model, resolution: float) -> Skeleton:
     """Materialize a model as sorted disjoint intervals, exact to a resolution."""
     fn = getattr(model, "skeleton", None)
@@ -830,7 +844,7 @@ _MODEL_KINDS = {
 def _finite_scales(raw) -> tuple[float, ...]:
     """``preferred_log_scales`` from a spec: a list of finite numbers."""
     try:
-        scales = tuple(float(v) for v in raw) if isinstance(raw, (list, tuple)) else None
+        scales = tuple(as_real(v) for v in raw) if isinstance(raw, (list, tuple)) else None
     except (TypeError, ValueError):
         scales = None
     if scales is None or not all(math.isfinite(v) for v in scales):
@@ -842,15 +856,15 @@ def _finite_scales(raw) -> tuple[float, ...]:
 
 #: How ``model_from_dict`` reads each field, by field name.
 _FIELD_DECODERS = {
-    "location": float,
-    "p": float,
-    "offset": float,
-    "alpha": float,
-    "spacing": lambda v: None if v is None else float(v),
-    "m": int,
-    "n": int,
-    "column_counts": lambda v: tuple(int(c) for c in v),
-    "blocks": lambda v: tuple((int(c), float(r)) for c, r in v),
+    "location": as_real,
+    "p": as_real,
+    "offset": as_real,
+    "alpha": as_real,
+    "spacing": lambda v: None if v is None else as_real(v),
+    "m": as_integer,
+    "n": as_integer,
+    "column_counts": lambda v: tuple(as_integer(c) for c in v),
+    "blocks": lambda v: tuple((as_integer(c), as_real(r)) for c, r in v),
     "preferred_log_scales": _finite_scales,
     "members": lambda v: tuple(model_from_dict(m) for m in v),
     "left": lambda v: model_from_dict(v),
@@ -888,7 +902,7 @@ def model_from_dict(data: dict):
     except (KeyError, TypeError):
         raise InputError(f"model spec needs a known 'kind', got {data!r}")
     if cls is CantorSchedule and "blocks" not in data:
-        ratios = [float(r) for r in data["ratios"]]
+        ratios = [as_real(r) for r in data["ratios"]]
         data = {**data, "blocks": CantorSchedule.from_ratios(ratios).blocks}
     return cls(
         **{

@@ -206,8 +206,23 @@ def test_invalid_window_exponent_exits_two(tmp_path):
             "bounds", "--formula", "continuity_upper", "--inputs",
             '{"box_lower": 0.5, "box_upper": 0.5, "assouad": 1.0, "theta": 0.5}',
         ],
+        ["estimate", "--model", '{"kind": "sequence", "p": true}'],
+        [
+            "carpet", "--model",
+            '{"kind": "carpet", "m": 2.7, "n": 100, "column_counts": [1, 100]}',
+        ],
+        ["estimate", "--model", '{"kind": "cantor", "blocks": [[true, 0.25]]}'],
+        ["estimate", "--phi", '{"variant": "stretched_exp", "params": {"c": true}}'],
+        [
+            "bounds", "--formula", "general_lower", "--inputs",
+            '{"box_lower": 0.5, "box_upper": 0.5, "assouad": true}',
+        ],
     ],
-    ids=["model-missing-p", "phi-not-a-number", "phi-missing-theta", "bounds-missing-dim-theta"],
+    ids=[
+        "model-missing-p", "phi-not-a-number", "phi-missing-theta",
+        "bounds-missing-dim-theta", "model-bool-p", "carpet-fractional-m",
+        "cantor-bool-count", "phi-bool-c", "bounds-bool-assouad",
+    ],
 )
 def test_malformed_spec_exits_two(tmp_path, capsys, args):
     out = tmp_path / "x.out"
@@ -425,17 +440,48 @@ def test_unknown_config_key_exits_two(tmp_path):
         {"grid": [True, -6, 3]},
         {"grid": [-12, True, 3]},
         {"alphas": [True, 0.5]},
+        {"model": {"kind": "carpet", "m": 2.7, "n": 100, "column_counts": [1, 100]}},
+        {"model": {"kind": "carpet", "m": 2, "n": 100, "column_counts": [True, 100]}},
+        {"out": True},
+        {"out": 5},
     ],
     ids=lambda cfg: "-".join(f"{k}={v}" for k, v in cfg.items()),
 )
-def test_malformed_config_values_exit_two(tmp_path, capsys, config):
+def test_malformed_config_values_exit_two(tmp_path, monkeypatch, capsys, config):
+    monkeypatch.chdir(tmp_path)  # where a config "out" would land
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(config))
-    out = tmp_path / "x.json"
-    code = main(["carpet", "--config", str(cfg), "--out", str(out)])
+    out = [] if "out" in config else ["--out", str(tmp_path / "x.json")]
+    code = main(["carpet", "--config", str(cfg)] + out)
     assert code == 2
-    assert not out.exists()
+    assert os.listdir(tmp_path) == ["run.json"]
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "config, args, err",
+    [
+        ({"model": "ab\0c"}, [], "error: cannot read model file 'ab\\x00c': "),
+        ({"out": "ab\0c"}, [], "error: cannot write --out ab\0c: embedded null byte"),
+        (None, ["--config", "a\0b"], "error: cannot read config file 'a\\x00b': "),
+        (b"\xff{}", [], "error: cannot read config file "),
+        ({"model": "model.json"}, [], "error: cannot read model file 'model.json': "),
+    ],
+    ids=["model-path", "out-path", "config-path", "config-not-utf8", "model-not-utf8"],
+)
+def test_unusable_paths_and_files_exit_two(tmp_path, monkeypatch, capsys, config, args, err):
+    """A NUL byte in a path, or a file that is not UTF-8, is a bad input."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "model.json").write_bytes(b'{"kind": "point", "location": \xff}')
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+        args = ["--config", str(cfg)]
+    code = main(["carpet"] + args)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(err)
+    # no artifact and no temporary .scaledim-* file
+    assert set(os.listdir(tmp_path)) <= {"run.json", "model.json"}
 
 
 @pytest.mark.parametrize(

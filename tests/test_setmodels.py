@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from scaledim.covers import ScaleWindow, cover_cost_dp
 from scaledim.errors import (
     DomainError,
     InputError,
@@ -28,6 +29,7 @@ from scaledim.setmodels import (
     PointSet,
     ProductModel,
     SequenceSet,
+    Skeleton,
     UniformGrid,
     UnionModel,
     build_sequence_set,
@@ -272,6 +274,96 @@ def test_holder_alpha_validation():
         HolderImage(SequenceSet(1.0), 0.0)
     with pytest.raises(DomainError):
         HolderImage(SequenceSet(1.0), 1.5)
+
+
+@pytest.mark.parametrize(
+    "starts, ends, message",
+    [
+        ([], [], "skeleton is empty"),
+        ([0.0, math.nan], [0.1, 0.5], r"bad skeleton item \(nan, 0.5\)"),
+        ([0.0, 0.2], [0.1, math.nan], r"bad skeleton item \(0.2, nan\)"),
+        ([0.0, 0.3], [0.1, 0.2], r"bad skeleton item \(0.3, 0.2\)"),
+        ([0.5, 0.0], [0.6, 0.1], "must be sorted and disjoint"),
+        ([0.0, 0.5 - 1e-14], [0.5, 0.6], "must be sorted and disjoint"),
+        (np.array([0.0]), np.array([0.0, 1.0]), "1-D arrays of equal length"),
+        (np.zeros((2, 2)), np.ones((2, 2)), "1-D arrays of equal length"),
+    ],
+    ids=["empty", "nan-start", "nan-end", "start-after-end", "unsorted",
+         "overlap", "unequal-lengths", "2-d"],
+)
+def test_skeleton_refuses_what_breaks_its_order(starts, ends, message):
+    with pytest.raises(InputError, match=message):
+        Skeleton(starts, ends)
+
+
+def test_skeleton_takes_any_array_like_as_read_only_float64():
+    items = Skeleton([0, 2], (1, 3))
+    assert list(items) == [(0.0, 1.0), (2.0, 3.0)]
+    for arr in (items.starts, items.ends):
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+    # a touch within 1e-15 of the previous end is not an overlap
+    assert len(Skeleton([0.0, 0.5 - 1e-16], [0.5, 0.6])) == 2
+
+
+def test_cover_cost_dp_refuses_pairs_out_of_order():
+    window = ScaleWindow.from_linear(0.01, 0.1)
+    with pytest.raises(InputError, match="skeleton items must be sorted and disjoint"):
+        cover_cost_dp([(0.5, 0.6), (0.0, 0.1)], window, 0.5)
+    with pytest.raises(InputError, match=r"bad skeleton item \(0.3, 0.2\)"):
+        cover_cost_dp([(0.3, 0.2)], window, 0.5)
+    with pytest.raises(InputError, match="skeleton is empty"):
+        cover_cost_dp([], window, 0.5)
+    assert cover_cost_dp([(0.0, 0.1), (0.5, 0.6)], window, 0.5).method == "exact-dp"
+
+
+def _random_line_model(rng, slot, kinds):
+    """A random member model of the kind drawn from ``kinds``, with its
+    extent inside [2 * slot, 2 * slot + 1]."""
+    kind = kinds[int(rng.integers(len(kinds)))]
+    offset = 2.0 * slot
+    if kind == "point":
+        return PointSet(offset + float(rng.uniform(0.0, 1.0)))
+    if kind == "sequence":
+        return SequenceSet(float(rng.uniform(0.5, 3.0)), offset=offset)
+    if kind == "grid":
+        return UniformGrid(2.0 ** -float(rng.integers(1, 11)), offset=offset)
+    if kind == "cantor":
+        ratios = rng.uniform(0.05, 1.0 / 3.0, size=int(rng.integers(1, 12)))
+        return CantorSchedule.from_ratios(ratios.tolist(), offset=offset)
+    points = offset + np.sort(rng.uniform(0.0, 1.0, size=int(rng.integers(2, 4))))
+    return UnionModel(tuple(PointSet(float(x)) for x in rng.permutation(points)))
+
+
+def _random_produced_models(rng):
+    """Holder images of sequence, grid, Cantor and union bases, and unions
+    of 2-3 members (a Holder image allowed in the [0, 1] slot), members
+    given in shuffled order."""
+    for base_kind in ("sequence", "grid", "cantor", "union"):
+        base = _random_line_model(rng, 0, [base_kind])
+        yield HolderImage(base, float(rng.uniform(0.5, 1.0)))
+    size = int(rng.integers(2, 4))
+    members = [
+        HolderImage(_random_line_model(rng, 0, ["sequence", "cantor"]), 0.7)
+        if slot == 0 and rng.uniform() < 0.3
+        else _random_line_model(rng, slot, ["point", "sequence", "grid", "cantor"])
+        for slot in range(size)
+    ]
+    yield UnionModel(tuple(members[i] for i in rng.permutation(size)))
+
+
+def test_produced_skeletons_are_already_in_lexicographic_order():
+    """Holder images and unions build their skeletons without sorting:
+    sorting the produced items by (start, end) must not move any."""
+    rng = np.random.default_rng(13)
+    checked = 0
+    for _ in range(25):
+        for model in _random_produced_models(rng):
+            for _ in range(2):
+                items = skeleton(model, 2.0 ** -float(rng.uniform(1.0, 10.0)))
+                order = np.lexsort((items.ends, items.starts))
+                np.testing.assert_array_equal(order, np.arange(len(items)))
+                checked += len(items) > 1
+    assert checked > 150
 
 
 # --- unions, products, translation -------------------------------------------
