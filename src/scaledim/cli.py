@@ -65,6 +65,7 @@ from .scalefun import (
     scale_function_to_dict,
 )
 from .setmodels import (
+    CantorSchedule,
     CarpetParams,
     HolderImage,
     SequenceSet,
@@ -400,7 +401,7 @@ def _write_atomic(path: str, text: str) -> None:
             raise
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         reason = getattr(exc, "strerror", None) or exc
-        raise ConfigError(f"cannot write --out {path}: {reason}") from exc
+        raise ConfigError(f"cannot write --out {path!r}: {reason}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -664,14 +665,23 @@ def _run_carpet(cfg: RunConfig):
 
 
 def _middle_thirds():
-    from .setmodels import CantorSchedule
-
     # deep enough that every battery window top stays inside the schedule
     return CantorSchedule.from_ratios([1.0 / 3.0] * 40)
 
 
-def _check_dp_vs_exhaustive(rng) -> dict:
-    worst = 0.0
+def _check(name: str, passed: bool, **detail) -> dict:
+    return {"name": name, "pass": passed, "detail": detail}
+
+
+def _largest(name: str, key: str, bound: float, values, start: float = -math.inf) -> dict:
+    """Record the worst of a sampled check's values; it passes at ``worst <= bound``."""
+    worst, count = start, 0
+    for value in values:
+        worst, count = max(worst, value), count + 1
+    return _check(name, worst <= bound, **{key: worst, "instances": count})
+
+
+def _dp_vs_exhaustive(rng):
     for _ in range(200):
         n = int(rng.integers(2, 7))
         pts = np.sort(rng.uniform(0.0, 1.0, n))
@@ -683,19 +693,11 @@ def _check_dp_vs_exhaustive(rng) -> dict:
         diams = sorted({min(max(sp, lo), hi) for sp in spans} | {lo})
         dp = cover_cost_dp(Skeleton(pts, pts), window, s)
         ex = cover_cost_exhaustive(pts, window, s, diams)
-        worst = max(
-            worst, abs(math.exp(dp.log_cost_upper) - math.exp(ex.log_cost_upper))
-        )
-    return {
-        "name": "dp-matches-exhaustive",
-        "pass": worst <= 1e-12,
-        "detail": {"max_abs_diff": worst, "instances": 200},
-    }
+        yield abs(math.exp(dp.log_cost_upper) - math.exp(ex.log_cost_upper))
 
 
-def _check_window_monotone(rng) -> dict:
+def _window_widening(rng):
     models = [_middle_thirds(), SequenceSet(1.0)]
-    worst = -math.inf
     for _ in range(20):
         model = models[int(rng.integers(0, len(models)))]
         hi = 2.0 ** -float(rng.integers(3, 7))
@@ -704,17 +706,11 @@ def _check_window_monotone(rng) -> dict:
         s = float(rng.uniform(0.1, 0.9))
         narrow = cover_cost(model, ScaleWindow.from_linear(lo_narrow, hi), s, oracle="dp")
         wide = cover_cost(model, ScaleWindow.from_linear(lo_wide, hi), s, oracle="dp")
-        worst = max(worst, wide.log_cost_upper - narrow.log_cost_upper)
-    return {
-        "name": "window-monotonicity",
-        "pass": worst <= 1e-9,
-        "detail": {"max_widening_increase": worst, "instances": 20},
-    }
+        yield wide.log_cost_upper - narrow.log_cost_upper
 
 
-def _check_s_monotone(rng) -> dict:
+def _s_growth(rng):
     model = _middle_thirds()
-    worst = -math.inf
     for _ in range(20):
         hi = 2.0 ** -float(rng.integers(3, 7))
         lo = hi * 2.0 ** -float(rng.integers(1, 4))
@@ -723,16 +719,10 @@ def _check_s_monotone(rng) -> dict:
         # one cover graph serves both exponents
         cost = prepare(model, ScaleWindow.from_linear(lo, hi), oracle="dp")
         c1, c2 = cost(s1), cost(s2)
-        worst = max(worst, c2.log_cost_upper - c1.log_cost_upper)
-    return {
-        "name": "s-monotonicity",
-        "pass": worst <= 1e-9,
-        "detail": {"max_s_increase": worst, "instances": 20},
-    }
+        yield c2.log_cost_upper - c1.log_cost_upper
 
 
-def _check_translation(rng) -> dict:
-    worst = 0.0
+def _translation_shift(rng):
     for _ in range(20):
         model = _middle_thirds() if rng.integers(0, 2) else SequenceSet(1.0)
         dx = float(rng.uniform(-2.0, 2.0))
@@ -742,12 +732,7 @@ def _check_translation(rng) -> dict:
         window = ScaleWindow.from_linear(lo, hi)
         base = cover_cost(model, window, s, oracle="dp")
         moved = cover_cost(translate(model, dx), window, s, oracle="dp")
-        worst = max(worst, abs(base.log_cost_upper - moved.log_cost_upper))
-    return {
-        "name": "translation-invariance",
-        "pass": worst <= 1e-12,
-        "detail": {"max_abs_diff": worst, "instances": 20},
-    }
+        yield abs(base.log_cost_upper - moved.log_cost_upper)
 
 
 def _check_sandwich(rng, tol: float) -> dict:
@@ -764,15 +749,13 @@ def _check_sandwich(rng, tol: float) -> dict:
         worst_cost = max(worst_cost, cost.log_cost_lower - cost.log_cost_upper)
         probe = critical_exponent(model, phi, log_delta, tol=tol)
         worst_bracket = max(worst_bracket, probe.s_lower - probe.s_upper)
-    return {
-        "name": "sandwich-ordering",
-        "pass": worst_cost <= 1e-12 and worst_bracket <= tol,
-        "detail": {
-            "max_cost_lower_minus_upper": worst_cost,
-            "max_bracket_inversion": worst_bracket,
-            "instances": 12,
-        },
-    }
+    return _check(
+        "sandwich-ordering",
+        worst_cost <= 1e-12 and worst_bracket <= tol,
+        max_cost_lower_minus_upper=worst_cost,
+        max_bracket_inversion=worst_bracket,
+        instances=12,
+    )
 
 
 def _check_holder_consistency(tol: float) -> dict:
@@ -785,11 +768,9 @@ def _check_holder_consistency(tol: float) -> dict:
     worst = 0.0
     for (_, lo_i, up_i), (_, lo_d, up_d) in zip(prof_img.to_rows(), prof_dir.to_rows()):
         worst = max(worst, abs(lo_i - lo_d), abs(up_i - up_d))
-    return {
-        "name": "holder-image-consistency",
-        "pass": worst <= 2.0 * tol,
-        "detail": {"max_row_diff": worst, "scales": len(log_deltas)},
-    }
+    return _check(
+        "holder-image-consistency", worst <= 2.0 * tol, max_row_diff=worst, scales=len(log_deltas)
+    )
 
 
 def _check_mutual(tol: float) -> dict:
@@ -798,24 +779,23 @@ def _check_mutual(tol: float) -> dict:
     prof_theta = dimension_profile(model, PowerLaw(0.5), log_deltas, tol=tol)
     prof_box = dimension_profile(model, LogCorrected(), log_deltas, tol=tol)
     report = check_mutual_dependency(prof_theta, prof_box)
-    return {
-        "name": "mutual-dependency",
-        "pass": not report.violation,
-        "detail": {
-            "theta_estimate": report.theta_estimate,
-            "box_estimate": report.box_estimate,
-            "floor": report.floor,
-        },
-    }
+    return _check(
+        "mutual-dependency",
+        not report.violation,
+        theta_estimate=report.theta_estimate,
+        box_estimate=report.box_estimate,
+        floor=report.floor,
+    )
 
 
 def _run_verify(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
+    # the checks draw from one generator, so their order fixes every draw
     checks = [
-        _check_dp_vs_exhaustive(rng),
-        _check_window_monotone(rng),
-        _check_s_monotone(rng),
-        _check_translation(rng),
+        _largest("dp-matches-exhaustive", "max_abs_diff", 1e-12, _dp_vs_exhaustive(rng), start=0.0),
+        _largest("window-monotonicity", "max_widening_increase", 1e-9, _window_widening(rng)),
+        _largest("s-monotonicity", "max_s_increase", 1e-9, _s_growth(rng)),
+        _largest("translation-invariance", "max_abs_diff", 1e-12, _translation_shift(rng), start=0.0),
         _check_sandwich(rng, cfg.tol),
         _check_holder_consistency(cfg.tol),
         _check_mutual(cfg.tol),

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .covers import CoverCost, ScaleWindow, prepare, upper_bound_slack
-from .errors import ConfigError, InputError, ScaledimError
+from .errors import BudgetError, ConfigError, InputError, ScaledimError
 from .estimator import _bisect, dimension_profile
 from .scalefun import InterpolatedScale, LogCorrected, MinFamily, Tabulated
 from .setmodels import model_id
@@ -61,8 +61,10 @@ class PhiSPoint:
     the true sup could sit.  ``at_cap`` marks the ceiling delta/(-log
     delta); ``budget_exceeded`` marks scales where every floor down to
     ``MAX_FLOOR_FACTOR * log_delta`` is infeasible, whether the walk
-    probed them all or the deepest one settled them.  Such a point
-    carries that floor as ``log_phi_s`` and an infinite ``upper_gap``.
+    probed them all or the deepest one settled them, and scales where the
+    walk met a DP move or state cap (a ``BudgetError``) before any
+    feasible floor.  Such a point carries the last infeasible floor as
+    ``log_phi_s`` and an infinite ``upper_gap``.
     """
 
     log_delta: float
@@ -160,8 +162,11 @@ def _phi_s_point(
     k = 2
     while k <= MAX_FLOOR_FACTOR:
         cand = k * log_delta
-        if feasible(cand, rung=True):
-            lo = cand
+        try:
+            if feasible(cand, rung=True):
+                lo = cand
+                break
+        except BudgetError:  # a DP cap: every deeper window is larger still
             break
         hi = cand
         k *= 2
@@ -191,10 +196,12 @@ def phi_s_at(
     located by bisection on log x in (deep floor, delta/(-log delta)].
     The probes go: the cap (feasible: the point is at the cap); then the
     doubling floors from the top down to the first feasible one (none
-    down to ``MAX_FLOOR_FACTOR * log_delta``: the budget is exceeded at
-    this scale), and bisection until the bracket is within ``tol`` or can
-    no longer split in floats.  Where the route's upper bound falls with
-    the bottom up to a known slack
+    down to ``MAX_FLOOR_FACTOR * log_delta``, or a floor whose cover DP
+    raises ``BudgetError`` first: the budget is exceeded at this scale),
+    and bisection until the bracket is within ``tol`` or can no longer
+    split in floats.  Any other error, and a ``BudgetError`` at the cap
+    or in the bisection, propagates.  Where the route's upper bound falls
+    with the bottom up to a known slack
     (:func:`scaledim.covers.upper_bound_slack`), the deepest floor is
     probed right after the cap: infeasible by more than the slack, it
     settles the scale as budget-exceeded, since no floor above it can

@@ -491,16 +491,23 @@ _VARIANTS = {
     "interpolated": InterpolatedScale,
 }
 
+def _numbers(values) -> tuple:
+    """``values`` as a tuple: ints and floats stay as given (a spec's
+    ``active_below`` writes back as it was read), anything else goes
+    through ``as_real``, which refuses bools and non-numbers."""
+    return tuple(v if type(v) in (int, float) else as_real(v) for v in values)
+
+
 #: How ``scale_function_from_dict`` reads each parameter, by field name.
 _PARAM_DECODERS = {
     "theta": as_real,
     "c": as_real,
     "s": as_real,
     "model_id": str,
-    "log_breakpoints": lambda v: tuple(tuple(p) for p in v),
-    "table": lambda v: Tabulated(tuple(tuple(p) for p in v)),
+    "log_breakpoints": lambda v: tuple(_numbers(p) for p in v),
+    "table": lambda v: Tabulated(tuple(_numbers(p) for p in v)),
     "members": lambda v: tuple(scale_function_from_dict(m) for m in v),
-    "active_below": lambda v: tuple(v) if v else None,
+    "active_below": lambda v: _numbers(v) if v else None,
 }
 
 
@@ -541,7 +548,7 @@ def scale_function_from_dict(data: dict) -> ScaleFunction:
         raise ConfigError(f"scale function spec needs a known 'variant', got {data!r}")
     params = data.get("params", {})
     if cls is Tabulated and "log_breakpoints" not in params:
-        return Tabulated.from_linear([tuple(p) for p in params["breakpoints"]])
+        return Tabulated.from_linear([_numbers(p) for p in params["breakpoints"]])
     if cls is InterpolatedScale:
         params = {**params, "table": params["log_breakpoints"]}
     kwargs = {

@@ -186,6 +186,20 @@ def test_verify_battery_passes(tmp_path):
     assert doc["seed"] == 20260816
 
 
+def test_verify_battery_reports_a_violation(tmp_path, capsys, monkeypatch):
+    # a translation that moves the set to another set breaks invariance
+    monkeypatch.setattr(cli, "translate", lambda model, dx: scaledim.SequenceSet(2.0))
+    code, out = run(tmp_path, "v.json", ["verify"])
+    assert code == 0  # finding a violation is the report, not an error
+    doc = json.loads(out.read_text())
+    assert doc["pass"] is False
+    failed = [c for c in doc["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["translation-invariance"]
+    assert failed[0]["detail"]["max_abs_diff"] > 1e-12
+    assert failed[0]["detail"]["instances"] == 20
+    assert capsys.readouterr().out == f"verify: FAIL (6/7 checks) -> {out}\n"
+
+
 # --- exit codes and atomicity ------------------------------------------------------
 
 
@@ -194,6 +208,14 @@ def test_invalid_window_exponent_exits_two(tmp_path):
     code = main(["estimate", "--phi", "power_law:0.0", "--out", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+def _min_family_active_below(value: str) -> str:
+    member = '{"variant": "power_law", "params": {"theta": 0.5}}'
+    return (
+        '{"variant": "min_family", "params": {"members": [%s], "active_below": [%s]}}'
+        % (member, value)
+    )
 
 
 @pytest.mark.parametrize(
@@ -217,11 +239,29 @@ def test_invalid_window_exponent_exits_two(tmp_path):
             "bounds", "--formula", "general_lower", "--inputs",
             '{"box_lower": 0.5, "box_upper": 0.5, "assouad": true}',
         ],
+        ["phi", "--phi", _min_family_active_below('"a"')],
+        ["phi", "--phi", _min_family_active_below("true")],
+        [
+            "phi", "--phi",
+            '{"variant": "tabulated", "params": {"log_breakpoints": [[-30, -60], [true, -2]]}}',
+        ],
+        [
+            "phi", "--phi",
+            '{"variant": "tabulated", "params": {"breakpoints": [[0.5, 0.1], [0.25, true]]}}',
+        ],
+        [
+            "phi", "--phi",
+            '{"variant": "interpolated", "params": {"s": 1, "model_id": "p",'
+            ' "log_breakpoints": [[-30, -60], [-10, true]]}}',
+        ],
     ],
     ids=[
         "model-missing-p", "phi-not-a-number", "phi-missing-theta",
         "bounds-missing-dim-theta", "model-bool-p", "carpet-fractional-m",
         "cantor-bool-count", "phi-bool-c", "bounds-bool-assouad",
+        "min-family-string-active-below", "min-family-bool-active-below",
+        "tabulated-bool-log-breakpoint", "tabulated-bool-breakpoint",
+        "interpolated-bool-log-breakpoint",
     ],
 )
 def test_malformed_spec_exits_two(tmp_path, capsys, args):
@@ -229,7 +269,10 @@ def test_malformed_spec_exits_two(tmp_path, capsys, args):
     code = main(args + ["--grid=-48:-24:2", "--out", str(out)])
     assert code == 2
     assert not out.exists()
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if args[0] == "phi":
+        assert err.startswith("error: malformed phi spec ")
 
 
 def test_unordered_grid_exits_two(tmp_path):
@@ -462,7 +505,7 @@ def test_malformed_config_values_exit_two(tmp_path, monkeypatch, capsys, config)
     "config, args, err",
     [
         ({"model": "ab\0c"}, [], "error: cannot read model file 'ab\\x00c': "),
-        ({"out": "ab\0c"}, [], "error: cannot write --out ab\0c: embedded null byte"),
+        ({"out": "ab\0c"}, [], "error: cannot write --out 'ab\\x00c': embedded null byte"),
         (None, ["--config", "a\0b"], "error: cannot read config file 'a\\x00b': "),
         (b"\xff{}", [], "error: cannot read config file "),
         ({"model": "model.json"}, [], "error: cannot read model file 'model.json': "),
@@ -530,7 +573,8 @@ def test_repeated_usage_error_exits_two_with_the_same_message(capsys):
 def test_flags_do_not_carry_over_between_runs(tmp_path):
     code, out = run(tmp_path, "v7.json", ["verify", "--seed", "7"])
     assert code == 0
-    assert json.loads(out.read_text())["seed"] == 7
+    doc = json.loads(out.read_text())
+    assert doc["seed"] == 7 and doc["pass"] is True
     code, out = run(tmp_path, "v.json", ["verify"])
     assert code == 0
     assert json.loads(out.read_text())["seed"] == 20260816

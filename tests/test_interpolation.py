@@ -12,7 +12,7 @@ import pytest
 
 import scaledim
 from scaledim import covers, interpolation
-from scaledim.errors import InputError, ScaledimError
+from scaledim.errors import BudgetError, InputError, ScaledimError
 from scaledim.interpolation import (
     hausdorff_endpoint_family,
     phi_s_at,
@@ -391,3 +391,19 @@ def test_grid_deepest_floor_does_not_settle_the_scale():
     p = phi_s_at(grid, s, log_delta, budget=budget)
     assert not p.budget_exceeded and not p.at_cap
     assert 2 * log_delta <= p.log_phi_s < log_delta - math.log(-log_delta)
+
+
+def test_dp_cap_in_the_floor_walk_drops_the_scale(monkeypatch):
+    # Under this move cap the cap window and the 2 log delta floor build
+    # and are infeasible; the 4 log delta floor's cover graph is too large.
+    monkeypatch.setattr(covers, "_MOVE_CAP", 50_000)
+    model, log_delta = SequenceSet(1.0), -6 * LOG2
+    with pytest.raises(BudgetError):
+        window = covers.ScaleWindow(4 * log_delta, log_delta)
+        covers.cover_cost(model, window, 0.388, oracle="dp")
+    p = phi_s_at(model, 0.388, log_delta, oracle="dp")
+    assert p.budget_exceeded and not p.at_cap
+    assert p.log_phi_s == 2 * log_delta and p.upper_gap == math.inf
+    low, high = phi_s_family(model, [0.388, 0.7], [log_delta, -7 * LOG2], oracle="dp")
+    assert low.points == () and len(low.dropped) == 2
+    assert len(high.points) == 2 and high.dropped == ()
