@@ -9,6 +9,7 @@ the modeling error these checks exist to catch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,12 +21,20 @@ from .scalefun import PowerLaw
 EPS_ZERO = 1e-6
 
 
+def _check_finite(values: dict) -> None:
+    """Reject a NaN or infinite input; None stands for an omitted value."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise InputError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class DimInputs:
     """A consistent set of dimension values for one set, plus a window exponent.
 
-    Values must satisfy hausdorff <= box_lower <= box_upper <= assouad;
-    ``hausdorff`` may be omitted when unknown.
+    Values must be finite and satisfy
+    hausdorff <= box_lower <= box_upper <= assouad; ``hausdorff`` may be
+    omitted when unknown.
     """
 
     box_lower: float
@@ -51,11 +60,12 @@ class DimInputs:
                 "hausdorff <= box_lower <= box_upper <= assouad, got "
                 f"{chain}"
             )
+        _check_finite(vars(self))
 
 
 @dataclass(frozen=True)
 class HolderInputs:
-    """Inputs for the Hölder distortion bound."""
+    """Inputs for the Hölder distortion bound; every field must be finite."""
 
     alpha: float
     gamma: float
@@ -72,6 +82,7 @@ class HolderInputs:
             )
         if self.dim_phi_F < 0.0 or self.assouad_image < 0.0:
             raise InputError("dimensions must be nonnegative")
+        _check_finite(vars(self))
 
 
 def general_lower_bound(d: DimInputs, use_upper_box: bool = True) -> float:
@@ -168,6 +179,7 @@ def maincty_bound(dim_phi_F: float, assouad: float, eta: float) -> tuple[float, 
             f"eta must lie in [0, assouad - dim_phi_F) = [0, "
             f"{assouad - dim_phi_F:g}), got {eta}"
         )
+    _check_finite({"assouad": assouad})
     alpha = (assouad - dim_phi_F) / (assouad - dim_phi_F - eta)
     ratio = dim_phi_F / (dim_phi_F + eta)
     return alpha, ratio
@@ -206,6 +218,7 @@ def product_bounds(
             raise InputError(
                 f"{name} must satisfy 0 <= lower <= upper <= box_upper, got {triple}"
             )
+        _check_finite({f"{name} box_upper": bu})
     low_e, up_e, box_e = e_dims
     low_f, up_f, box_f = f_dims
     if self_product:

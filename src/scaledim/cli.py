@@ -21,8 +21,9 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from dataclasses import asdict
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .covers import (
 from .errors import ComputationError, ConfigError, ValidationError, as_integer, as_real
 from .estimator import critical_exponent, dimension_profile
 from .interpolation import phi_s_family
+from .logspace import LOG2
 from .measures import (
     ball_to_set_constant,
     build_frostman_measure,
@@ -77,64 +79,15 @@ from .setmodels import (
     translate,
 )
 
-LOG2 = math.log(2.0)
-
 #: Published alternative bound at the default carpet parameters; display only.
 CARPET_COMPARISON_CONSTANT = 0.352
 
 COMMANDS = ("estimate", "bounds", "phi", "frostman", "interpolate", "carpet", "verify")
 FORMATS = ("csv", "json")
 
-GLOBAL_DEFAULTS = {
-    "model": '{"kind": "sequence", "p": 1.0}',
-    "phi": "power_law:0.5",
-    "grid": "-400:-40:10",
-    "s_grid": None,
-    "tol": 1e-3,
-    "out": None,
-    "format": "csv",
-    "seed": 20260816,
-    "formula": None,
-    "inputs": None,
-    "s": None,
-    "log2_delta": None,
-    "base": 20,
-    "phi2": None,
-    "alphas": "1.5,2.0",
-}
 
-#: Per-command overrides of the global defaults (flags > config file > these).
-COMMAND_DEFAULTS = {
-    "bounds": {"format": "json"},
-    "carpet": {"format": "json", "model": '{"kind": "carpet", "m": 2, "n": 100, "column_counts": [1, 100]}'},
-    "verify": {"format": "json"},
-    "frostman": {"grid": "-12:-6:4", "s": 0.5},
-    "interpolate": {"grid": "-48:-12:10", "s_grid": "0.2:0.8:4"},
-}
-
-CONFIG_KEYS = tuple(GLOBAL_DEFAULTS)
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved run request (command + inputs + output disposition)."""
-
-    command: str
-    model: dict
-    phi: dict
-    grid: tuple[float, float, int]
-    s_grid: Optional[tuple[float, float, int]]
-    tol: float
-    out: str
-    format: str
-    seed: int
-    formula: Optional[str] = None
-    inputs: Optional[dict] = None
-    s: Optional[float] = None
-    log2_delta: Optional[float] = None
-    base: int = 20
-    phi2: Optional[dict] = None
-    alphas: tuple[float, ...] = (1.5, 2.0)
+class RunConfig(SimpleNamespace):
+    """A resolved run request: ``command`` plus one attribute per :data:`OPTIONS` key."""
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +111,6 @@ def parse_grid(spec, name: str = "grid", min_points: int = 2) -> tuple[float, fl
     if n < min_points:
         raise ConfigError(f"{name} needs at least {min_points} points, got {n}")
     return a, b, n
-
-
-def parse_s_grid(spec) -> tuple[float, float, int]:
-    return parse_grid(spec, "s-grid", 1)
 
 
 def _from_spec(build, spec, what: str):
@@ -228,8 +177,155 @@ def parse_alphas(spec) -> tuple[float, ...]:
     return tuple(vals)
 
 
+def _tolerance(value) -> float:
+    tol = as_real(value)
+    if not tol > 0.0:
+        raise ConfigError(f"tol must be positive, got {tol}")
+    return tol
+
+
+def _seed(value) -> int:
+    seed = as_integer(value)
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
+def _format(value) -> str:
+    fmt = str(value)
+    if fmt not in FORMATS:
+        raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
+    return fmt
+
+
+def _json_object(value) -> dict:
+    if isinstance(value, dict):
+        return value
+    try:
+        data = json.loads(str(value))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--inputs is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise ConfigError("--inputs must be a JSON object")
+    return data
+
+
+def _path(value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"out must be a path string, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
-# config resolution (flags > config file > defaults)
+# bounds formulas: each maps the --inputs object to its result
+
+
+def _dim_inputs(inputs: dict) -> DimInputs:
+    missing = [k for k in ("box_lower", "box_upper", "assouad") if k not in inputs]
+    if missing:
+        raise ConfigError(f"inputs missing keys: {', '.join(missing)}")
+    return DimInputs(
+        box_lower=as_real(inputs["box_lower"]),
+        box_upper=as_real(inputs["box_upper"]),
+        assouad=as_real(inputs["assouad"]),
+        theta=as_real(inputs.get("theta", 1.0)),
+        hausdorff=None if inputs.get("hausdorff") is None else as_real(inputs["hausdorff"]),
+    )
+
+
+def _continuity(bound: Callable) -> Callable[[dict], dict]:
+    return lambda x: {"value": bound(
+        as_real(x["dim_theta"]), _dim_inputs(x), as_real(x["phi_target"]))}
+
+
+def _maincty(inputs: dict) -> dict:
+    dim = as_real(inputs["dim_phi_F"])
+    if dim == 0.0:
+        return {"applicable": False, "note": "bound not applicable, dimension 0 case"}
+    alpha, ratio = maincty_bound(dim, as_real(inputs["assouad"]), as_real(inputs["eta"]))
+    return {"applicable": True, "alpha": alpha, "ratio": ratio}
+
+
+def _product(inputs: dict) -> dict:
+    bounds = product_bounds(
+        tuple(as_real(v) for v in inputs["e_dims"]),
+        tuple(as_real(v) for v in inputs["f_dims"]),
+        self_product=bool(inputs.get("self_product", False)),
+    )
+    names = ("lower_for_upper_dim", "upper_for_upper_dim",
+             "lower_for_lower_dim", "upper_for_lower_dim")
+    return dict(zip(names, bounds))
+
+
+FORMULAS: dict[str, Callable[[dict], dict]] = {
+    "general_lower": lambda x: {"value": general_lower_bound(
+        _dim_inputs(x), use_upper_box=bool(x.get("use_upper_box", True)))},
+    "general_lower_derivatives": lambda x: dict(zip(
+        ("first", "second"), general_lower_bound_derivatives(_dim_inputs(x)))),
+    "continuity_upper": _continuity(continuity_upper_bound),
+    "continuity_lower": _continuity(continuity_lower_bound),
+    "maincty": _maincty,
+    "holder": lambda x: {"value": holder_bound(HolderInputs(
+        *(as_real(x[k]) for k in ("alpha", "gamma", "dim_phi_F", "assouad_image"))))},
+    "product": _product,
+}
+
+
+# ---------------------------------------------------------------------------
+# options and config resolution (flags > config file > command defaults > defaults)
+
+
+class Option(NamedTuple):
+    """A config key's default, its reader (run through :func:`_from_spec` under
+    ``name``), its flag's argparse keywords, and the subcommands with that flag."""
+
+    default: object
+    read: Callable
+    name: str
+    flag: dict
+    commands: tuple[str, ...] = COMMANDS
+
+
+OPTIONS = {
+    "model": Option('{"kind": "sequence", "p": 1.0}', parse_model_spec, "model spec",
+                    {"help": "set model: inline JSON or path to a JSON file"}),
+    "phi": Option("power_law:0.5", parse_phi_spec, "phi spec",
+                  {"help": "scale function: power_law:T, log_corrected, stretched_exp:C, or JSON"}),
+    "grid": Option("-400:-40:10", parse_grid, "grid", {"help": "log2-delta grid a:b:n (a <= b)"}),
+    "s_grid": Option(None, lambda spec: parse_grid(spec, "s-grid", 1), "s-grid",
+                     {"help": "exponent grid a:b:n"}),
+    "tol": Option(1e-3, _tolerance, "tol",
+                  {"type": float, "help": "bisection tolerance (default 1e-3)"}),
+    "out": Option(None, _path, "out", {"help": "output path (default scaledim_<command>.<fmt>)"}),
+    "format": Option("csv", _format, "format", {"choices": FORMATS, "help": "output format"}),
+    "seed": Option(20260816, _seed, "seed",
+                   {"type": int, "help": "seed for generated test instances"}),
+    "formula": Option(None, lambda name: name, "formula",
+                      {"help": "one of " + ", ".join(FORMULAS)}, ("bounds",)),
+    "inputs": Option(None, _json_object, "inputs",
+                     {"help": "JSON object of numeric inputs"}, ("bounds",)),
+    "s": Option(None, as_real, "s", {"type": float, "help": "target exponent"}, ("frostman",)),
+    "log2_delta": Option(None, as_real, "log2_delta",
+                         {"type": float, "help": "window top (default: finest grid point)"},
+                         ("frostman",)),
+    "base": Option(20, as_integer, "base",
+                   {"type": int, "help": "cube subdivision base (default 20)"}, ("frostman",)),
+    "phi2": Option(None, parse_phi_spec, "phi2 spec",
+                   {"help": "second scale function to compare against"}, ("phi",)),
+    "alphas": Option("1.5,2.0", parse_alphas, "alphas",
+                     {"help": "comparison exponents, comma-separated"}, ("phi",)),
+}
+
+CONFIG_KEYS = tuple(OPTIONS)
+
+#: Per-command overrides of the defaults in :data:`OPTIONS`.
+COMMAND_DEFAULTS = {
+    "bounds": {"format": "json"},
+    "carpet": {"format": "json", "model": '{"kind": "carpet", "m": 2, "n": 100, "column_counts": [1, 100]}'},
+    "verify": {"format": "json"},
+    "frostman": {"grid": "-12:-6:4", "s": 0.5},
+    "interpolate": {"grid": "-48:-12:10", "s_grid": "0.2:0.8:4"},
+}
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -248,77 +344,23 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
-    command = args.command
-    overrides = COMMAND_DEFAULTS.get(command, {})
-
-    def pick(name):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if file_cfg.get(name) is not None:
-            return file_cfg[name]
-        if name in overrides:
-            return overrides[name]
-        return GLOBAL_DEFAULTS[name]
-
-    tol = _from_spec(as_real, pick("tol"), "tol")
-    if not tol > 0.0:
-        raise ConfigError(f"tol must be positive, got {tol}")
-    fmt = str(pick("format"))
-    if fmt not in FORMATS:
-        raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
-    grid = parse_grid(pick("grid"))
-    s_grid_spec = pick("s_grid")
-    s_grid = parse_s_grid(s_grid_spec) if s_grid_spec is not None else None
-    model = parse_model_spec(pick("model"))
-    phi = _from_spec(parse_phi_spec, pick("phi"), "phi spec")
-    phi2_spec = pick("phi2")
-    phi2 = None if phi2_spec is None else _from_spec(parse_phi_spec, phi2_spec, "phi2 spec")
-    inputs_spec = pick("inputs")
-    if inputs_spec is None:
-        inputs = None
-    elif isinstance(inputs_spec, dict):
-        inputs = inputs_spec
-    else:
-        try:
-            inputs = json.loads(str(inputs_spec))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--inputs is not valid JSON: {exc}")
-        if not isinstance(inputs, dict):
-            raise ConfigError("--inputs must be a JSON object")
-    seed = _from_spec(as_integer, pick("seed"), "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    s_val = pick("s")
-    log2_delta = pick("log2_delta")
-    out = pick("out")
-    if out is None:
-        out = f"scaledim_{command}.{fmt}"
-    elif not isinstance(out, str):
-        raise ConfigError(f"out must be a path string, got {out!r}")
-    return RunConfig(
-        command=command,
-        model=model,
-        phi=phi,
-        grid=grid,
-        s_grid=s_grid,
-        tol=tol,
-        out=out,
-        format=fmt,
-        seed=seed,
-        formula=pick("formula"),
-        inputs=inputs,
-        s=None if s_val is None else _from_spec(as_real, s_val, "s"),
-        log2_delta=None if log2_delta is None else _from_spec(as_real, log2_delta, "log2_delta"),
-        base=_from_spec(as_integer, pick("base"), "base"),
-        phi2=phi2,
-        alphas=_from_spec(parse_alphas, pick("alphas"), "alphas"),
-    )
+    overrides = COMMAND_DEFAULTS.get(args.command, {})
+    values = {}
+    for key, opt in OPTIONS.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = file_cfg.get(key)
+        if value is None:
+            value = overrides.get(key, opt.default)
+        values[key] = None if value is None else _from_spec(opt.read, value, opt.name)
+    if values["out"] is None:
+        values["out"] = f"scaledim_{args.command}.{values['format']}"
+    return RunConfig(command=args.command, **values)
 
 
 def config_digest(cfg: RunConfig) -> str:
     """sha256 over the resolved config (minus the output path), truncated."""
-    payload = asdict(cfg)
+    payload = dict(vars(cfg))
     payload.pop("out")
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
@@ -438,84 +480,16 @@ def _run_estimate(cfg: RunConfig):
     return payload, (("log2_delta", "s_lower", "s_upper"), rows), summary
 
 
-def _dim_inputs(inputs: dict) -> DimInputs:
-    missing = [k for k in ("box_lower", "box_upper", "assouad") if k not in inputs]
-    if missing:
-        raise ConfigError(f"inputs missing keys: {', '.join(missing)}")
-    return DimInputs(
-        box_lower=as_real(inputs["box_lower"]),
-        box_upper=as_real(inputs["box_upper"]),
-        assouad=as_real(inputs["assouad"]),
-        theta=as_real(inputs.get("theta", 1.0)),
-        hausdorff=None if inputs.get("hausdorff") is None else as_real(inputs["hausdorff"]),
-    )
-
-
-def _bounds_result(formula: str, inputs: dict) -> dict:
-    if formula == "general_lower":
-        d = _dim_inputs(inputs)
-        result = {
-            "value": general_lower_bound(
-                d, use_upper_box=bool(inputs.get("use_upper_box", True))
-            )
-        }
-    elif formula == "general_lower_derivatives":
-        first, second = general_lower_bound_derivatives(_dim_inputs(inputs))
-        result = {"first": first, "second": second}
-    elif formula == "continuity_upper":
-        result = {
-            "value": continuity_upper_bound(
-                as_real(inputs["dim_theta"]), _dim_inputs(inputs), as_real(inputs["phi_target"])
-            )
-        }
-    elif formula == "continuity_lower":
-        result = {
-            "value": continuity_lower_bound(
-                as_real(inputs["dim_theta"]), _dim_inputs(inputs), as_real(inputs["phi_target"])
-            )
-        }
-    elif formula == "maincty":
-        dim = as_real(inputs["dim_phi_F"])
-        if dim == 0.0:
-            result = {"applicable": False, "note": "bound not applicable, dimension 0 case"}
-        else:
-            alpha, ratio = maincty_bound(
-                dim, as_real(inputs["assouad"]), as_real(inputs["eta"])
-            )
-            result = {"applicable": True, "alpha": alpha, "ratio": ratio}
-    elif formula == "holder":
-        h = HolderInputs(
-            alpha=as_real(inputs["alpha"]),
-            gamma=as_real(inputs["gamma"]),
-            dim_phi_F=as_real(inputs["dim_phi_F"]),
-            assouad_image=as_real(inputs["assouad_image"]),
-        )
-        result = {"value": holder_bound(h)}
-    elif formula == "product":
-        lu, uu, ll, ul = product_bounds(
-            tuple(as_real(v) for v in inputs["e_dims"]),
-            tuple(as_real(v) for v in inputs["f_dims"]),
-            self_product=bool(inputs.get("self_product", False)),
-        )
-        result = {
-            "lower_for_upper_dim": lu,
-            "upper_for_upper_dim": uu,
-            "lower_for_lower_dim": ll,
-            "upper_for_lower_dim": ul,
-        }
-    else:
-        raise ConfigError(f"unknown formula {formula!r}")
-    return result
-
-
 def _run_bounds(cfg: RunConfig):
-    if cfg.formula is None:
-        raise ConfigError("bounds needs --formula (see --help for choices)")
-    inputs = cfg.inputs or {}
     formula = cfg.formula
-    result = _from_spec(
-        lambda data: _bounds_result(formula, data), inputs, f"{formula} inputs"
-    )
+    if formula is None:
+        raise ConfigError("bounds needs --formula (see --help for choices)")
+    # a config file may give any JSON value, and a list or object is unhashable
+    compute = FORMULAS.get(formula) if isinstance(formula, str) else None
+    if compute is None:
+        raise ConfigError(f"unknown formula {formula!r}")
+    inputs = cfg.inputs or {}
+    result = _from_spec(compute, inputs, f"{formula} inputs")
     payload = {"command": "bounds", "formula": formula, "inputs": inputs, "result": result}
     rows = [(k, result[k]) for k in sorted(result)]
     summary = "bounds[%s]: %s -> %s" % (
@@ -871,37 +845,10 @@ def _parser() -> argparse.ArgumentParser:
     }
     for name in COMMANDS:
         p = sub.add_parser(name, help=descriptions[name])
-        p.add_argument("--model", help="set model: inline JSON or path to a JSON file")
-        p.add_argument(
-            "--phi",
-            help="scale function: power_law:T, log_corrected, stretched_exp:C, or JSON",
-        )
-        p.add_argument("--grid", help="log2-delta grid a:b:n (a <= b)")
-        p.add_argument("--s-grid", dest="s_grid", help="exponent grid a:b:n")
-        p.add_argument("--tol", type=float, help="bisection tolerance (default 1e-3)")
-        p.add_argument("--out", help="output path (default scaledim_<command>.<fmt>)")
-        p.add_argument("--format", choices=FORMATS, help="output format")
-        p.add_argument("--seed", type=int, help="seed for generated test instances")
+        for key, opt in OPTIONS.items():
+            if name in opt.commands:
+                p.add_argument("--" + key.replace("_", "-"), **opt.flag)
         p.add_argument("--config", help="JSON config file (flags override it)")
-        if name == "bounds":
-            p.add_argument(
-                "--formula",
-                help="one of general_lower, general_lower_derivatives, "
-                "continuity_upper, continuity_lower, maincty, holder, product",
-            )
-            p.add_argument("--inputs", help="JSON object of numeric inputs")
-        if name == "frostman":
-            p.add_argument("--s", type=float, help="target exponent")
-            p.add_argument(
-                "--log2-delta",
-                dest="log2_delta",
-                type=float,
-                help="window top (default: finest grid point)",
-            )
-            p.add_argument("--base", type=int, help="cube subdivision base (default 20)")
-        if name == "phi":
-            p.add_argument("--phi2", help="second scale function to compare against")
-            p.add_argument("--alphas", help="comparison exponents, comma-separated")
     return parser
 
 

@@ -10,12 +10,12 @@ exponent with lower cost >= 1 (the dimension is at least s_lower).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .covers import CoverCost, ScaleWindow, prepare
 from .errors import ConfigError, IndeterminateError
+from .logspace import LOG2
 from .scalefun import LogCorrected, PowerLaw, ScaleFunction
 from .setmodels import ambient_dimension, model_id
 
@@ -141,8 +141,7 @@ class DimensionProfile:
 
     def to_rows(self) -> list[tuple[float, float, float]]:
         """(log2_delta, s_lower, s_upper) rows, coarse to fine."""
-        ln2 = math.log(2.0)
-        return [(p.log_delta / ln2, p.s_lower, p.s_upper) for p in self.points]
+        return [(p.log_delta / LOG2, p.s_lower, p.s_upper) for p in self.points]
 
 
 def dimension_profile(

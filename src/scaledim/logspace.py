@@ -13,7 +13,6 @@ from typing import Iterable
 NEG_INF = float("-inf")
 
 LOG2 = math.log(2.0)
-LOG3 = math.log(3.0)
 
 
 def log_add(a: float, b: float) -> float:

@@ -46,6 +46,9 @@ DEFAULT_BASE = 20
 #: Hard cap on the number of seeded atoms.
 ATOM_CAP = 2_000_000
 
+#: Most atom pairs the exact check of :func:`mass_lower_bound` scans.
+_PAIR_BUDGET = 50_000_000
+
 
 @dataclass(frozen=True, eq=False)
 class FrostmanMeta:
@@ -167,8 +170,12 @@ def _seed(model, log_delta: float, phi: ScaleFunction, base: int) -> _Seed:
     items = skeleton(model, float(base) ** (-m))
 
     scale = float(base) ** m
-    # floors of floats are exact integers; counted as floats, since deep
-    # levels can exceed int64 before the budget check has run
+    # the skeleton is sorted, so its outermost endpoints hold the largest
+    # |index|; checked before the scaling, which could overflow a float
+    if max(abs(float(items.starts[0])), abs(float(items.ends[-1]))) * scale >= 2.0**63:
+        raise ResolutionError(f"level-{m} cube indices do not fit in 64 bits")
+    # floors of floats are exact integers; counted as floats, since the
+    # cube count can exceed int64 before the budget check has run
     q_first = np.floor(items.starts * scale)
     q_last = np.floor(items.ends * scale)
     n_cubes = float(np.sum(q_last - q_first + 1.0)) - np.count_nonzero(
@@ -179,8 +186,6 @@ def _seed(model, log_delta: float, phi: ScaleFunction, base: int) -> _Seed:
             f"more than {ATOM_CAP} seeded cubes at level {m}; "
             "use a finer-grained route or a coarser delta"
         )
-    if np.abs([q_first, q_last]).max() >= 2.0**63:
-        raise ResolutionError(f"level-{m} cube indices do not fit in 64 bits")
     q_first = q_first.astype(np.int64)
     spans = q_last.astype(np.int64) - q_first + 1
     owner = np.repeat(np.arange(spans.size), spans)
@@ -408,8 +413,6 @@ def mass_lower_bound(
     s: float,
     a: float,
     c: float,
-    *,
-    pair_budget: int = 50_000_000,
 ) -> MassCertificate:
     """Check mu(U) <= c|U|^s exactly for all window-sized intervals U.
 
@@ -428,7 +431,7 @@ def mass_lower_bound(
     prefix = mu.prefix_masses()
     lo, hi = window.lo, window.hi
     ends = np.searchsorted(locs, locs + hi * (1.0 + 1e-15), side="right")
-    if int(np.sum(ends - np.arange(locs.size))) > pair_budget:
+    if int(np.sum(ends - np.arange(locs.size))) > _PAIR_BUDGET:
         raise BudgetError(
             "too many atom pairs for the exact mass check; "
             "use the schedule-based constant instead"

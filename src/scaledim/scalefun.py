@@ -313,10 +313,6 @@ class InterpolatedScale(ScaleFunction):
 # grid-based diagnostics
 
 
-def _sorted_desc(log_deltas: Sequence[float]) -> list[float]:
-    return sorted(log_deltas, reverse=True)
-
-
 def exponent_pair(phi: ScaleFunction, log_deltas: Sequence[float]) -> tuple[float, float]:
     """Empirical (theta1, theta2) from ratios log delta / log phi(delta).
 
@@ -326,7 +322,7 @@ def exponent_pair(phi: ScaleFunction, log_deltas: Sequence[float]) -> tuple[floa
     """
     if len(log_deltas) < 8:
         raise ConfigError(f"exponent_pair needs >= 8 grid points, got {len(log_deltas)}")
-    grid = _sorted_desc(log_deltas)
+    grid = sorted(log_deltas, reverse=True)
     tail = grid[len(grid) // 2 :]
     ratios = []
     for ld in tail:
@@ -347,7 +343,7 @@ def check_admissible(phi: ScaleFunction, log_deltas: Sequence[float]) -> dict:
     phi(delta) <= delta, monotonicity along the grid, and the ratio
     phi(delta)/delta dropping below 1e-3 by the finest grid point.
     """
-    grid = _sorted_desc(log_deltas)
+    grid = sorted(log_deltas, reverse=True)
     values = [phi.eval_phi_log(ld) for ld in grid]
     positive = all(v > -math.inf for v in values)
     below_delta = all(v <= ld + _ADMISSIBILITY_EPS for v, ld in zip(values, grid))
@@ -405,7 +401,7 @@ def _compare(
     alpha needs at least 4 usable scales.  The report carries the first
     violating (alpha, log_delta) and each alpha's threshold.
     """
-    grid = _sorted_desc(log_deltas)
+    grid = sorted(log_deltas, reverse=True)
     thresholds = []
     witness = None
     for alpha in alphas:

@@ -203,6 +203,45 @@ def test_product_bounds_reject_unordered_triples():
         product_bounds((0.5, 0.4, 0.7), (0.2, 0.4, 0.9))
 
 
+# --- non-finite inputs ------------------------------------------------------------
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"box_lower": NAN},
+        {"box_upper": NAN},
+        {"hausdorff": NAN},
+        {"box_upper": INF, "assouad": INF},
+        {"assouad": INF},
+    ],
+    ids=lambda fields: ",".join(f"{k}={v}" for k, v in fields.items()),
+)
+def test_dim_inputs_reject_non_finite_fields(fields):
+    # box_lower = NaN passed every ordering check and the bound read 0.5
+    values = {"box_lower": 0.5, "box_upper": 0.5, "assouad": 1.0, "theta": 0.5} | fields
+    with pytest.raises(InputError, match="must be finite"):
+        DimInputs(**values)
+
+
+@pytest.mark.parametrize("field, value", [("dim_phi_F", NAN), ("assouad_image", INF)])
+def test_holder_inputs_reject_non_finite_fields(field, value):
+    # at assouad_image = inf the bound itself was inf
+    values = {"alpha": 0.5, "gamma": 1.5, "dim_phi_F": 0.5, "assouad_image": 1.0}
+    with pytest.raises(InputError, match="must be finite"):
+        HolderInputs(**(values | {field: value}))
+
+
+def test_interior_and_product_bounds_reject_infinite_inputs():
+    # an infinite Assouad dimension made alpha inf / inf = NaN
+    with pytest.raises(InputError, match="must be finite"):
+        maincty_bound(0.5, INF, 0.1)
+    with pytest.raises(InputError, match="must be finite"):
+        product_bounds((0.1, 0.2, INF), (0.1, 0.2, 0.3))
+
+
 # --- mutual dependency check -----------------------------------------------------
 
 

@@ -3,9 +3,11 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -254,6 +256,19 @@ def _min_family_active_below(value: str) -> str:
             '{"variant": "interpolated", "params": {"s": 1, "model_id": "p",'
             ' "log_breakpoints": [[-30, -60], [-10, true]]}}',
         ],
+        # non-finite bound inputs wrote NaN, 0.5 or inf and exited 0
+        [
+            "bounds", "--formula", "holder", "--inputs",
+            '{"alpha": 0.5, "gamma": 1.5, "dim_phi_F": NaN, "assouad_image": 1.0}',
+        ],
+        [
+            "bounds", "--formula", "general_lower", "--inputs",
+            '{"box_lower": NaN, "box_upper": 0.5, "assouad": 1.0}',
+        ],
+        [
+            "bounds", "--formula", "holder", "--inputs",
+            '{"alpha": 0.5, "gamma": 1.5, "dim_phi_F": 0.5, "assouad_image": Infinity}',
+        ],
     ],
     ids=[
         "model-missing-p", "phi-not-a-number", "phi-missing-theta",
@@ -261,7 +276,8 @@ def _min_family_active_below(value: str) -> str:
         "cantor-bool-count", "phi-bool-c", "bounds-bool-assouad",
         "min-family-string-active-below", "min-family-bool-active-below",
         "tabulated-bool-log-breakpoint", "tabulated-bool-breakpoint",
-        "interpolated-bool-log-breakpoint",
+        "interpolated-bool-log-breakpoint", "bounds-nan-dim-phi-f", "bounds-nan-box-lower",
+        "bounds-inf-assouad-image",
     ],
 )
 def test_malformed_spec_exits_two(tmp_path, capsys, args):
@@ -601,3 +617,99 @@ def test_module_entry_point_matches_in_process_run(tmp_path):
     code, out = run(tmp_path, "in.json", ["carpet"])
     assert code == 0
     assert child.read_bytes() == out.read_bytes()
+
+
+# --- the option table ------------------------------------------------------------
+
+#: config digests of each subcommand's default run
+DEFAULT_DIGESTS = {
+    "estimate": "e520dc536308c3fb",
+    "bounds": "5c919c562d0c2735",
+    "phi": "a06d4b2041725b4c",
+    "frostman": "c8967f842db6a6f0",
+    "interpolate": "1f8660776da56257",
+    "carpet": "0ed9c6c343c73a96",
+    "verify": "53d7a4665820c037",
+}
+
+#: every flag and its help text
+FLAG_HELP = {
+    "--model": "set model: inline JSON or path to a JSON file",
+    "--phi": "scale function: power_law:T, log_corrected, stretched_exp:C, or JSON",
+    "--grid": "log2-delta grid a:b:n (a <= b)",
+    "--s-grid": "exponent grid a:b:n",
+    "--tol": "bisection tolerance (default 1e-3)",
+    "--out": "output path (default scaledim_<command>.<fmt>)",
+    "--format": "output format",
+    "--seed": "seed for generated test instances",
+    "--config": "JSON config file (flags override it)",
+    "--formula": "one of general_lower, general_lower_derivatives, "
+    "continuity_upper, continuity_lower, maincty, holder, product",
+    "--inputs": "JSON object of numeric inputs",
+    "--s": "target exponent",
+    "--log2-delta": "window top (default: finest grid point)",
+    "--base": "cube subdivision base (default 20)",
+    "--phi2": "second scale function to compare against",
+    "--alphas": "comparison exponents, comma-separated",
+}
+COMMON_FLAGS = ["--model", "--phi", "--grid", "--s-grid", "--tol", "--out", "--format",
+                "--seed", "--config"]
+COMMAND_FLAGS = {
+    "bounds": ["--formula", "--inputs"],
+    "frostman": ["--s", "--log2-delta", "--base"],
+    "phi": ["--phi2", "--alphas"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_DIGESTS))
+def test_default_config_digests(command):
+    cfg = cli.resolve_config(cli.get_args([command]))
+    assert cli.config_digest(cfg) == DEFAULT_DIGESTS[command]
+
+
+def test_config_file_digest(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "phi": "power_law:0.25", "grid": "-120:-60:3", "tol": 1e-2, "seed": 5,
+        "alphas": [1.5, 3.0], "inputs": {"alpha": 0.5},
+    }))
+    cfg = cli.resolve_config(cli.get_args(["estimate", "--config", str(path), "--tol", "1e-3"]))
+    assert cli.config_digest(cfg) == "780db52b03c48993"
+
+
+def _help_text(capsys, argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_help_lists_the_flags_of_the_option_table(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per flag, or two for a long flag
+    options = _help_text(capsys, [command, "--help"]).split("\noptions:\n")[1]
+    listed = dict(re.findall(r"^  (--[\w-]+)(?: \S+)?\s+(.+)$", options, re.M))
+    expected = COMMON_FLAGS + COMMAND_FLAGS.get(command, [])
+    assert sorted(listed) == sorted(expected)
+    assert listed == {flag: FLAG_HELP[flag] for flag in expected}
+    from_table = {"--" + key.replace("_", "-")
+                  for key, opt in cli.OPTIONS.items() if command in opt.commands}
+    assert from_table | {"--config"} == set(listed)
+
+
+def test_bounds_help_names_every_formula(capsys):
+    text = " ".join(_help_text(capsys, ["bounds", "--help"]).split())
+    for name in cli.FORMULAS:
+        assert name in text
+    assert len(cli.FORMULAS) == 7
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config-file keys\n")[1].split("\n#")[0]
+    rows = re.findall(r"^\| `(\w+)` \|.*\| `(--[\w-]+)`, ([\w, ]+) \|$", section, re.M)
+    assert [key for key, _, _ in rows] == list(cli.OPTIONS)
+    for key, flag, commands in rows:
+        opt = cli.OPTIONS[key]
+        assert flag == "--" + key.replace("_", "-")
+        assert commands == ("all" if opt.commands == cli.COMMANDS else ", ".join(opt.commands))

@@ -1,12 +1,14 @@
 """CLI fuzz: arbitrary specs and config values exit 0, 2 or 3, never crash.
 
 Covers the cheap commands (``phi``, ``bounds``, ``carpet``), ``frostman``
-over line models placed anywhere, and every config-file key but ``out``.  A traceback escaping ``main`` fails the test, as
-does any exit code other than 0 (success), 2 (invalid input) or 3 (a
-well-formed computation that failed).
+over line models placed anywhere, and every config-file key but ``out``.
+A traceback escaping ``main`` fails the test, as does any exit code other
+than 0 (success), 2 (invalid input) or 3 (a well-formed computation that
+failed), and so does a ``bounds`` result holding a NaN.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -51,9 +53,10 @@ def out_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def _exits_cleanly(out_dir, args) -> None:
+def _exits_cleanly(out_dir, args) -> int:
     code = main(args + ["--out", str(out_dir / "artifact")])
     assert code in (0, 2, 3), args
+    return code
 
 
 # --- phi ---------------------------------------------------------------------
@@ -180,7 +183,10 @@ def bound_inputs(draw) -> dict:
 )
 def test_bounds_exits_cleanly(out_dir, formula, inputs, junk):
     args = ["bounds", "--formula", formula, "--inputs", _dumps(inputs | junk)]
-    _exits_cleanly(out_dir, args)
+    if _exits_cleanly(out_dir, args) == 0:
+        # the inputs are echoed as given, so only the result is checked
+        result = json.loads((out_dir / "artifact").read_text())["result"]
+        assert not any(isinstance(v, float) and math.isnan(v) for v in result.values()), args
 
 
 # --- carpet -------------------------------------------------------------------

@@ -126,6 +126,13 @@ def test_seeded_cube_indices_never_wrap():
         build_frostman_measure(PointSet(0.3), 0.5, -25.0, PowerLaw(0.5))
 
 
+def test_seeding_far_from_zero_fails_before_the_scaling_overflows():
+    # 1e306 * 20**5 overflows a double: the numpy multiply warned (an error
+    # in this suite) before the index check could run
+    with pytest.raises(ResolutionError, match="^level-5 cube indices do not fit in 64 bits$"):
+        build_frostman_measure(PointSet(1e306), 0.5, -12 * LOG2, PowerLaw(0.5))
+
+
 def test_roundtrip_passes_the_cube_index_overflow_on():
     # log delta -20 seeds at level 13, which fits; -25 needs level 16
     with pytest.raises(ResolutionError, match="do not fit in 64 bits"):
@@ -391,13 +398,14 @@ def test_mass_certificate_fails_above_dimension(thirds):
     assert not cert.holds
 
 
-def test_mass_certificate_input_checks(thirds):
+def test_mass_certificate_input_checks(thirds, monkeypatch):
     nat = natural_cantor_measure(thirds, 9)
     window = ScaleWindow(-9 * LOG3, -5 * LOG3)
     with pytest.raises(InputError):
         mass_lower_bound(nat, window, 0.6, 5.0, 2.0)  # a above total mass
+    monkeypatch.setattr(measures, "_PAIR_BUDGET", 10)
     with pytest.raises(BudgetError):
-        mass_lower_bound(nat, window, 0.6, 0.9, 2.0, pair_budget=10)
+        mass_lower_bound(nat, window, 0.6, 0.9, 2.0)
 
 
 # --- roundtrip diagnostic ---------------------------------------------------------
