@@ -51,10 +51,8 @@ from .errors import (
 from .estimator import (
     CriticalExponent,
     DimensionProfile,
-    box_profile,
     critical_exponent,
     dimension_profile,
-    theta_profile,
 )
 from .interpolation import (
     InterpolationReport,
@@ -111,7 +109,6 @@ from .setmodels import (
     StabilityScheduleState,
     UniformGrid,
     UnionModel,
-    build_sequence_set,
     build_stability_pair,
     carpet_dimensions,
     model_from_dict,

@@ -90,6 +90,9 @@ def general_lower_bound(d: DimInputs, use_upper_box: bool = True) -> float:
 
     A is the Assouad dimension, B the box dimension (upper or lower per the
     flag).  Nondecreasing and concave in theta; equals B at theta = 1.
+    Where theta*A*B overflows, the bound is A times the ratio
+    theta*B / (A - (1-theta)*B), capped at A: the ratio is at most 1, but
+    rounding can push it past 1 when A is near the largest float.
     """
     a = d.assouad
     b = d.box_upper if use_upper_box else d.box_lower
@@ -99,7 +102,10 @@ def general_lower_bound(d: DimInputs, use_upper_box: bool = True) -> float:
             f"denominator A - (1-theta)*B = {denom:g} is not positive; "
             "requires box <= assouad"
         )
-    return d.theta * a * b / denom
+    value = d.theta * a * b / denom
+    if math.isinf(value):
+        value = min(a, d.theta * b / denom * a)
+    return value
 
 
 def general_lower_bound_derivatives(d: DimInputs) -> tuple[float, float]:
@@ -115,8 +121,16 @@ def general_lower_bound_derivatives(d: DimInputs) -> tuple[float, float]:
             f"denominator A - (1-theta)*B = {denom:g} is not positive; "
             "requires box <= assouad"
         )
-    first = a * b * (a - b) / denom**2
-    second = -2.0 * a * b * b * (a - b) / denom**3
+    try:
+        first = a * b * (a - b) / denom**2
+        second = -2.0 * a * b * b * (a - b) / denom**3
+    except OverflowError:  # from denom**2 or denom**3
+        first = second = math.inf
+    if not (math.isfinite(first) and math.isfinite(second)):
+        raise InputError(
+            f"general lower bound derivatives overflow the float range at "
+            f"A={a:g}, B={b:g}, theta={d.theta:g}"
+        )
     return first, second
 
 

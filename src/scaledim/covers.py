@@ -114,9 +114,6 @@ class ScaleWindow:
     def hi(self) -> float:
         return self.linear_hi if self.linear_hi is not None else math.exp(self.log_hi)
 
-    def contains_log(self, log_len: float) -> bool:
-        return self.log_lo - _TOL <= log_len <= self.log_hi + _TOL
-
     def linear_representable(self) -> bool:
         return self.log_lo > _LINEAR_LOG_FLOOR
 
@@ -142,10 +139,6 @@ class CoverCost:
                 f"cover cost bracket inverted: lower {self.log_cost_lower:.6g} "
                 f"above upper {self.log_cost_upper:.6g}"
             )
-
-    @property
-    def exact(self) -> bool:
-        return self.log_cost_lower == self.log_cost_upper
 
 
 def _validate_exponent(s: float, upper: float = 1.0) -> None:
@@ -539,7 +532,6 @@ def _prepare_cantor(
         if mass is None:
             mass = _mass_lines(schedule, window)
         log_lower = max(-_mass_constant(mass, s), s * window.log_lo)
-        log_lower = min(log_lower, log_upper)
         return CoverCost(log_lower, log_upper, "single-level")
 
     return cost
@@ -608,7 +600,6 @@ def cover_cost_sequence(p: float, window: ScaleWindow, s: float) -> CoverCost:
     best = min(best, min(cost_at(math.log(n), True) for n in int_cands))
 
     log_lower = max(best - s * (2.0 * LOG2), s * log_lo)
-    log_lower = min(log_lower, best)
     return CoverCost(log_lower, best, "two-scale-analytic")
 
 
@@ -635,7 +626,6 @@ def cover_cost_grid(spacing: float, window: ScaleWindow, s: float) -> CoverCost:
 
     log_lower = -log_r + min(per_piece(log_lo), per_piece(log_hi))
     log_lower = max(log_lower, s * log_lo)
-    log_lower = min(log_lower, log_upper)
     return CoverCost(log_lower, log_upper, "single-level")
 
 
@@ -664,7 +654,6 @@ def combine_union(
         log_lower = log_sum([c.log_cost_lower for c in costs])
     else:
         log_lower = max(c.log_cost_lower for c in costs)
-    log_lower = min(log_lower, log_upper)
     methods = sorted(set(c.method for c in costs))
     return CoverCost(log_lower, log_upper, "union[" + "+".join(methods) + "]")
 
@@ -728,7 +717,6 @@ def _prepare_product(
                 ) + schedule_mass_constant(model.right, window, s_f)
                 best = max(best, -log_c)
             log_lower = max(log_lower, best)
-        log_lower = min(log_lower, log_upper)
         return CoverCost(log_lower, log_upper, "product")
 
     return cost
@@ -774,15 +762,15 @@ def prepare(
     """The cover cost of one (model, window) as a function of ``s``.
 
     ``oracle`` selects the route: "auto" picks the analytic route for each
-    model kind, "dp" forces the exact skeleton DP (linear scales only),
-    "analytic" refuses kinds without a closed form.  The first call
+    model kind and the skeleton DP for Holder images, which have none;
+    "dp" forces the exact skeleton DP (linear scales only).  The first call
     builds what does not depend on ``s`` and later calls reuse it: on DP
     routes the skeleton and cover graph, for Cantor schedules the lines
     in ``s`` of both bounds, for products the marginal counts.  Sequence,
     grid and point costs are closed forms evaluated per call.  A build
     that raises keeps nothing, so the next call raises the same error.
     """
-    if oracle not in ("auto", "dp", "analytic"):
+    if oracle not in ("auto", "dp"):
         raise InputError(f"unknown oracle {oracle!r}")
     if isinstance(model, PointSet):
         return lambda s: cover_cost_point(window, s)
@@ -791,7 +779,7 @@ def prepare(
     if isinstance(model, UnionModel):
         members = [prepare(m, window, oracle=oracle) for m in model.members]
         return lambda s: combine_union([m(s) for m in members], model.gap, window)
-    if oracle == "dp":
+    if oracle == "dp" or isinstance(model, HolderImage):
         return _prepare_dp(model, window)
     if isinstance(model, SequenceSet):
         return lambda s: cover_cost_sequence(model.p, window, s)
@@ -799,10 +787,6 @@ def prepare(
         return _prepare_cantor(model, window)
     if isinstance(model, UniformGrid):
         return lambda s: cover_cost_grid(model.spacing_at(window.lo), window, s)
-    if isinstance(model, HolderImage):
-        if oracle == "analytic":
-            raise InputError("Holder images have no closed-form cover cost")
-        return _prepare_dp(model, window)
     raise InputError(
         f"no cover route for model kind "
         f"{getattr(model, 'kind', type(model).__name__)!r}"

@@ -11,12 +11,12 @@ exponent with lower cost >= 1 (the dimension is at least s_lower).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .covers import CoverCost, ScaleWindow, prepare
 from .errors import ConfigError, IndeterminateError
 from .logspace import LOG2
-from .scalefun import LogCorrected, PowerLaw, ScaleFunction
+from .scalefun import ScaleFunction
 from .setmodels import ambient_dimension, model_id
 
 
@@ -60,7 +60,6 @@ def critical_exponent(
     *,
     tol: float = 1e-3,
     oracle: str = "auto",
-    s_max: Optional[float] = None,
 ) -> CriticalExponent:
     """Locate the cost-1 crossing at one scale, certified on both sides.
 
@@ -74,7 +73,7 @@ def critical_exponent(
     if not tol > 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
     window = ScaleWindow(phi.eval_phi_log(log_delta), log_delta)
-    s_cap = float(ambient_dimension(model)) if s_max is None else float(s_max)
+    s_cap = float(ambient_dimension(model))
     cost_at = prepare(model, window, oracle=oracle)
     cache: dict[float, CoverCost] = {}
 
@@ -110,7 +109,6 @@ def critical_exponent(
             f"[0, {s_cap:g}] at log_delta={log_delta:.6g}",
             bracket=(probe.log_cost_lower, probe.log_cost_upper),
         )
-    s_lower = min(s_lower, s_upper)
     return CriticalExponent(
         log_delta=log_delta,
         s_lower=s_lower,
@@ -179,37 +177,3 @@ def dimension_profile(
         upper_estimate=max(p.s_upper for p in tail),
         tail_size=tail_size,
     )
-
-
-def theta_profile(
-    model,
-    thetas: Sequence[float],
-    log_deltas: Sequence[float],
-    *,
-    tol: float = 1e-3,
-    oracle: str = "auto",
-) -> dict[float, DimensionProfile]:
-    """Dimension profiles across a family of power-law windows.
-
-    theta = 1 is mapped to the log-corrected window, the usual stand-in
-    for the box-counting endpoint (a bare theta = 1 window has zero width
-    and is not admissible).
-    """
-    out: dict[float, DimensionProfile] = {}
-    for theta in thetas:
-        phi: ScaleFunction = LogCorrected() if theta == 1.0 else PowerLaw(theta)
-        out[theta] = dimension_profile(
-            model, phi, log_deltas, tol=tol, oracle=oracle
-        )
-    return out
-
-
-def box_profile(
-    model,
-    log_deltas: Sequence[float],
-    *,
-    tol: float = 1e-3,
-    oracle: str = "auto",
-) -> DimensionProfile:
-    """Box-counting profile: the log-corrected window endpoint."""
-    return dimension_profile(model, LogCorrected(), log_deltas, tol=tol, oracle=oracle)

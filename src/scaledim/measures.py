@@ -49,6 +49,9 @@ ATOM_CAP = 2_000_000
 #: Most atom pairs the exact check of :func:`mass_lower_bound` scans.
 _PAIR_BUDGET = 50_000_000
 
+#: Largest log-constant slope :func:`massfrostman_roundtrip` reads as bounded.
+_BETA0 = 0.02
+
 
 @dataclass(frozen=True, eq=False)
 class FrostmanMeta:
@@ -498,7 +501,6 @@ def massfrostman_roundtrip(
     log_deltas: Sequence[float],
     *,
     base: int = DEFAULT_BASE,
-    beta0: float = 0.02,
     oracle: str = "auto",
 ) -> RoundtripReport:
     """Estimate the dimension from measure growth and cross-check covers.
@@ -507,8 +509,8 @@ def massfrostman_roundtrip(
     constant recorded.  Below the dimension the constants stay bounded;
     above it they grow like a power of 1/delta.  The estimate is the
     largest s whose log-constant slope (against -log delta) stays within
-    beta0.  The cover-based bracket at the finest scale is attached for
-    comparison.
+    0.02 (the report's ``beta0``).  The cover-based bracket at the finest
+    scale is attached for comparison.
 
     Structure once per scale, masses and scan per s: each scale's
     skeleton, seeded cubes, atoms and cap-chain ancestry are built once
@@ -567,12 +569,12 @@ def massfrostman_roundtrip(
             continue
         slope = (math.log(c_row[-1]) - math.log(c_row[0])) / (grid[0] - grid[-1])
         rows.append(RoundtripRow(s, slope, c_row, total_row, True))
-        if slope <= beta0:
+        if slope <= _BETA0:
             estimate = max(estimate, s)
     ce = critical_exponent(model, phi, grid[-1], oracle=oracle)
     return RoundtripReport(
         estimate=estimate,
-        beta0=beta0,
+        beta0=_BETA0,
         rows=tuple(rows),
         bracket_lower=ce.s_lower,
         bracket_upper=ce.s_upper,

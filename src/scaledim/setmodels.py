@@ -130,33 +130,11 @@ class SequenceSet:
         return (self.offset, self.offset + 1.0)
 
     def skeleton(self, resolution: float) -> Skeleton:
-        return build_sequence_set(self.p, resolution, offset=self.offset).skeleton()
-
-
-@dataclass(frozen=True)
-class MaterializedSequence:
-    """A sequence set resolved down to a specific resolution.
-
-    Gaps between consecutive points shrink like p * n**-(p+1); ``n_split``
-    is the first index whose gap drops below the resolution, so points
-    beyond it collapse into the cluster interval [0, n_split ** -p].
-    """
-
-    p: float
-    resolution: float
-    n_split: int
-    offset: float = 0.0
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        """Isolated points, ascending (excludes the cluster interval)."""
-        n = np.arange(self.n_split - 1, 0, -1, dtype=float)
-        return self.offset + n ** (-self.p)
-
-    def skeleton(self) -> Skeleton:
-        """The cluster [offset, offset + n_split ** -p], then the points."""
-        cluster_hi = self.offset + float(self.n_split) ** (-self.p)
-        points = self.points
+        """The cluster [offset, offset + n ** -p] at the split index n of
+        :func:`_split_index`, then the isolated points 1..n-1, ascending."""
+        n_split = _split_index(self.p, resolution)
+        points = self.offset + np.arange(n_split - 1, 0, -1, dtype=float) ** (-self.p)
+        cluster_hi = self.offset + float(n_split) ** (-self.p)
         return Skeleton(
             np.concatenate(([self.offset], points)),
             np.concatenate(([cluster_hi], points)),
@@ -167,18 +145,12 @@ def _sequence_gap(p: float, n: int) -> float:
     return float(n) ** (-p) - float(n + 1) ** (-p)
 
 
-def build_sequence_set(
-    p: float, resolution: float, offset: float = 0.0
-) -> MaterializedSequence:
-    """Resolve the sequence set at a resolution, finding the split index.
-
-    The split index is the smallest n whose gap to the next point falls
-    below the resolution; beyond it the set is treated as the interval
+def _split_index(p: float, resolution: float) -> int:
+    """The smallest n whose gap to the next point of {n ** -p} falls below
+    the resolution; points beyond it collapse into the cluster interval
     [0, n ** -p].  Raises a resolution error if the index would exceed
     the 10**7 cap.
     """
-    if not p > 0.0:
-        raise DomainError(f"sequence exponent p must be positive, got {p}")
     _check_resolution(resolution)
     if _sequence_gap(p, SEQUENCE_N_CAP) >= resolution:
         raise ResolutionError(
@@ -194,7 +166,7 @@ def build_sequence_set(
             hi = mid
         else:
             lo = mid + 1
-    return MaterializedSequence(p=p, resolution=resolution, n_split=lo, offset=offset)
+    return lo
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Dimension inequalities: lower/upper bounds, products, consistency checks."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,6 @@ from scaledim.errors import InputError
 from scaledim.estimator import (
     CriticalExponent,
     DimensionProfile,
-    box_profile,
     dimension_profile,
 )
 from scaledim.scalefun import LogCorrected, PowerLaw
@@ -242,6 +242,29 @@ def test_interior_and_product_bounds_reject_infinite_inputs():
         product_bounds((0.1, 0.2, INF), (0.1, 0.2, 0.3))
 
 
+def test_general_lower_bound_stays_finite_where_the_product_overflows():
+    # theta*A*B overflowed to inf and the CLI wrote "value": Infinity,
+    # although the bound is at most A
+    huge = DimInputs(box_lower=0.5, box_upper=1e300, assouad=1e300, theta=0.5)
+    assert general_lower_bound(huge) == 1e300
+    # at the largest float the rescaled ratio rounds past 1: capped at A
+    top = sys.float_info.max
+    assert general_lower_bound(dims(top, top, 0.1)) == top
+    assert general_lower_bound(dims(1.5e308, 1.5e308, 1e-5)) == 1.5e308
+
+
+def test_general_lower_bound_derivatives_refuse_overflow():
+    # denom**3 raised a bare OverflowError, which the CLI reported as
+    # malformed input
+    d = dims(2e154, 2e154, 1e-10)
+    with pytest.raises(InputError, match="overflow the float range"):
+        general_lower_bound_derivatives(d)
+    # a * b * (a - b) overflows to inf with no exception raised
+    d = DimInputs(box_lower=0.5, box_upper=1e110 * (1 - 1e-10), assouad=1e110, theta=1e-20)
+    with pytest.raises(InputError, match="overflow the float range"):
+        general_lower_bound_derivatives(d)
+
+
 # --- mutual dependency check -----------------------------------------------------
 
 
@@ -298,7 +321,7 @@ def test_mutual_dependency_requires_matching_models():
 def test_mutual_dependency_tells_shifted_models_apart():
     scales = [-8 * LOG2]
     theta = dimension_profile(SequenceSet(1.0), PowerLaw(0.5), scales)
-    box = box_profile(SequenceSet(1.0, offset=2.0), scales)
+    box = dimension_profile(SequenceSet(1.0, offset=2.0), LogCorrected(), scales)
     assert (theta.model, box.model) == ("sequence(p=1)", "sequence(p=1)@2")
     with pytest.raises(InputError, match="different models"):
         check_mutual_dependency(theta, box)

@@ -5,14 +5,9 @@ from collections import Counter
 
 import pytest
 
-from scaledim import covers, setmodels
+from scaledim import covers, estimator, setmodels
 from scaledim.errors import BudgetError, IndeterminateError, ResolutionError
-from scaledim.estimator import (
-    box_profile,
-    critical_exponent,
-    dimension_profile,
-    theta_profile,
-)
+from scaledim.estimator import critical_exponent, dimension_profile
 from scaledim.scalefun import LogCorrected, PowerLaw
 from scaledim.setmodels import (
     CantorSchedule,
@@ -65,11 +60,13 @@ def test_cantor_box_count_recovers_similarity_dimension():
     assert ce.s_lower <= LOG2 / LOG3 <= ce.s_upper + 1e-3
 
 
-def test_full_plane_product_needs_exponent_headroom():
+def test_full_plane_product_needs_exponent_headroom(monkeypatch):
     plane = ProductModel(UniformGrid(None), UniformGrid(None))
     # capped below the true exponent 2 the dual certificates cannot meet
-    with pytest.raises(IndeterminateError):
-        critical_exponent(plane, PowerLaw(0.5), -40 * LOG2, tol=1e-3, s_max=1.5)
+    with monkeypatch.context() as m:
+        m.setattr(estimator, "ambient_dimension", lambda model: 1.5)
+        with pytest.raises(IndeterminateError):
+            critical_exponent(plane, PowerLaw(0.5), -40 * LOG2, tol=1e-3)
     # with the default headroom the upper certificate lands exactly on 2
     ce = critical_exponent(plane, PowerLaw(0.5), -40 * LOG2, tol=1e-3)
     assert ce.s_upper == pytest.approx(2.0, abs=1e-12)
@@ -111,24 +108,21 @@ def test_profile_injects_model_checkpoint_scales():
 
 
 def test_theta_one_switches_to_log_corrected_window():
+    # a bare theta = 1 window has zero width; the box-counting endpoint is
+    # the log-corrected window
     grids = [-40 * LOG2, -80 * LOG2]
-    profs = theta_profile(SequenceSet(1.0), [0.5, 1.0], grids, tol=1e-3)
-    assert set(profs) == {0.5, 1.0}
-    assert isinstance(profs[1.0].phi, LogCorrected)
-    assert isinstance(profs[0.5].phi, PowerLaw)
-    box = box_profile(SequenceSet(1.0), grids, tol=1e-3)
+    box = dimension_profile(SequenceSet(1.0), LogCorrected(), grids, tol=1e-3)
     assert isinstance(box.phi, LogCorrected)
-    assert box.upper_estimate == pytest.approx(profs[1.0].upper_estimate, abs=1e-12)
     assert box.upper_estimate == pytest.approx(0.4951171875, abs=1e-15)
 
 
 def test_exponent_estimates_increase_with_theta():
     grids = [-120 * LOG2]
-    profs = theta_profile(SequenceSet(1.0), [0.2, 0.5, 0.8], grids, tol=1e-3)
-    mids = [
-        0.5 * (profs[t].lower_estimate + profs[t].upper_estimate)
+    profs = [
+        dimension_profile(SequenceSet(1.0), PowerLaw(t), grids, tol=1e-3)
         for t in (0.2, 0.5, 0.8)
     ]
+    mids = [0.5 * (p.lower_estimate + p.upper_estimate) for p in profs]
     assert mids[0] < mids[1] < mids[2]
 
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from scaledim import setmodels
 from scaledim.covers import ScaleWindow, cover_cost_dp
 from scaledim.errors import (
     DomainError,
@@ -32,7 +33,6 @@ from scaledim.setmodels import (
     Skeleton,
     UniformGrid,
     UnionModel,
-    build_sequence_set,
     build_stability_pair,
     carpet_dimensions,
     model_from_dict,
@@ -68,31 +68,28 @@ def test_positions_must_be_finite(bad):
 def test_sequence_split_index_follows_gap_rule():
     # p=1, resolution 0.3: gap 1 - 1/2 = 0.5 >= 0.3 keeps n=1 isolated,
     # gap 1/2 - 1/3 < 0.3 clusters everything from n=2 on
-    ms = build_sequence_set(1.0, 0.3)
-    assert ms.n_split == 2
-    assert list(ms.points) == [1.0]
+    items = SequenceSet(1.0).skeleton(0.3)
+    assert list(items) == [(0.0, 0.5), (1.0, 1.0)]
 
 
 def test_sequence_skeleton_has_cluster_plus_points():
-    ms = build_sequence_set(1.0, 0.01)
-    items = ms.skeleton()
+    n_split = setmodels._split_index(1.0, 0.01)
+    items = SequenceSet(1.0).skeleton(0.01)
     cluster = (items.starts[0], items.ends[0])
-    assert cluster[0] == 0.0 and cluster[1] == pytest.approx(1.0 / ms.n_split)
-    assert len(items) == ms.n_split  # cluster + points 1..n_split-1
+    assert cluster[0] == 0.0 and cluster[1] == pytest.approx(1.0 / n_split)
+    assert len(items) == n_split  # cluster + points 1..n_split-1
     assert (items.starts[-1], items.ends[-1]) == (1.0, 1.0)
 
 
 def test_sequence_split_grows_with_resolution():
-    coarse = build_sequence_set(1.0, 0.1)
-    fine = build_sequence_set(1.0, 0.001)
-    assert fine.n_split > coarse.n_split
+    assert len(SequenceSet(1.0).skeleton(0.001)) > len(SequenceSet(1.0).skeleton(0.1))
 
 
 def test_sequence_rejects_bad_parameters():
     with pytest.raises(DomainError):
-        build_sequence_set(0.0, 0.1)
+        SequenceSet(0.0)
     with pytest.raises(ResolutionError):
-        build_sequence_set(1.0, 0.0)
+        SequenceSet(1.0).skeleton(0.0)
 
 
 # --- Cantor schedules ------------------------------------------------------
@@ -159,10 +156,11 @@ def _list_skeleton(model, resolution):
     if isinstance(model, PointSet):
         return [(model.location, model.location)]
     if isinstance(model, SequenceSet):
-        ms = build_sequence_set(model.p, resolution, offset=model.offset)
-        cluster_hi = ms.offset + float(ms.n_split) ** (-ms.p)
-        items = [(ms.offset, cluster_hi)]
-        items.extend((x, x) for x in ms.points)
+        n_split = setmodels._split_index(model.p, resolution)
+        cluster_hi = model.offset + float(n_split) ** (-model.p)
+        items = [(model.offset, cluster_hi)]
+        n = np.arange(n_split - 1, 0, -1, dtype=float)
+        items.extend((x, x) for x in model.offset + n ** (-model.p))
         return items
     if isinstance(model, UniformGrid):
         spacing = model.spacing_at(resolution)
