@@ -127,6 +127,10 @@ def general_lower_bound_derivatives(d: DimInputs) -> tuple[float, float]:
     except OverflowError:  # from denom**2 or denom**3
         first = second = math.inf
     if not (math.isfinite(first) and math.isfinite(second)):
+        # the direct form overflowed: scale A and B by denom before multiplying
+        u, v = a / denom, b / denom
+        first, second = u * v * (a - b), -2.0 * u * v * v * (a - b)
+    if not (math.isfinite(first) and math.isfinite(second)):
         raise InputError(
             f"general lower bound derivatives overflow the float range at "
             f"A={a:g}, B={b:g}, theta={d.theta:g}"

@@ -411,7 +411,7 @@ def _mass_lines(schedule: CantorSchedule, window: ScaleWindow) -> list[_Line]:
 
     if depth >= 1:
         cand: set[int] = {1, depth}
-        for lv, _ in schedule.level_boundaries():
+        for lv in schedule.levels:
             for shift in (0, 1):
                 if 1 <= lv + shift <= depth:
                     cand.add(lv + shift)
@@ -493,7 +493,7 @@ def _single_level_lines(schedule: CantorSchedule, window: ScaleWindow) -> list[_
 
     if j_min is not None and j_max is not None and j_min <= j_max:
         levels = {j_min, j_max}
-        for lv, _ in schedule.level_boundaries():
+        for lv in schedule.levels:
             if j_min <= lv <= j_max:
                 levels.add(lv)
         for j in levels:
@@ -673,7 +673,7 @@ def _product_lengths(model: ProductModel, window: ScaleWindow) -> list[float]:
         lengths.add(log_lo + (log_hi - log_lo) * i / steps)
     for side in (model.left, model.right):
         if isinstance(side, CantorSchedule):
-            for _, log_len in side.level_boundaries():
+            for log_len in side.log_lengths:
                 if log_lo <= log_len <= log_hi:
                     lengths.add(log_len)
     return sorted(lengths)

@@ -21,9 +21,9 @@ symbolic schedule data instead.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from functools import cached_property
 from itertools import repeat
 from typing import Optional, Sequence
 
@@ -195,7 +195,8 @@ class UniformGrid:
     def skeleton(self, resolution: float) -> Skeleton:
         _check_resolution(resolution)
         spacing = self.spacing_at(resolution)
-        count = int(math.floor(1.0 / spacing)) + 1
+        span = 1.0 / spacing  # inf for a spacing below 2**-1024
+        count = span if math.isinf(span) else int(math.floor(span)) + 1
         if count > (1 << MATERIALIZE_LEVEL_CAP):
             raise ResolutionError(
                 f"grid skeleton would need {count} points, above the "
@@ -232,6 +233,9 @@ class CantorSchedule:
     length r * L, so level j holds 2**j intervals of length prod r_i.
     Ratios are restricted to (0, 1/3] so that the gap opened at each step
     is at least as long as the children it separates.
+
+    ``levels`` and ``log_lengths``, built once, hold the level and the log
+    length at each block edge from the seed's (0, 0.0); the last must be finite.
     """
 
     blocks: tuple[tuple[int, float], ...]
@@ -244,6 +248,7 @@ class CantorSchedule:
             raise InputError("CantorSchedule needs at least one block")
         _check_finite("offset", self.offset)
         norm = []
+        levels, log_lengths = [0], [0.0]
         for count, ratio in self.blocks:
             count = int(count)
             ratio = float(ratio)
@@ -254,7 +259,17 @@ class CantorSchedule:
                     f"contraction ratio must be in (0, 1/3], got {ratio}"
                 )
             norm.append((count, ratio))
+            levels.append(levels[-1] + count)
+            try:
+                log_lengths.append(log_lengths[-1] + count * math.log(ratio))
+            except OverflowError:  # a count past the float range
+                log_lengths.append(-math.inf)
+        # every ratio is at most 1/3, so this also bounds depth * log 2
+        if not math.isfinite(log_lengths[-1]):
+            raise InputError("schedule too deep: its log length leaves the float range")
         object.__setattr__(self, "blocks", tuple(norm))
+        object.__setattr__(self, "levels", tuple(levels))
+        object.__setattr__(self, "log_lengths", tuple(log_lengths))
 
     @classmethod
     def from_ratios(
@@ -271,47 +286,31 @@ class CantorSchedule:
 
     @property
     def depth(self) -> int:
-        return sum(count for count, _ in self.blocks)
-
-    @cached_property
-    def _boundaries(self) -> list[tuple[int, float]]:
-        """(level, log_length) at every block edge, starting with (0, 0.0)."""
-        out = [(0, 0.0)]
-        level, log_len = 0, 0.0
-        for count, ratio in self.blocks:
-            level += count
-            log_len += count * math.log(ratio)
-            out.append((level, log_len))
-        return out
+        return self.levels[-1]
 
     def extent(self) -> tuple[float, float]:
         return (self.offset, self.offset + 1.0)
 
-    def level_boundaries(self) -> list[tuple[int, float]]:
-        """(level, log_length) at block edges; first entry is (0, 0.0)."""
-        return list(self._boundaries)
+    def _block(self, level: int) -> int:
+        """Index i of the last block edge with levels[i] <= level."""
+        return bisect_right(self.levels, level) - 1
 
     def log_length(self, level: int) -> float:
         """log of the common interval length at a level (level 0 = seed)."""
         if not 0 <= level <= self.depth:
             raise DomainError(f"level {level} outside schedule depth {self.depth}")
-        bounds = self._boundaries
-        levels = [b[0] for b in bounds]
-        i = bisect_right(levels, level) - 1
-        base_level, base_log = bounds[i]
+        i = self._block(level)
+        base_level, base_log = self.levels[i], self.log_lengths[i]
         if level == base_level:
             return base_log
-        ratio = self.blocks[i][1]
-        return base_log + (level - base_level) * math.log(ratio)
+        return base_log + (level - base_level) * math.log(self.blocks[i][1])
 
     def ratio_at(self, step: int) -> float:
         """Contraction ratio applied at a step (step j maps level j-1 to j)."""
         if not 1 <= step <= self.depth:
             raise DomainError(f"step {step} outside schedule depth {self.depth}")
-        levels = [b[0] for b in self._boundaries]
         # block i spans steps levels[i]+1 .. levels[i+1]
-        i = bisect_right(levels, step - 1) - 1
-        return self.blocks[i][1]
+        return self.blocks[self._block(step - 1)][1]
 
     def _invert_log_length(self, log_target: float, round_up: bool) -> Optional[int]:
         """Level whose log-length crosses a target.
@@ -321,39 +320,34 @@ class CantorSchedule:
         longer); otherwise the largest level with log_length >= log_target
         (None when even the seed is shorter).
         """
-        bounds = self._boundaries
+        logs = self.log_lengths
         if round_up:
-            if bounds[-1][1] > log_target:
+            if logs[-1] > log_target:
                 return None
-            if bounds[0][1] <= log_target:
+            if logs[0] <= log_target:
                 return 0
         else:
-            if bounds[0][1] < log_target:
+            if logs[0] < log_target:
                 return None
-            if bounds[-1][1] >= log_target:
+            if logs[-1] >= log_target:
                 return self.depth
-        # locate the block whose span contains the target
-        for (lv0, lg0), (lv1, lg1), (_, ratio) in zip(
-            bounds, bounds[1:], self.blocks
-        ):
-            if not (lg0 >= log_target >= lg1):
-                continue
-            step = math.log(ratio)
-            guess = lv0 + int((log_target - lg0) / step)
-            guess = max(lv0, min(lv1, guess))
-            # fix float rounding with a local walk
-            if round_up:
-                while guess > lv0 and self.log_length(guess - 1) <= log_target:
-                    guess -= 1
-                while self.log_length(guess) > log_target:
-                    guess += 1
-            else:
-                while guess < lv1 and self.log_length(guess + 1) >= log_target:
-                    guess += 1
-                while self.log_length(guess) < log_target:
-                    guess -= 1
-            return guess
-        raise AssertionError("unreachable: target not bracketed by boundaries")
+        # the first block with logs[i] >= log_target >= logs[i + 1]
+        i = bisect_left(logs, -log_target, 1, key=operator.neg) - 1
+        lv0, lv1, lg0 = self.levels[i], self.levels[i + 1], logs[i]
+        guess = lv0 + int((log_target - lg0) / math.log(self.blocks[i][1]))
+        guess = max(lv0, min(lv1, guess))
+        # fix float rounding with a local walk
+        if round_up:
+            while guess > lv0 and self.log_length(guess - 1) <= log_target:
+                guess -= 1
+            while self.log_length(guess) > log_target:
+                guess += 1
+        else:
+            while guess < lv1 and self.log_length(guess + 1) >= log_target:
+                guess += 1
+            while self.log_length(guess) < log_target:
+                guess -= 1
+        return guess
 
     def coarsest_level_not_above(self, log_len: float) -> Optional[int]:
         """Smallest level whose intervals are <= the given log length."""

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -254,13 +255,20 @@ def test_general_lower_bound_stays_finite_where_the_product_overflows():
 
 
 def test_general_lower_bound_derivatives_refuse_overflow():
-    # denom**3 raised a bare OverflowError, which the CLI reported as
-    # malformed input
-    d = dims(2e154, 2e154, 1e-10)
-    with pytest.raises(InputError, match="overflow the float range"):
-        general_lower_bound_derivatives(d)
-    # a * b * (a - b) overflows to inf with no exception raised
-    d = DimInputs(box_lower=0.5, box_upper=1e110 * (1 - 1e-10), assouad=1e110, theta=1e-20)
+    # the direct form overflows in a * b * (a - b) or denom**3, but both
+    # derivatives are finite: the scaled form matches exact arithmetic on
+    # the same float denominator
+    for d in (
+        DimInputs(box_lower=0.5, box_upper=1e110 * (1 - 1e-10), assouad=1e110, theta=1e-20),
+        dims(2e154, 2e154, 1e-10),
+    ):
+        a, b = Fraction(d.assouad), Fraction(d.box_upper)
+        denom = Fraction(d.assouad - (1.0 - d.theta) * d.box_upper)
+        first, second = general_lower_bound_derivatives(d)
+        assert first == pytest.approx(float(a * b * (a - b) / denom**2), rel=1e-12)
+        assert second == pytest.approx(float(-2 * a * b * b * (a - b) / denom**3), rel=1e-12)
+    # here f' itself is about 6.7e315, past the float range
+    d = DimInputs(box_lower=0.5, box_upper=math.nextafter(1e300, 0), assouad=1e300, theta=1e-300)
     with pytest.raises(InputError, match="overflow the float range"):
         general_lower_bound_derivatives(d)
 

@@ -269,6 +269,13 @@ def _min_family_active_below(value: str) -> str:
             "bounds", "--formula", "holder", "--inputs",
             '{"alpha": 0.5, "gamma": 1.5, "dim_phi_F": 0.5, "assouad_image": Infinity}',
         ],
+        # Cantor depths whose log length leaves the float range raised
+        # OverflowError from the block edges or from the slack (depth + 1) * log 2
+        ["estimate", "--model", '{"kind": "cantor", "blocks": [[%d, 0.3]]}' % 10**400],
+        [
+            "interpolate", "--model",
+            '{"kind": "cantor", "blocks": [[1e308, 0.3], [1e308, 0.3]]}',
+        ],
     ],
     ids=[
         "model-missing-p", "phi-not-a-number", "phi-missing-theta",
@@ -277,7 +284,7 @@ def _min_family_active_below(value: str) -> str:
         "min-family-string-active-below", "min-family-bool-active-below",
         "tabulated-bool-log-breakpoint", "tabulated-bool-breakpoint",
         "interpolated-bool-log-breakpoint", "bounds-nan-dim-phi-f", "bounds-nan-box-lower",
-        "bounds-inf-assouad-image",
+        "bounds-inf-assouad-image", "cantor-count-past-float", "cantor-log-length-past-float",
     ],
 )
 def test_malformed_spec_exits_two(tmp_path, capsys, args):
@@ -305,6 +312,20 @@ def test_unreachable_resolution_exits_three(tmp_path):
          "--format", "json", "--out", str(out)]
     )
     assert code == 3
+    assert not out.exists()
+
+
+def test_grid_spacing_below_the_float_range_exits_three(tmp_path, capsys):
+    # 1 / 5e-324 is inf, and int(floor(inf)) raised OverflowError
+    out = tmp_path / "x.json"
+    code = main(
+        ["frostman", "--model", '{"kind": "grid", "spacing": 5e-324}', "--s", "0.5",
+         "--out", str(out)]
+    )
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: grid skeleton would need inf points, above the 1048576 cap\n"
+    )
     assert not out.exists()
 
 

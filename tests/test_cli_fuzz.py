@@ -227,15 +227,20 @@ frostman_models = st.one_of(
         st.floats(1.0, 4.0),
         numbers,
     ),
+    # 1 / 5e-324 is past the float range, and 1e-308 needs 1e308 points
     st.builds(
         lambda r, x: {"kind": "grid", "spacing": r, "offset": x},
-        st.sampled_from([None, 0.1, 2.0**-6]),
+        st.sampled_from([None, 0.1, 2.0**-6, 5e-324, 1e-308]),
         numbers,
     ),
+    # counts whose log length leaves the float range, one block or two
     st.builds(
         lambda blocks, x: {"kind": "cantor", "blocks": blocks, "offset": x},
         st.lists(
-            st.tuples(st.integers(1, 20), st.floats(0.05, 1.0 / 3.0)),
+            st.tuples(
+                st.one_of(st.integers(1, 20), st.sampled_from([1e308, 10**400])),
+                st.floats(0.05, 1.0 / 3.0),
+            ),
             min_size=1,
             max_size=3,
         ),

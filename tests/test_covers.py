@@ -585,7 +585,7 @@ def _reference_mass_constant(schedule, window, s):
         terms.append(-depth * covers.LOG2 - s * log_lo)
     if depth >= 1:
         cand = {1, depth}
-        for lv, _ in schedule.level_boundaries():
+        for lv in schedule.levels:
             for shift in (0, 1):
                 if 1 <= lv + shift <= depth:
                     cand.add(lv + shift)
@@ -632,7 +632,7 @@ def _reference_cantor(schedule, window, s):
     j_max = schedule.finest_level_not_below(log_lo)
     if j_min is not None and j_max is not None and j_min <= j_max:
         levels = {j_min, j_max}
-        for lv, _ in schedule.level_boundaries():
+        for lv in schedule.levels:
             if j_min <= lv <= j_max:
                 levels.add(lv)
         for j in levels:

@@ -114,6 +114,49 @@ def test_schedule_log_length_accumulates_ratios():
     )
 
 
+def _level_query_lines(sched: CantorSchedule) -> list[str]:
+    """Every level query's answer in hex: levels up to 2000 and each block
+    edge +-2, with the edge log lengths and their neighbouring floats as
+    targets of the two inversions."""
+    edges = [0]
+    for count, _ in sched.blocks:
+        edges.append(edges[-1] + count)
+    depth = edges[-1]
+    levels = set(range(min(depth, 2000) + 1))
+    levels |= {e + k for e in edges for k in range(-2, 3) if 0 <= e + k <= depth}
+    lines = []
+    for level in sorted(levels):
+        lines.append(f"L {level} {sched.log_length(level).hex()}")
+        if level >= 1:
+            lines.append(f"R {level} {sched.ratio_at(level).hex()}")
+    for e in edges:
+        log_len = sched.log_length(e)
+        for target in (math.nextafter(log_len, -math.inf), log_len,
+                       math.nextafter(log_len, math.inf)):
+            lines.append(f"C {target.hex()} {sched.coarsest_level_not_above(target)}")
+            lines.append(f"F {target.hex()} {sched.finest_level_not_below(target)}")
+    return lines
+
+
+def test_schedule_level_queries_match_the_recorded_digest():
+    """Recorded while each query still rebuilt the block edges, before the
+    schedule built its level table once."""
+    schedules = [
+        CantorSchedule.from_ratios([(1 / 3, 1 / 4, 1 / 5, 2 / 7)[i % 4] for i in range(400)]),
+        build_stability_pair(PowerLaw(0.5), 3).e_set,
+        CantorSchedule(((10**12, 0.3), (5, 0.2))),
+    ]
+    digests = [
+        hashlib.sha256("\n".join(_level_query_lines(s)).encode()).hexdigest()
+        for s in schedules
+    ]
+    assert digests == [
+        "755ba03c5d106ebed192010ac7f78ad9a5a3581ab923584945daaa144a73db34",
+        "fea5f3dab9047725817af4b6a97e0b68ef6c6849ba7890e055f430aefd32e5f1",
+        "14b28e1ecdeae87d0ad915032a05c1f6665e62a265cab71a749a4fcc970192de",
+    ]
+
+
 def test_schedule_materialize_depth_cap():
     mt = CantorSchedule.from_ratios([0.3] * 40)
     with pytest.raises(ResolutionError):
@@ -125,6 +168,22 @@ def test_schedule_ratio_validation():
         CantorSchedule(((3, 0.6),))  # children would overlap
     with pytest.raises(InputError):
         CantorSchedule(((0, 0.3),))
+
+
+def test_schedule_depth_must_keep_the_log_length_finite():
+    # a count past the float range, and two whose log lengths sum to -inf
+    for blocks in (((10**400, 0.3),), ((10**308, 0.3), (10**308, 0.3))):
+        with pytest.raises(InputError, match="leaves the float range"):
+            CantorSchedule(blocks)
+    deepest = CantorSchedule(((10**308, 0.3),))
+    assert deepest.depth == 10**308 and math.isfinite(deepest.log_length(10**308))
+
+
+def test_grid_spacing_below_the_float_range_is_over_the_cap():
+    with pytest.raises(ResolutionError, match=r"^grid skeleton would need inf points, above"):
+        UniformGrid(5e-324).skeleton(0.1)
+    with pytest.raises(ResolutionError, match=r"^grid skeleton would need 10000001 points, above"):
+        UniformGrid(1e-7).skeleton(0.1)
 
 
 # --- holder images -----------------------------------------------------------
