@@ -742,18 +742,44 @@ def cover_cost_product(
 # dispatch
 
 
-def _prepare_dp(model, window: ScaleWindow) -> Callable[[float], CoverCost]:
-    graph: Optional[_CoverGraph] = None
+class _PreparedDP:
+    """The DP route of one (model, window) as a function of ``s``.
 
-    def cost(s: float) -> CoverCost:
-        nonlocal graph
+    The first call builds the skeleton and the cover graph; every call is
+    one value sweep over the graph.  Each sweep also keeps the optimal
+    cover it determines (the replay of ``want_pieces``) as a witness: its
+    piece lengths, right to left.  :meth:`witness_cost` prices that cover
+    at another exponent for the estimator's bisection.
+    """
+
+    def __init__(self, model, window: ScaleWindow) -> None:
+        self.model = model
+        self.window = window
+        self.graph: Optional[_CoverGraph] = None
+        # None before the first sweep and for graphs over the replay cap
+        self.witness: Optional[list[float]] = None
+
+    def __call__(self, s: float) -> CoverCost:
         _validate_exponent(s)
-        if graph is None:
-            _require_linear(window)  # before materializing at resolution lo
-            graph = _CoverGraph(skeleton(model, window.lo), window)
-        return graph.cost(s)
+        if self.graph is None:
+            _require_linear(self.window)  # before materializing at resolution lo
+            self.graph = _CoverGraph(skeleton(self.model, self.window.lo), self.window)
+        cost = self.graph.cost(s, want_pieces=True)
+        if cost.pieces is not None:
+            self.witness = [length for _, length in reversed(cost.pieces)]
+        return CoverCost(cost.log_cost_lower, cost.log_cost_upper, cost.method)
 
-    return cost
+    def witness_cost(self, s: float) -> float:
+        """The witness cover's cost at ``s``, summed right to left as the
+        sweep sums every path, so it is never below the sweep's value at
+        ``s``; inf while there is no witness."""
+        _validate_exponent(s)
+        if self.witness is None:
+            return math.inf
+        total = 0.0
+        for length in self.witness:
+            total = length**s + total
+        return total
 
 
 def prepare(
@@ -780,7 +806,7 @@ def prepare(
         members = [prepare(m, window, oracle=oracle) for m in model.members]
         return lambda s: combine_union([m(s) for m in members], model.gap, window)
     if oracle == "dp" or isinstance(model, HolderImage):
-        return _prepare_dp(model, window)
+        return _PreparedDP(model, window)
     if isinstance(model, SequenceSet):
         return lambda s: cover_cost_sequence(model.p, window, s)
     if isinstance(model, CantorSchedule):

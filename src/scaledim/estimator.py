@@ -10,6 +10,7 @@ exponent with lower cost >= 1 (the dimension is at least s_lower).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -69,17 +70,35 @@ def critical_exponent(
     even at the ambient cap the upper cost stays above 1 while the lower
     bound certifies nothing, the bracket is vacuous and an indeterminate
     error is raised.
+
+    On a DP route the prepared window keeps the optimal cover of its last
+    sweep.  Before sweeping at a new ``s``, that cover's lengths are
+    summed at ``s`` right to left, ``total = length**s + total``, as the
+    sweep sums every path.  Float addition rounds monotonically, so the
+    sweep's value is the least such float sum over the graph's paths and
+    is never above this one.  A total below 1 therefore settles ``s``
+    without a sweep: the upper test holds and the lower test fails, as
+    they would after the sweep, so every bracket is the sweep's bit for
+    bit.  At ``s = 0`` a cover costs its piece count, at least 1, so
+    ``s = 0`` is always swept.  ``evaluations`` counts the distinct
+    exponents looked at, whether a sweep or a witness settled them.
     """
     if not tol > 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
     window = ScaleWindow(phi.eval_phi_log(log_delta), log_delta)
     s_cap = float(ambient_dimension(model))
     cost_at = prepare(model, window, oracle=oracle)
+    witness_cost = getattr(cost_at, "witness_cost", None)
     cache: dict[float, CoverCost] = {}
 
     def costs(s: float) -> CoverCost:
         if s not in cache:
-            cache[s] = cost_at(s)
+            total = witness_cost(s) if witness_cost is not None else math.inf
+            if total < 1.0:
+                # settled without a sweep: every piece is at least lo long
+                cache[s] = CoverCost(s * window.log_lo, math.log(total), "dp-witness")
+            else:
+                cache[s] = cost_at(s)
         return cache[s]
 
     # upper curve: smallest s with log upper cost <= 0

@@ -783,7 +783,10 @@ def model_id(model) -> str:
     if isinstance(model, UniformGrid):
         return f"grid(spacing={model.spacing!r})" + _offset_suffix(model)
     if isinstance(model, CantorSchedule):
-        blocks = ",".join(f"{c}x{r:g}" for c, r in model.blocks[:4])
+        # counts from 10**15 up in exponent form, not in all their digits
+        blocks = ",".join(
+            f"{c:.6g}x{r:g}" if c >= 10**15 else f"{c}x{r:g}" for c, r in model.blocks[:4]
+        )
         more = "..." if len(model.blocks) > 4 else ""
         return f"cantor[{blocks}{more}]@{model.offset:g}"
     if isinstance(model, UnionModel):

@@ -49,6 +49,18 @@ def test_estimate_brackets_tighten_down_the_grid(tmp_path):
     assert widths[-1] <= widths[0]
 
 
+def test_estimate_labels_a_deep_cantor_schedule_briefly(tmp_path, capsys):
+    code, out = run(
+        tmp_path,
+        "e.json",
+        ["estimate", "--model", '{"kind": "cantor", "blocks": [[1e308, 0.3]]}',
+         "--format", "json"],
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["model"] == "cantor[1e+308x0.3]@0"
+    assert capsys.readouterr().out.startswith("estimate[cantor[1e+308x0.3]@0]: ")
+
+
 # --- bounds --------------------------------------------------------------------
 
 

@@ -174,6 +174,44 @@ def test_prepared_dp_matches_cover_cost_dp_bit_for_bit(model):
             assert bits(cover_cost(model, window, s, oracle="dp")) == bits(cost_at(s))
 
 
+def _sweep_value(rows, s):
+    """The DP value at the start state, not its log: a reference sweep."""
+    value = [math.inf] * len(rows) + [0.0]
+    for i, row in enumerate(rows):
+        value[i] = min(length**s + value[nxt] for length, nxt in row)
+    return value[len(rows) - 1]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [SequenceSet(1.0), HolderImage(SequenceSet(1.5), 0.6), middle_thirds(30)],
+    ids=["sequence", "holder", "middle-thirds"],
+)
+def test_dp_witness_never_costs_less_than_the_sweep(model):
+    # the witness of the sweep at s1, summed right to left at s2, is a path
+    # sum of the graph, so it is never below the least path sum at s2
+    rng = np.random.default_rng(41)
+    strictly_above = 0
+    for _ in range(4):
+        hi = 2.0 ** -float(rng.uniform(3.0, 7.0))
+        window = ScaleWindow.from_linear(hi * 2.0 ** -float(rng.uniform(0.5, 4.0)), hi)
+        cost_at = prepare(model, window, oracle="dp")
+        assert cost_at.witness_cost(0.5) == math.inf  # no sweep yet
+        exponents = [0.0, 1.0] + [float(v) for v in rng.uniform(0.0, 1.0, 5)]
+        cost_at(0.0)
+        values = {s: _sweep_value(cost_at.graph.rows, s) for s in exponents}
+        for s1 in exponents:
+            # the reference sweep is the prepared window's, bit for bit
+            assert math.log(values[s1]) == cost_at(s1).log_cost_upper
+            # at its own exponent the witness is the optimal cover
+            assert cost_at.witness_cost(s1) == values[s1]
+            for s2 in exponents:
+                total = cost_at.witness_cost(s2)
+                assert total >= values[s2]
+                strictly_above += total > values[s2]
+    assert strictly_above > 0
+
+
 # sha256 over the hex bounds, method and pieces of the DP at seeded windows
 # and exponents, recorded before the cover graph moved to flat rows: a change
 # of graph storage must give the same floats and the same witness bit for bit.

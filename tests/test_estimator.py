@@ -4,6 +4,8 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scaledim import covers, estimator, setmodels
 from scaledim.errors import BudgetError, IndeterminateError, ResolutionError
@@ -136,6 +138,15 @@ def test_dp_profile_builds_one_skeleton_per_model_and_scale(monkeypatch):
 
     monkeypatch.setattr(covers, "skeleton", counting)
     monkeypatch.setattr(setmodels, "skeleton", counting)  # Holder image bases
+    sweeps = 0
+    sweep = covers._CoverGraph.cost
+
+    def counting_sweep(graph, s, want_pieces=False):
+        nonlocal sweeps
+        sweeps += 1
+        return sweep(graph, s, want_pieces)
+
+    monkeypatch.setattr(covers._CoverGraph, "cost", counting_sweep)
     base = SequenceSet(1.0)
     holder = HolderImage(base, 0.5)
     thirds = CantorSchedule.middle_thirds(40)
@@ -148,9 +159,13 @@ def test_dp_profile_builds_one_skeleton_per_model_and_scale(monkeypatch):
         (points, {points: 2}),
     ]:
         calls.clear()
+        sweeps = 0
         prof = dimension_profile(model, PowerLaw(0.5), grid, oracle="dp")
         assert calls == expected
         assert [p.evaluations for p in prof.points] == [12, 12]
+        # at most 12 sweeps for the 24 evaluations: exponents above the
+        # root are settled by the last sweep's cover
+        assert sweeps <= 12
 
 
 def test_dp_errors_reach_the_estimator(monkeypatch):
@@ -160,3 +175,47 @@ def test_dp_errors_reach_the_estimator(monkeypatch):
     monkeypatch.setattr(covers, "_STATE_CAP", 5)
     with pytest.raises(BudgetError):
         critical_exponent(SequenceSet(1.0), PowerLaw(0.5), -6 * LOG2, oracle="dp")
+
+
+dp_models = st.one_of(
+    st.floats(0.5, 3.0).map(SequenceSet),
+    st.just(CantorSchedule.middle_thirds(40)),
+    st.builds(
+        lambda p, alpha: HolderImage(SequenceSet(p), alpha),
+        st.floats(0.5, 3.0),
+        st.floats(0.5, 0.95),
+    ),
+    st.just(UniformGrid(2.0**-9)),
+)
+
+
+def _outcome(args, tol):
+    try:
+        ce = critical_exponent(*args, tol=tol, oracle="dp")
+    except (BudgetError, ResolutionError) as exc:
+        return type(exc).__name__, str(exc)
+    return (
+        ce.s_lower.hex(), ce.s_upper.hex(), ce.clamped_lower, ce.clamped_upper,
+        ce.evaluations,
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    model=dp_models,
+    log2_delta=st.floats(-7.0, -3.0),
+    theta=st.floats(0.2, 0.9),
+    tol=st.sampled_from([1e-2, 1e-3, 1e-6]),
+)
+def test_dp_witness_never_changes_a_bracket(model, log2_delta, theta, tol):
+    args = (model, PowerLaw(theta), log2_delta * LOG2)
+    with pytest.MonkeyPatch.context() as m:
+        # small theta at fine scales gives skeletons and graphs that take
+        # seconds to build; past these caps both runs raise the same error
+        m.setattr(setmodels, "SEQUENCE_N_CAP", 100_000)
+        m.setattr(covers, "_MOVE_CAP", 300_000)
+        fast = _outcome(args, tol)
+        # a witness that never settles an exponent: every one is swept
+        m.setattr(covers._PreparedDP, "witness_cost", lambda self, s: math.inf)
+        swept = _outcome(args, tol)
+    assert fast == swept

@@ -451,6 +451,15 @@ def test_model_id_is_stable():
     assert model_id(UniformGrid(0.25, offset=-0.5)) == "grid(spacing=0.25)@-0.5"
 
 
+def test_model_id_prints_huge_cantor_counts_in_exponent_form():
+    # counts below 10**15 keep every digit, so existing labels do not move
+    assert model_id(CantorSchedule(((10**15 - 1, 0.3),))) == "cantor[999999999999999x0.3]@0"
+    assert model_id(CantorSchedule(((10**15, 0.3),))) == "cantor[1e+15x0.3]@0"
+    assert model_id(CantorSchedule(((10**308, 0.3), (5, 0.25)))) == (
+        "cantor[1e+308x0.3,5x0.25]@0"
+    )
+
+
 @pytest.mark.parametrize(
     "model",
     [
