@@ -284,6 +284,11 @@ class _CoverGraph:
             prev = cands.get(after_lo)
             if prev is None or lo < prev:
                 cands[after_lo] = lo
+            if x in cands:  # x + lo or x + hi rounds back onto x
+                raise ResolutionError(
+                    f"window [{lo:.6g}, {hi:.6g}] is below the float spacing at "
+                    f"{x!r}; the cover DP cannot move past it"
+                )
             edges[x] = cands
             moves += len(cands)
             for nxt in cands:
@@ -325,7 +330,7 @@ class _CoverGraph:
                     best = v
             value[i] = best
         pieces = None
-        if want_pieces and len(rows) <= 100_000:
+        if want_pieces:
             # replay the sweep's first strict minimum along the optimal path
             path = []
             i = start
@@ -366,7 +371,9 @@ def cover_cost_dp(
     cover to an extreme, one fractional piece per covered run, placed
     last).  The reachable states are finite and the search stops with a
     budget error beyond ``_STATE_CAP`` of them, or beyond ``_MOVE_CAP``
-    moves, which bounds the graph's memory.
+    moves, which bounds the graph's memory.  A state whose lo or hi move
+    rounds back onto it (a window below the float spacing there) raises a
+    resolution error, so every state reaches the end.
 
     Storage: the states are numbered by decreasing position and each keeps
     a flat row of (length, successor index) moves, so memory is linear in
@@ -722,9 +729,7 @@ def _prepare_product(
     return cost
 
 
-def cover_cost_product(
-    model: ProductModel, window: ScaleWindow, s: float, oracle: str = "auto"
-) -> CoverCost:
+def cover_cost_product(model: ProductModel, window: ScaleWindow, s: float) -> CoverCost:
     """Cover cost bracket for a product set under the max metric.
 
     Upper bound: squares of side L tile the product of the two marginal
@@ -735,7 +740,7 @@ def cover_cost_product(
     s_E + s_F = s.  :func:`prepare` computes the marginal counts once per
     window and reuses them for every ``s``.
     """
-    return _prepare_product(model, window, oracle)(s)
+    return _prepare_product(model, window, "auto")(s)
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +761,7 @@ class _PreparedDP:
         self.model = model
         self.window = window
         self.graph: Optional[_CoverGraph] = None
-        # None before the first sweep and for graphs over the replay cap
+        # None before the first sweep
         self.witness: Optional[list[float]] = None
 
     def __call__(self, s: float) -> CoverCost:
@@ -765,8 +770,7 @@ class _PreparedDP:
             _require_linear(self.window)  # before materializing at resolution lo
             self.graph = _CoverGraph(skeleton(self.model, self.window.lo), self.window)
         cost = self.graph.cost(s, want_pieces=True)
-        if cost.pieces is not None:
-            self.witness = [length for _, length in reversed(cost.pieces)]
+        self.witness = [length for _, length in reversed(cost.pieces)]
         return CoverCost(cost.log_cost_lower, cost.log_cost_upper, cost.method)
 
     def witness_cost(self, s: float) -> float:
@@ -819,14 +823,14 @@ def prepare(
     )
 
 
-def upper_bound_slack(model, s: float, *, oracle: str = "auto") -> Optional[float]:
-    """How far the upper bound of :func:`prepare` at exponent ``s`` can
-    rise as the window bottom falls with the top fixed, or None where no
-    such bound is known.
+def upper_bound_slack(model, s: float) -> Optional[float]:
+    """How far the upper bound of :func:`prepare`'s default route at
+    exponent ``s`` can rise as the window bottom falls with the top
+    fixed, or None where no such bound is known.
 
     The true cost never rises (a lower bottom only adds covers), but a
     route's bound need not follow it.  For points the bound is s * log lo,
-    which falls exactly.  For Cantor schedules on an analytic route it is
+    which falls exactly.  For Cantor schedules (the analytic route) it is
     the best single-level cover, which falls but for rounding: the
     in-window levels only gain members as the bottom falls, and their cost
     is linear in the level between block boundaries, so the boundaries and
@@ -839,12 +843,13 @@ def upper_bound_slack(model, s: float, *, oracle: str = "auto") -> Optional[floa
     Grids try only the window's two ends as piece length, though their
     bound is lowest at an interior length; products spread their candidate
     sides over the window; the sequence route's integer indices move with
-    the bottom; DP routes rebuild the skeleton at the bottom's resolution;
-    unions add the rounding of a log-sum.  These answer None.
+    the bottom; the DP route of Holder images rebuilds the skeleton at the
+    bottom's resolution; unions add the rounding of a log-sum.  These
+    answer None.
     """
     if isinstance(model, PointSet):
         return 0.0
-    if isinstance(model, CantorSchedule) and oracle != "dp":
+    if isinstance(model, CantorSchedule):
         depth = model.depth
         terms = (depth + 1) * LOG2 + s * abs(model.log_length(depth))
         return 16.0 * sys.float_info.epsilon * terms

@@ -101,25 +101,24 @@ def critical_exponent(
                 cache[s] = cost_at(s)
         return cache[s]
 
-    # upper curve: smallest s with log upper cost <= 0
-    clamped_upper = False
-    if costs(0.0).log_cost_upper <= 0.0:
-        s_upper = 0.0
-    elif costs(s_cap).log_cost_upper > 0.0:
-        s_upper = s_cap
-        clamped_upper = True
-    else:
-        s_upper, _ = _bisect(lambda s: costs(s).log_cost_upper <= 0.0, s_cap, 0.0, tol)
+    def crossing(
+        holds: Callable[[float], bool], yes: float, no: float
+    ) -> tuple[float, bool]:
+        """The certified end of ``holds`` between ``yes`` and ``no``, and
+        whether it is ``yes`` only because ``holds`` fails there too."""
+        if holds(no):
+            return no, False
+        if not holds(yes):
+            return yes, True
+        return _bisect(holds, yes, no, tol)[0], False
 
-    # lower curve: largest s with log lower cost >= 0
-    clamped_lower = False
-    if costs(s_cap).log_cost_lower >= 0.0:
-        s_lower = s_cap
-    elif costs(0.0).log_cost_lower < 0.0:
-        s_lower = 0.0
-        clamped_lower = True
-    else:
-        s_lower, _ = _bisect(lambda s: costs(s).log_cost_lower >= 0.0, 0.0, s_cap, tol)
+    # smallest s with log upper cost <= 0, largest with log lower cost >= 0
+    s_upper, clamped_upper = crossing(
+        lambda s: costs(s).log_cost_upper <= 0.0, s_cap, 0.0
+    )
+    s_lower, clamped_lower = crossing(
+        lambda s: costs(s).log_cost_lower >= 0.0, 0.0, s_cap
+    )
 
     if clamped_upper and s_lower <= tol:
         probe = costs(s_cap)

@@ -42,7 +42,7 @@ from .estimator import _bisect, dimension_profile
 from .scalefun import InterpolatedScale, LogCorrected, MinFamily, Tabulated
 from .setmodels import model_id
 
-#: Deepest floor probed before declaring the budget unreachable, as a
+#: Deepest floor probed before declaring cost 1 unreachable, as a
 #: multiple of log delta.  On routes whose upper bound falls with the
 #: bottom it is probed right after the cap, and one clearly infeasible
 #: evaluation there settles the scale; elsewhere the doubling search
@@ -56,9 +56,9 @@ MAX_FLOOR_FACTOR = 2**40
 class PhiSPoint:
     """Feasibility sup at one scale.
 
-    ``log_phi_s`` is certified feasible (a cover within budget exists with
-    diameters in [phi_s, delta]); ``upper_gap`` bounds how far above it
-    the true sup could sit.  ``at_cap`` marks the ceiling delta/(-log
+    ``log_phi_s`` is certified feasible (a cover of cost at most 1 exists
+    with diameters in [phi_s, delta]); ``upper_gap`` bounds how far above
+    it the true sup could sit.  ``at_cap`` marks the ceiling delta/(-log
     delta); ``budget_exceeded`` marks scales where every floor down to
     ``MAX_FLOOR_FACTOR * log_delta`` is infeasible, whether the walk
     probed them all or the deepest one settled them, and scales where the
@@ -80,7 +80,6 @@ class PhiSTable:
 
     s: float
     model: str
-    budget: float
     points: tuple[PhiSPoint, ...]
     dropped: tuple[float, ...]
     regressions: tuple[float, ...]
@@ -105,8 +104,6 @@ def _phi_s_point(
     ladder: dict[float, Callable[[float], CoverCost]],
     *,
     tol: float,
-    budget: float,
-    oracle: str,
 ) -> PhiSPoint:
     """:func:`phi_s_at` whose cap and floor windows come from ``ladder``.
 
@@ -119,25 +116,22 @@ def _phi_s_point(
         raise InputError(f"s must be >= 0, got {s}")
     if not tol > 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
-    if not (budget > 0.0 and math.isfinite(budget)):
-        raise InputError(f"budget must be finite and positive, got {budget}")
     if not -log_delta > 3.0:
         raise InputError(
             f"scale too coarse: need -log delta > 3, got log delta = {log_delta:g}"
         )
-    log_budget = math.log(budget)
     log_cap = log_delta - math.log(-log_delta)
 
     def cost(log_x: float, rung: bool = False) -> CoverCost:
         at = ladder.get(log_x)
         if at is None:
-            at = prepare(model, ScaleWindow(log_x, log_delta), oracle=oracle)
+            at = prepare(model, ScaleWindow(log_x, log_delta))
             if rung:
                 ladder[log_x] = at
         return at(s)
 
     def feasible(log_x: float, rung: bool = False) -> bool:
-        return cost(log_x, rung).log_cost_upper <= log_budget
+        return cost(log_x, rung).log_cost_upper <= 0.0
 
     if feasible(log_cap, rung=True):
         return PhiSPoint(log_delta, log_cap, True, False, 0.0)
@@ -147,11 +141,11 @@ def _phi_s_point(
     # infeasible by more than that slack settles every rung above it.  A
     # route that cannot resolve a window that deep raises; the walk below
     # then meets the same error unless a feasible floor comes first.
-    slack = upper_bound_slack(model, s, oracle=oracle)
+    slack = upper_bound_slack(model, s)
     if slack is not None:
         deepest = MAX_FLOOR_FACTOR * log_delta
         try:
-            if cost(deepest, rung=True).log_cost_upper > log_budget + slack:
+            if cost(deepest, rung=True).log_cost_upper > slack:
                 return PhiSPoint(log_delta, deepest, False, True, math.inf)
         except ScaledimError:
             pass
@@ -176,7 +170,7 @@ def _phi_s_point(
     lo, hi = _bisect(feasible, lo, hi, tol)
     # hi may be only conservatively infeasible; report the certified gap
     gap = hi - lo
-    if not cost(hi).log_cost_lower > log_budget:
+    if not cost(hi).log_cost_lower > 0.0:
         gap = log_cap - lo  # sup is somewhere below the cap, not localized
     return PhiSPoint(log_delta, lo, False, False, gap)
 
@@ -187,17 +181,15 @@ def phi_s_at(
     log_delta: float,
     *,
     tol: float = 0.05,
-    budget: float = 1.0,
-    oracle: str = "auto",
 ) -> PhiSPoint:
-    """Sup of window bottoms x keeping cover cost within budget at one scale.
+    """Sup of window bottoms x keeping cover cost at most 1 at one scale.
 
     Feasibility is monotone (shrinking x only adds covers), so the sup is
     located by bisection on log x in (deep floor, delta/(-log delta)].
     The probes go: the cap (feasible: the point is at the cap); then the
     doubling floors from the top down to the first feasible one (none
     down to ``MAX_FLOOR_FACTOR * log_delta``, or a floor whose cover DP
-    raises ``BudgetError`` first: the budget is exceeded at this scale),
+    raises ``BudgetError`` first: the scale is budget-exceeded),
     and bisection until the bracket is within ``tol`` or can no longer
     split in floats.  Any other error, and a ``BudgetError`` at the cap
     or in the bisection, propagates.  Where the route's upper bound falls
@@ -205,14 +197,14 @@ def phi_s_at(
     (:func:`scaledim.covers.upper_bound_slack`), the deepest floor is
     probed right after the cap: infeasible by more than the slack, it
     settles the scale as budget-exceeded, since no floor above it can
-    then be feasible; feasible, near the budget or raising, it leaves the
+    then be feasible; feasible, near cost 1 or raising, it leaves the
     walk to decide, so the result is the walk's.
-    Cost brackets that straddle the budget count as infeasible — the
-    returned value is always certified, and ``upper_gap`` reports the
-    distance to the nearest certified-infeasible point.  ``budget`` must
-    be finite and positive.
+    Cost brackets that straddle 1 count as infeasible — the returned
+    value is always certified, and ``upper_gap`` reports the distance to
+    the nearest certified-infeasible point.  Windows are prepared on
+    :func:`scaledim.covers.prepare`'s default routes.
     """
-    return _phi_s_point(model, s, log_delta, {}, tol=tol, budget=budget, oracle=oracle)
+    return _phi_s_point(model, s, log_delta, {}, tol=tol)
 
 
 def _phi_s_tables(
@@ -221,8 +213,6 @@ def _phi_s_tables(
     log_deltas: Sequence[float],
     *,
     tol: float,
-    budget: float,
-    oracle: str,
 ) -> list[PhiSTable]:
     """One table per exponent in ``s_values`` (ascending), scale by scale.
 
@@ -245,9 +235,7 @@ def _phi_s_tables(
         ladder: dict[float, Callable[[float], CoverCost]] = {}
         floor = -math.inf  # the previous exponent's row at this scale
         for i, s in enumerate(s_values):
-            pt = _phi_s_point(
-                model, s, ld, ladder, tol=tol, budget=budget, oracle=oracle
-            )
+            pt = _phi_s_point(model, s, ld, ladder, tol=tol)
             if pt.budget_exceeded:
                 dropped[i].append(ld)
                 continue
@@ -267,7 +255,6 @@ def _phi_s_tables(
         PhiSTable(
             s=s,
             model=name,
-            budget=budget,
             points=tuple(kept[i]),
             dropped=tuple(dropped[i]),
             regressions=tuple(regressions[i]),
@@ -282,8 +269,6 @@ def phi_s_function(
     log_deltas: Sequence[float],
     *,
     tol: float = 0.05,
-    budget: float = 1.0,
-    oracle: str = "auto",
 ) -> PhiSTable:
     """Tabulate :func:`phi_s_at` over a scale grid as a scale function.
 
@@ -293,9 +278,7 @@ def phi_s_function(
     bisection tol recorded as diagnostics.  Budget-exceeded scales are
     dropped from the table and reported.
     """
-    (table,) = _phi_s_tables(
-        model, [s], log_deltas, tol=tol, budget=budget, oracle=oracle
-    )
+    (table,) = _phi_s_tables(model, [s], log_deltas, tol=tol)
     return table
 
 
@@ -305,8 +288,6 @@ def phi_s_family(
     log_deltas: Sequence[float],
     *,
     tol: float = 0.05,
-    budget: float = 1.0,
-    oracle: str = "auto",
 ) -> list[PhiSTable]:
     """Tables for several exponents, ordered consistently.
 
@@ -317,9 +298,7 @@ def phi_s_family(
     pointwise ordered without giving up certification.
     """
     s_values = sorted(set(float(v) for v in s_grid))
-    return _phi_s_tables(
-        model, s_values, log_deltas, tol=tol, budget=budget, oracle=oracle
-    )
+    return _phi_s_tables(model, s_values, log_deltas, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -352,8 +331,6 @@ def verify_interpolation(
     *,
     tol: float = 1e-3,
     x_tol: float = 0.05,
-    budget: float = 1.0,
-    oracle: str = "auto",
 ) -> InterpolationReport:
     """Build the family and check its profiles land on the prescribed s.
 
@@ -363,12 +340,8 @@ def verify_interpolation(
     the upper estimates should be monotone across s, and the tables
     pointwise ordered.
     """
-    tables = phi_s_family(
-        model, s_grid, log_deltas, tol=x_tol, budget=budget, oracle=oracle
-    )
-    box_prof = dimension_profile(
-        model, LogCorrected(), log_deltas, tol=tol, oracle=oracle
-    )
+    tables = phi_s_family(model, s_grid, log_deltas, tol=x_tol)
+    box_prof = dimension_profile(model, LogCorrected(), log_deltas, tol=tol)
     lower_box = box_prof.lower_estimate
     rows = []
     for tab in tables:
@@ -390,7 +363,7 @@ def verify_interpolation(
             continue
         fn = tab.as_scale_function()
         grid = [p.log_delta for p in tab.points]
-        prof = dimension_profile(model, fn, grid, tol=tol, oracle=oracle)
+        prof = dimension_profile(model, fn, grid, tol=tol)
         rows.append(
             InterpolationRow(
                 s=tab.s,
@@ -429,8 +402,6 @@ def hausdorff_endpoint_family(
     *,
     box_upper_estimate: float,
     tol: float = 0.05,
-    budget: float = 1.0,
-    oracle: str = "auto",
 ) -> tuple[MinFamily, list[PhiSTable]]:
     """Pointwise-min family realizing the bottom endpoint exponent.
 
@@ -446,9 +417,7 @@ def hausdorff_endpoint_family(
         )
     n0 = math.floor(1.0 / (box_upper_estimate - s)) + 1
     exponents = [s + 1.0 / n for n in range(n0, n0 + 3)]
-    tables = phi_s_family(
-        model, exponents, log_deltas, tol=tol, budget=budget, oracle=oracle
-    )
+    tables = phi_s_family(model, exponents, log_deltas, tol=tol)
     usable = [tab for tab in tables if len(tab.points) >= 2]
     if not usable:
         raise InputError(

@@ -501,7 +501,6 @@ def massfrostman_roundtrip(
     log_deltas: Sequence[float],
     *,
     base: int = DEFAULT_BASE,
-    oracle: str = "auto",
 ) -> RoundtripReport:
     """Estimate the dimension from measure growth and cross-check covers.
 
@@ -571,7 +570,7 @@ def massfrostman_roundtrip(
         rows.append(RoundtripRow(s, slope, c_row, total_row, True))
         if slope <= _BETA0:
             estimate = max(estimate, s)
-    ce = critical_exponent(model, phi, grid[-1], oracle=oracle)
+    ce = critical_exponent(model, phi, grid[-1])
     return RoundtripReport(
         estimate=estimate,
         beta0=_BETA0,

@@ -168,6 +168,22 @@ def test_dp_profile_builds_one_skeleton_per_model_and_scale(monkeypatch):
         assert sweeps <= 12
 
 
+def test_bisect_stops_at_adjacent_floats():
+    # a tol below every float spacing: the bracket halves until its
+    # midpoint rounds onto an end
+    yes, no = estimator._bisect(lambda s: s >= 0.3, 1.0, 0.0, 5e-324)
+    assert yes >= 0.3 > no
+    assert yes == math.nextafter(no, math.inf)
+
+
+def test_critical_exponent_at_a_tol_below_the_float_spacing():
+    args = (SequenceSet(1.0), PowerLaw(0.5), -40 * LOG2)
+    coarse = critical_exponent(*args, tol=1e-3)
+    fine = critical_exponent(*args, tol=5e-324)
+    assert coarse.s_lower <= fine.s_lower <= fine.s_upper <= coarse.s_upper
+    assert fine.evaluations == 105
+
+
 def test_dp_errors_reach_the_estimator(monkeypatch):
     with pytest.raises(ResolutionError):
         # phi(delta) = delta**100 puts the window floor at e**-1000

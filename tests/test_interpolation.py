@@ -59,12 +59,6 @@ def test_phi_s_point_caps_above_box_dimension(seq):
     )
 
 
-@pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
-def test_phi_s_budget_must_be_finite_and_positive(seq, budget):
-    with pytest.raises(InputError, match="budget"):
-        phi_s_at(seq, 0.4, -20 * LOG2, budget=budget)
-
-
 def test_phi_s_bisection_stops_at_float_spacing(seq):
     # a tol below the float spacing of the bracket used to bisect forever,
     # so the call runs in a child process that a timeout can stop
@@ -150,10 +144,10 @@ def test_endpoint_family_member_exponents(seq):
 
 
 def test_endpoint_family_guards_against_empty_tables(seq):
+    # one scale gives every member table one point at most, too few to
+    # tabulate a scale function
     with pytest.raises(InputError, match="realizable"):
-        hausdorff_endpoint_family(
-            seq, 0.3, GRID, box_upper_estimate=0.5, budget=1e-12
-        )
+        hausdorff_endpoint_family(seq, 0.3, GRID[:1], box_upper_estimate=0.5)
 
 
 # --- scale-major family ----------------------------------------------------
@@ -191,13 +185,16 @@ def test_families_match_values_recorded_exponent_by_exponent():
         S_GRID,
         [-k * LOG2 for k in (60, 50, 40, 30, 20, 12)],
         tol=1e-3,
-        budget=2.0,
     )
-    assert sum(len(t.points) for t in cantor) == 176
-    assert sum(len(t.dropped) for t in cantor) == 64
-    assert [p.log_phi_s.hex() for p in cantor[2].points] == ["-0x1.4df505991a7b5p+3"]
+    assert sum(len(t.points) for t in cantor) == 156
+    assert sum(len(t.dropped) for t in cantor) == 84
+    assert [len(t.points) for t in cantor[:11]] == [0] * 10 + [2]
+    assert [p.log_phi_s.hex() for p in cantor[10].points] == [
+        "-0x1.07dfe645b6af9p+4",
+        "-0x1.4df505991a7b5p+3",
+    ]
     assert _family_digest(cantor) == (
-        "b4caed037f8914423833a627d03412fea5ac964ed17fee623c220e455f2b94e4"
+        "2db6b60c13b216ceb63b8942a646c51aed5e7a230ac7279d1389e1a1a3a7f32e"
     )
     seq = phi_s_family(SequenceSet(1.0), S_GRID, GRID, tol=1e-3)
     assert sum(not p.at_cap for t in seq for p in t.points) == 42  # bisected
@@ -246,7 +243,9 @@ def test_ladder_windows_are_prepared_once_per_scale(monkeypatch):
 
 _MT = CantorSchedule.middle_thirds
 _CANTOR_DIM = math.log(2.0) / math.log(3.0)
-# (name, model, dimension the exponents are drawn around, oracles)
+# (name, model, dimension the exponents are drawn around, draw rounds); a
+# "dp" round draws its exponents and scales from the deeper DP levels and
+# discards them, which keeps the seeded stream the digest was recorded with
 _PINNED_MODELS = [
     ("point", PointSet(0.3), 0.0, ("auto", "dp")),
     ("sequence", SequenceSet(1.0), 0.5, ("auto", "dp")),
@@ -267,42 +266,25 @@ _PINNED_MODELS = [
     ("product_sequence", ProductModel(_MT(6), SequenceSet(1.0)), _CANTOR_DIM + 0.5, ("auto",)),
     ("holder", HolderImage(SequenceSet(1.0), 0.5), 2.0 / 3.0, ("auto", "dp")),
 ]
-# Drawn cases left out: DP builds that run out of memory (seq/dp 0.218 and
-# 0.15, holder/auto 0.597, holder/dp 0.59) or take 0.5-10 s to end at the
-# state cap, a materialization cap or a deep bisection.
-_PINNED_SKIPPED = {
-    ("sequence", "dp", 0.218, 8),
-    ("sequence", "dp", 0.15, 4.5),
-    ("cantor_short", "dp", 0.558, 8),
-    ("cantor_short", "dp", 0.545, 5),
-    ("cantor_short", "dp", 0.389, 4.5),
-    ("cantor_two_block", "dp", 0.478, 6),
-    ("cantor_two_block", "dp", 0.468, 8),
-    ("union_short", "dp", 0.692, 6),
-    ("union_short", "dp", 0.386, 6),
-    ("union_short", "dp", 0.471, 6),
-    ("union_short", "dp", 0.595, 6),
-    ("holder", "auto", 0.597, 5),
-    ("holder", "auto", 0.424, 12),
-    ("holder", "dp", 0.59, 5),
-    ("holder", "dp", 0.629, 8),
-}
+# Drawn cases left out: Holder-image DP builds that run out of memory
+# (0.597) or take seconds to end at a cap or in a deep bisection (0.424).
+_PINNED_SKIPPED = {("holder", 0.597, 5), ("holder", 0.424, 12)}
 
 
 def _pinned_cases():
-    """Seeded (name, model, oracle, s, -log2 delta) draws, exponents on
-    both sides of each model's dimension."""
+    """Seeded (name, model, s, -log2 delta) draws, exponents on both sides
+    of each model's dimension."""
     rng = random.Random(20261018)
     cases = []
-    for name, model, dim, oracles in _PINNED_MODELS:
-        for oracle in oracles:
+    for name, model, dim, rounds in _PINNED_MODELS:
+        for kind in rounds:
             for _ in range(5):
-                s_max = 1.0 if oracle == "dp" else 2.0
+                s_max = 1.0 if kind == "dp" else 2.0
                 s = round(min(max(dim + rng.uniform(-0.35, 0.35), 0.0), s_max), 3)
-                levels = [4.5, 5, 6, 8] if oracle == "dp" else [4.5, 5, 6, 8, 12, 20, 40]
+                levels = [4.5, 5, 6, 8] if kind == "dp" else [4.5, 5, 6, 8, 12, 20, 40]
                 k = rng.choice(levels)
-                if (name, oracle, s, k) not in _PINNED_SKIPPED:
-                    cases.append((name, model, oracle, s, k))
+                if kind == "auto" and (name, s, k) not in _PINNED_SKIPPED:
+                    cases.append((name, model, s, k))
     return cases
 
 
@@ -311,9 +293,9 @@ def _search_digest(cases):
     fields in hex, or its error."""
     lines = []
     outcomes = {"cap": 0, "bisected": 0, "exceeded": 0, "error": 0}
-    for label, model, s, k, options in cases:
+    for name, model, s, k in cases:
         try:
-            p = phi_s_at(model, s, -k * LOG2, tol=1e-2, **options)
+            p = phi_s_at(model, s, -k * LOG2, tol=1e-2)
         except ScaledimError as exc:
             outcome = f"{type(exc).__name__}: {exc}"
             outcomes["error"] += 1
@@ -324,86 +306,33 @@ def _search_digest(cases):
             )
             kind = "cap" if p.at_cap else "exceeded" if p.budget_exceeded else "bisected"
             outcomes[kind] += 1
-        lines.append(f"{label}: {outcome}")
+        lines.append(f"{name} {s!r} {k!r}: {outcome}")
     return outcomes, hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def test_phi_s_search_matches_recorded_points():
-    """Every ``PhiSPoint`` field in hex, or the error, over seeded cases;
-    the digest was recorded before the search learned to probe the
-    deepest floor first."""
+    """Every ``PhiSPoint`` field in hex, or the error, over seeded cases."""
     cases = _pinned_cases()
-    assert len(cases) == 105 - len(_PINNED_SKIPPED)
-    outcomes, digest = _search_digest(
-        (f"{name} {oracle} {s!r} {k!r}", model, s, k, {"oracle": oracle})
-        for name, model, oracle, s, k in cases
-    )
-    assert outcomes == {"cap": 44, "bisected": 14, "exceeded": 11, "error": 21}
+    assert len(cases) == 65 - len(_PINNED_SKIPPED)
+    outcomes, digest = _search_digest(cases)
+    assert outcomes == {"cap": 23, "bisected": 8, "exceeded": 11, "error": 21}
     assert digest == (
-        "b5b71fae39541936a02152e79b448f0149ea78178eac281102c369d4d5442a89"
+        "e18266c8163263d65ff6c5430333bd65c029efd8c3d29e91dc2006abe2869a27"
     )
-
-
-def _off_budget_cases():
-    """Seeded (name, model, s, -log2 delta, budget) draws on the analytic
-    routes with budgets other than 1, where the grid's upper bound is not
-    monotone in the window bottom."""
-    rng = random.Random(20261019)
-    budgets = (math.exp(0.01), math.exp(-0.01), 0.5, 3.0)
-    cases = [("grid", UniformGrid(1.0 / 64.0), 0.999, 3.0001 / LOG2, math.exp(0.01))]
-    for name, model, dim, _ in _PINNED_MODELS:
-        if name == "holder":  # a DP route under auto
-            continue
-        for _ in range(6):
-            s_max = 2.0 if isinstance(model, ProductModel) else 1.0
-            s = round(min(max(dim + rng.uniform(-0.35, 0.35), 0.0), s_max), 3)
-            k = rng.choice([4.33, 5, 6, 8, 12, 20, 40])
-            cases.append((name, model, s, k, rng.choice(budgets)))
-    return cases
-
-
-def test_phi_s_search_matches_recorded_points_off_budget():
-    """As above with budgets other than 1; recorded before the search
-    learned to probe the deepest floor first."""
-    outcomes, digest = _search_digest(
-        (f"{name} {s!r} {k!r} {budget!r}", model, s, k, {"budget": budget})
-        for name, model, s, k, budget in _off_budget_cases()
-    )
-    assert outcomes == {"cap": 14, "bisected": 10, "exceeded": 24, "error": 25}
-    assert digest == (
-        "4fb3d1ffebbb0ee99666d10c5e8499a3069afec044f9ef6c08db654e4c42eb8c"
-    )
-
-
-def test_grid_deepest_floor_does_not_settle_the_scale():
-    # The grid's upper bound tries the window's two ends as piece length
-    # and is lowest at (1 - s) / s, so it rises again as the bottom falls
-    # below that: here the k = 2 floor is feasible and the deepest is not.
-    grid, s, log_delta = UniformGrid(1.0 / 64.0), 0.999, -3.0001
-    budget = math.exp(0.01)
-    assert covers.upper_bound_slack(grid, s) is None
-
-    def upper(k):
-        window = covers.ScaleWindow(k * log_delta, log_delta)
-        return covers.cover_cost(grid, window, s).log_cost_upper
-
-    assert upper(2) <= math.log(budget) < upper(interpolation.MAX_FLOOR_FACTOR)
-    p = phi_s_at(grid, s, log_delta, budget=budget)
-    assert not p.budget_exceeded and not p.at_cap
-    assert 2 * log_delta <= p.log_phi_s < log_delta - math.log(-log_delta)
 
 
 def test_dp_cap_in_the_floor_walk_drops_the_scale(monkeypatch):
+    # The image of {n**-2} under x -> sqrt(x) is {1/n}, routed to the DP.
     # Under this move cap the cap window and the 2 log delta floor build
     # and are infeasible; the 4 log delta floor's cover graph is too large.
     monkeypatch.setattr(covers, "_MOVE_CAP", 50_000)
-    model, log_delta = SequenceSet(1.0), -6 * LOG2
+    model, log_delta = HolderImage(SequenceSet(2.0), 0.5), -6 * LOG2
     with pytest.raises(BudgetError):
         window = covers.ScaleWindow(4 * log_delta, log_delta)
-        covers.cover_cost(model, window, 0.388, oracle="dp")
-    p = phi_s_at(model, 0.388, log_delta, oracle="dp")
+        covers.cover_cost(model, window, 0.388)
+    p = phi_s_at(model, 0.388, log_delta)
     assert p.budget_exceeded and not p.at_cap
     assert p.log_phi_s == 2 * log_delta and p.upper_gap == math.inf
-    low, high = phi_s_family(model, [0.388, 0.7], [log_delta, -7 * LOG2], oracle="dp")
+    low, high = phi_s_family(model, [0.388, 0.7], [log_delta, -7 * LOG2])
     assert low.points == () and len(low.dropped) == 2
     assert len(high.points) == 2 and high.dropped == ()
