@@ -59,7 +59,6 @@ from .interpolation import (
     InterpolationRow,
     PhiSPoint,
     PhiSTable,
-    hausdorff_endpoint_family,
     phi_s_at,
     phi_s_family,
     phi_s_function,
@@ -69,15 +68,12 @@ from .measures import (
     AtomicMeasure,
     BallMassReport,
     FrostmanMeta,
-    MassCertificate,
     RoundtripReport,
     RoundtripRow,
     ball_to_set_constant,
     build_frostman_measure,
     frostman_levels,
-    mass_lower_bound,
     massfrostman_roundtrip,
-    natural_cantor_measure,
     verify_ball_mass,
 )
 from .scalefun import (

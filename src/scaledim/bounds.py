@@ -85,6 +85,17 @@ class HolderInputs:
         _check_finite(vars(self))
 
 
+def _general_denominator(a: float, b: float, theta: float) -> float:
+    """A - (1-theta)*B, refused unless positive."""
+    denom = a - (1.0 - theta) * b
+    if denom <= 0.0:
+        raise InputError(
+            f"denominator A - (1-theta)*B = {denom:g} is not positive; "
+            "requires box <= assouad"
+        )
+    return denom
+
+
 def general_lower_bound(d: DimInputs, use_upper_box: bool = True) -> float:
     """Lower bound theta*A*B / (A - (1-theta)*B) for the dimension at theta.
 
@@ -96,12 +107,7 @@ def general_lower_bound(d: DimInputs, use_upper_box: bool = True) -> float:
     """
     a = d.assouad
     b = d.box_upper if use_upper_box else d.box_lower
-    denom = a - (1.0 - d.theta) * b
-    if denom <= 0.0:
-        raise InputError(
-            f"denominator A - (1-theta)*B = {denom:g} is not positive; "
-            "requires box <= assouad"
-        )
+    denom = _general_denominator(a, b, d.theta)
     value = d.theta * a * b / denom
     if math.isinf(value):
         value = min(a, d.theta * b / denom * a)
@@ -115,12 +121,7 @@ def general_lower_bound_derivatives(d: DimInputs) -> tuple[float, float]:
     strictly increasing and strictly concave whenever 0 < B < A.
     """
     a, b = d.assouad, d.box_upper
-    denom = a - (1.0 - d.theta) * b
-    if denom <= 0.0:
-        raise InputError(
-            f"denominator A - (1-theta)*B = {denom:g} is not positive; "
-            "requires box <= assouad"
-        )
+    denom = _general_denominator(a, b, d.theta)
     try:
         first = a * b * (a - b) / denom**2
         second = -2.0 * a * b * b * (a - b) / denom**3

@@ -94,8 +94,14 @@ class RunConfig(SimpleNamespace):
 # spec parsing
 
 
+#: Most points a grid may hold; a larger count is refused before any grid
+#: array is allocated.
+MAX_GRID_POINTS = 10**6
+
+
 def parse_grid(spec, name: str = "grid", min_points: int = 2) -> tuple[float, float, int]:
-    """``a:b:n`` (or [a, b, n]) with finite a <= b and n >= ``min_points``.
+    """``a:b:n`` (or [a, b, n]) with finite a <= b and ``min_points`` <= n
+    <= :data:`MAX_GRID_POINTS`.
 
     The log2-delta grid needs 2 points, the exponent grid (``s-grid``) 1.
     """
@@ -110,6 +116,8 @@ def parse_grid(spec, name: str = "grid", min_points: int = 2) -> tuple[float, fl
         raise ConfigError(f"{name} bounds must be ordered, got {a} > {b}")
     if n < min_points:
         raise ConfigError(f"{name} needs at least {min_points} points, got {n}")
+    if n > MAX_GRID_POINTS:
+        raise ConfigError(f"{name} takes at most {MAX_GRID_POINTS} points, got {n}")
     return a, b, n
 
 

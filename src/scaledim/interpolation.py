@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 from .covers import CoverCost, ScaleWindow, prepare, upper_bound_slack
 from .errors import BudgetError, ConfigError, InputError, ScaledimError
 from .estimator import _bisect, dimension_profile
-from .scalefun import InterpolatedScale, LogCorrected, MinFamily, Tabulated
+from .scalefun import InterpolatedScale, LogCorrected, Tabulated
 from .setmodels import model_id
 
 #: Deepest floor probed before declaring cost 1 unreachable, as a
@@ -57,21 +57,19 @@ class PhiSPoint:
     """Feasibility sup at one scale.
 
     ``log_phi_s`` is certified feasible (a cover of cost at most 1 exists
-    with diameters in [phi_s, delta]); ``upper_gap`` bounds how far above
-    it the true sup could sit.  ``at_cap`` marks the ceiling delta/(-log
-    delta); ``budget_exceeded`` marks scales where every floor down to
-    ``MAX_FLOOR_FACTOR * log_delta`` is infeasible, whether the walk
-    probed them all or the deepest one settled them, and scales where the
-    walk met a DP move or state cap (a ``BudgetError``) before any
+    with diameters in [phi_s, delta]).  ``at_cap`` marks the ceiling
+    delta/(-log delta); ``budget_exceeded`` marks scales where every floor
+    down to ``MAX_FLOOR_FACTOR * log_delta`` is infeasible, whether the
+    walk probed them all or the deepest one settled them, and scales where
+    the walk met a DP move or state cap (a ``BudgetError``) before any
     feasible floor.  Such a point carries the last infeasible floor as
-    ``log_phi_s`` and an infinite ``upper_gap``.
+    ``log_phi_s``.
     """
 
     log_delta: float
     log_phi_s: float
     at_cap: bool
     budget_exceeded: bool
-    upper_gap: float
 
 
 @dataclass(frozen=True)
@@ -134,7 +132,7 @@ def _phi_s_point(
         return cost(log_x, rung).log_cost_upper <= 0.0
 
     if feasible(log_cap, rung=True):
-        return PhiSPoint(log_delta, log_cap, True, False, 0.0)
+        return PhiSPoint(log_delta, log_cap, True, False)
 
     # The true cost only falls as the bottom falls.  Where the route's
     # upper bound does too, up to a known slack, a deepest floor that is
@@ -146,7 +144,7 @@ def _phi_s_point(
         deepest = MAX_FLOOR_FACTOR * log_delta
         try:
             if cost(deepest, rung=True).log_cost_upper > slack:
-                return PhiSPoint(log_delta, deepest, False, True, math.inf)
+                return PhiSPoint(log_delta, deepest, False, True)
         except ScaledimError:
             pass
 
@@ -165,14 +163,10 @@ def _phi_s_point(
         hi = cand
         k *= 2
     if lo is None:
-        return PhiSPoint(log_delta, hi, False, True, math.inf)
+        return PhiSPoint(log_delta, hi, False, True)
 
-    lo, hi = _bisect(feasible, lo, hi, tol)
-    # hi may be only conservatively infeasible; report the certified gap
-    gap = hi - lo
-    if not cost(hi).log_cost_lower > 0.0:
-        gap = log_cap - lo  # sup is somewhere below the cap, not localized
-    return PhiSPoint(log_delta, lo, False, False, gap)
+    lo, _ = _bisect(feasible, lo, hi, tol)
+    return PhiSPoint(log_delta, lo, False, False)
 
 
 def phi_s_at(
@@ -199,9 +193,8 @@ def phi_s_at(
     settles the scale as budget-exceeded, since no floor above it can
     then be feasible; feasible, near cost 1 or raising, it leaves the
     walk to decide, so the result is the walk's.
-    Cost brackets that straddle 1 count as infeasible — the returned
-    value is always certified, and ``upper_gap`` reports the distance to
-    the nearest certified-infeasible point.  Windows are prepared on
+    Cost brackets that straddle 1 count as infeasible, so the returned
+    value is always certified.  Windows are prepared on
     :func:`scaledim.covers.prepare`'s default routes.
     """
     return _phi_s_point(model, s, log_delta, {}, tol=tol)
@@ -242,12 +235,10 @@ def _phi_s_tables(
             if pt.log_phi_s + tol < running[i]:
                 regressions[i].append(ld)
             if pt.log_phi_s < running[i]:
-                pt = PhiSPoint(
-                    pt.log_delta, running[i], pt.at_cap, False, pt.upper_gap
-                )
+                pt = PhiSPoint(pt.log_delta, running[i], pt.at_cap, False)
             running[i] = pt.log_phi_s
             if pt.log_phi_s < floor:
-                pt = PhiSPoint(pt.log_delta, floor, pt.at_cap, False, pt.upper_gap)
+                pt = PhiSPoint(pt.log_delta, floor, pt.at_cap, False)
             floor = pt.log_phi_s
             kept[i].append(pt)
     name = model_id(model)
@@ -393,35 +384,3 @@ def verify_interpolation(
         lower_box_estimate=lower_box,
         passed=passed,
     )
-
-
-def hausdorff_endpoint_family(
-    model,
-    s: float,
-    log_deltas: Sequence[float],
-    *,
-    box_upper_estimate: float,
-    tol: float = 0.05,
-) -> tuple[MinFamily, list[PhiSTable]]:
-    """Pointwise-min family realizing the bottom endpoint exponent.
-
-    The endpoint itself may not be attained by any single table, but the
-    min of tables at s + 1/n for n = N, N+1, N+2 is admissible and squeezes
-    down to it.  N must satisfy s + 1/N < box_upper_estimate so that every
-    member exponent stays realizable.
-    """
-    if not box_upper_estimate > s:
-        raise InputError(
-            "endpoint construction needs s below the box estimate, got "
-            f"s={s}, box={box_upper_estimate}"
-        )
-    n0 = math.floor(1.0 / (box_upper_estimate - s)) + 1
-    exponents = [s + 1.0 / n for n in range(n0, n0 + 3)]
-    tables = phi_s_family(model, exponents, log_deltas, tol=tol)
-    usable = [tab for tab in tables if len(tab.points) >= 2]
-    if not usable:
-        raise InputError(
-            f"no member exponent near s={s} was realizable on the grid"
-        )
-    family = MinFamily(tuple(tab.as_scale_function() for tab in usable))
-    return family, tables

@@ -1,11 +1,12 @@
-"""Frostman-type measures and the mass distribution principle.
+"""Frostman-type measures and their ball-mass growth.
 
 The constructive direction: build an atomic measure on a model's skeleton
 by seeding mass b^{-ms} on the finest-level cubes of a b-adic hierarchy
 and capping upward so no cube at any chain level carries more than its
 share.  The checking direction: verify ball-mass growth of any atomic
-measure exactly, and turn a verified constant into a certified lower
-bound on window cover costs.
+measure exactly, and convert a ball constant into one for sets by
+diameter.  The mass distribution principle's cover-cost lower bounds for
+Cantor schedules are :func:`scaledim.covers.schedule_mass_constant`'s.
 
 A construction splits into structure and masses.  The structure of one
 scale does not depend on s: the hierarchy depth, the skeleton, the seeded
@@ -38,16 +39,13 @@ from .covers import ScaleWindow
 from .errors import BudgetError, DomainError, InputError, ResolutionError
 from .estimator import critical_exponent
 from .scalefun import ScaleFunction
-from .setmodels import CantorSchedule, skeleton
+from .setmodels import skeleton
 
 #: Default branching base of the cube hierarchy.
 DEFAULT_BASE = 20
 
 #: Hard cap on the number of seeded atoms.
 ATOM_CAP = 2_000_000
-
-#: Most atom pairs the exact check of :func:`mass_lower_bound` scans.
-_PAIR_BUDGET = 50_000_000
 
 #: Largest log-constant slope :func:`massfrostman_roundtrip` reads as bounded.
 _BETA0 = 0.02
@@ -95,10 +93,6 @@ class AtomicMeasure:
             raise InputError("locations must be sorted ascending")
         if not np.all(mas > 0.0):
             raise InputError("masses must be positive")
-
-    @property
-    def total(self) -> float:
-        return float(self.masses.sum())
 
     def prefix_masses(self) -> np.ndarray:
         """Cumulative masses with a leading 0, for interval queries."""
@@ -249,17 +243,6 @@ def build_frostman_measure(
     return _cap_chain(_seed(model, log_delta, phi, base), s)
 
 
-def natural_cantor_measure(model: CantorSchedule, level: int) -> AtomicMeasure:
-    """Equal mass 2^-level on each level interval's left endpoint."""
-    starts, _ = model.materialize(level)
-    mass = 0.5**level
-    return AtomicMeasure(
-        np.asarray(starts, dtype=float),
-        np.full(len(starts), mass),
-        pre_normalization_total=1.0,
-    )
-
-
 @dataclass(frozen=True)
 class BallMassReport:
     """Exact maximum of ball mass over radius^s across a radius grid."""
@@ -393,80 +376,6 @@ def ball_to_set_constant(c_ball: float, s: float) -> float:
 
 
 @dataclass(frozen=True)
-class MassCertificate:
-    """Outcome of a mass-distribution lower-bound check.
-
-    When ``holds``, every cover of the support by sets with diameters in
-    the window has cost at least a/c (log value recorded), because each
-    cover element absorbs at most c * |U|^s of the total mass a.
-    """
-
-    holds: bool
-    s: float
-    a: float
-    c: float
-    log_cost_floor: float
-    worst_ratio: float
-    worst_span: float
-
-
-def mass_lower_bound(
-    mu: AtomicMeasure,
-    window: ScaleWindow,
-    s: float,
-    a: float,
-    c: float,
-) -> MassCertificate:
-    """Check mu(U) <= c|U|^s exactly for all window-sized intervals U.
-
-    The worst interval has both endpoints at atoms (shrinking to the atom
-    hull preserves mass and lowers the diameter), so scanning atom pairs
-    whose span fits the window is exhaustive.  With the check passed, a/c
-    is a certified lower bound for every window cover cost.
-    """
-    if not 0.0 <= a <= mu.total * (1.0 + 1e-12):
-        raise InputError(f"a must lie in [0, total mass {mu.total:g}], got {a}")
-    if not c > 0.0:
-        raise InputError(f"c must be positive, got {c}")
-    if not window.linear_representable():
-        raise InputError("window too deep for linear mass checks")
-    locs = mu.locations
-    prefix = mu.prefix_masses()
-    lo, hi = window.lo, window.hi
-    ends = np.searchsorted(locs, locs + hi * (1.0 + 1e-15), side="right")
-    if int(np.sum(ends - np.arange(locs.size))) > _PAIR_BUDGET:
-        raise BudgetError(
-            "too many atom pairs for the exact mass check; "
-            "use the schedule-based constant instead"
-        )
-    worst_ratio = 0.0
-    worst_span = lo
-    for i in range(locs.size):
-        j_end = ends[i]
-        spans = locs[i:j_end] - locs[i]
-        eff = np.maximum(spans, lo)
-        keep = spans <= hi
-        if not np.any(keep):
-            continue
-        ratios = (prefix[i + 1 : j_end + 1] - prefix[i])[keep] / eff[keep] ** s
-        k = int(np.argmax(ratios))
-        if ratios[k] > worst_ratio:
-            worst_ratio = float(ratios[k])
-            worst_span = float(eff[keep][k])
-    holds = worst_ratio <= c * (1.0 + 1e-12)
-    floor = math.log(a) - math.log(c) if a > 0.0 else -math.inf
-    return MassCertificate(
-        holds=holds,
-        s=s,
-        a=a,
-        c=c,
-        log_cost_floor=floor,
-        worst_ratio=worst_ratio,
-        worst_span=worst_span,
-    )
-
-
-@dataclass(frozen=True)
 class RoundtripRow:
     """Growth diagnostics of the constructed measures at one exponent."""
 
@@ -486,12 +395,6 @@ class RoundtripReport:
     rows: tuple[RoundtripRow, ...]
     bracket_lower: float
     bracket_upper: float
-
-    @property
-    def consistent(self) -> bool:
-        return (
-            self.bracket_lower - 0.05 <= self.estimate <= self.bracket_upper + 0.05
-        )
 
 
 def massfrostman_roundtrip(

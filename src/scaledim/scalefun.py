@@ -115,12 +115,12 @@ class StretchedExponential(ScaleFunction):
     """phi(delta) = exp(-delta ** (-c)) for c > 0; shrinks faster than any power."""
 
     c: float
-    domain_upper: float = field(default=-1.0)  # sentinel; resolved in __post_init__
+    domain_upper: Optional[float] = None  # None: resolved in __post_init__
 
     def __post_init__(self) -> None:
         if not self.c > 0.0:
             raise DomainError(f"c must be positive, got {self.c}")
-        if self.domain_upper == -1.0:
+        if self.domain_upper is None:
             object.__setattr__(self, "domain_upper", self._default_domain())
         if not 0.0 < self.domain_upper <= 1.0:
             raise DomainError(f"domain_upper must be in (0, 1], got {self.domain_upper}")
@@ -245,7 +245,7 @@ class MinFamily(ScaleFunction):
 
     ``active_below`` optionally restricts each member to scales
     ``log_delta <= active_below[i]`` so that finer members switch on only
-    at finer scales (the construction used for the Hausdorff endpoint).
+    at finer scales.
     """
 
     members: tuple[ScaleFunction, ...]

@@ -249,6 +249,11 @@ def _min_family_active_below(value: str) -> str:
         ],
         ["estimate", "--model", '{"kind": "cantor", "blocks": [[true, 0.25]]}'],
         ["estimate", "--phi", '{"variant": "stretched_exp", "params": {"c": true}}'],
+        # -1 was the "derive the default" sentinel: it exited 0 with domain_upper 1.0
+        [
+            "estimate", "--phi",
+            '{"variant": "stretched_exp", "params": {"c": 0.5}, "domain_upper": -1}',
+        ],
         [
             "bounds", "--formula", "general_lower", "--inputs",
             '{"box_lower": 0.5, "box_upper": 0.5, "assouad": true}',
@@ -292,7 +297,7 @@ def _min_family_active_below(value: str) -> str:
     ids=[
         "model-missing-p", "phi-not-a-number", "phi-missing-theta",
         "bounds-missing-dim-theta", "model-bool-p", "carpet-fractional-m",
-        "cantor-bool-count", "phi-bool-c", "bounds-bool-assouad",
+        "cantor-bool-count", "phi-bool-c", "stretched-domain-minus-one", "bounds-bool-assouad",
         "min-family-string-active-below", "min-family-bool-active-below",
         "tabulated-bool-log-breakpoint", "tabulated-bool-breakpoint",
         "interpolated-bool-log-breakpoint", "bounds-nan-dim-phi-f", "bounds-nan-box-lower",
@@ -586,6 +591,9 @@ def test_unusable_paths_and_files_exit_two(tmp_path, monkeypatch, capsys, config
         ["phi", "--grid=-inf:-1:3"],
         ["phi", "--grid=-4:nan:3"],
         ["interpolate", "--s-grid", "0.2:inf:3"],
+        # counts above the grid cap raised numpy's MemoryError from linspace
+        ["estimate", "--grid=-40:-20:10000000000000"],
+        ["interpolate", "--s-grid", "0.2:0.8:10000000000000", "--grid=-36:-12:3"],
     ],
     ids=lambda args: " ".join(args),
 )
@@ -596,7 +604,15 @@ def test_malformed_flags_exit_two(tmp_path, capsys, args):
         code = main(args + ["--out", str(out)])
     assert code == 2
     assert not out.exists()
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_grid_point_cap_is_inclusive():
+    cap = cli.MAX_GRID_POINTS
+    assert cli.parse_grid(f"0:1:{cap}") == (0.0, 1.0, cap)
+    with pytest.raises(cli.ConfigError, match=f"at most {cap} points"):
+        cli.parse_grid(f"0:1:{cap + 1}")
 
 
 # --- one parser per process ------------------------------------------------------

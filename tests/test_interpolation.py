@@ -12,9 +12,8 @@ import pytest
 
 import scaledim
 from scaledim import covers, interpolation
-from scaledim.errors import BudgetError, InputError, ScaledimError
+from scaledim.errors import BudgetError, ScaledimError
 from scaledim.interpolation import (
-    hausdorff_endpoint_family,
     phi_s_at,
     phi_s_family,
     phi_s_function,
@@ -45,7 +44,6 @@ def test_phi_s_point_below_box_dimension(seq):
     pt = phi_s_at(seq, 0.4, -20 * LOG2, tol=1e-3)
     assert pt.log_phi_s == pytest.approx(-24.27979969054681, rel=1e-12)
     assert not pt.at_cap and not pt.budget_exceeded
-    assert pt.upper_gap == pytest.approx(7.7876367263755775, rel=1e-10)
     # the tabulated window bottom is strictly below the scale itself
     assert pt.log_phi_s < pt.log_delta
 
@@ -67,7 +65,7 @@ def test_phi_s_bisection_stops_at_float_spacing(seq):
         "from scaledim.interpolation import phi_s_at\n"
         "from scaledim.setmodels import SequenceSet\n"
         "p = phi_s_at(SequenceSet(1.0), 0.4, -20 * math.log(2.0), tol=1e-300)\n"
-        "print(p.log_phi_s.hex(), p.upper_gap.hex())\n"
+        "print(p.log_phi_s.hex())\n"
     )
     src = os.path.dirname(os.path.dirname(scaledim.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -75,10 +73,9 @@ def test_phi_s_bisection_stops_at_float_spacing(seq):
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    log_phi_s, gap = (float.fromhex(v) for v in done.stdout.split())
+    log_phi_s = float.fromhex(done.stdout)
     fine = phi_s_at(seq, 0.4, -20 * LOG2, tol=1e-9)
     assert log_phi_s == pytest.approx(fine.log_phi_s, abs=1e-9)
-    assert gap == pytest.approx(fine.upper_gap, abs=1e-9)
 
 
 def test_phi_s_tables_are_pointwise_ordered(seq):
@@ -132,24 +129,6 @@ def test_unrealizable_exponent_drops_every_grid_point():
     assert len(tab.dropped) == len(grid)
 
 
-def test_endpoint_family_member_exponents(seq):
-    family, tabs = hausdorff_endpoint_family(
-        seq, 0.3, GRID, box_upper_estimate=0.5
-    )
-    assert len(family.members) == 3
-    # member exponents are s + 1/n for consecutive n past the gap threshold
-    assert [tab.s for tab in tabs] == pytest.approx(
-        [0.3 + 1.0 / 8.0, 0.3 + 1.0 / 7.0, 0.3 + 1.0 / 6.0], abs=1e-12
-    )
-
-
-def test_endpoint_family_guards_against_empty_tables(seq):
-    # one scale gives every member table one point at most, too few to
-    # tabulate a scale function
-    with pytest.raises(InputError, match="realizable"):
-        hausdorff_endpoint_family(seq, 0.3, GRID[:1], box_upper_estimate=0.5)
-
-
 # --- scale-major family ----------------------------------------------------
 
 S_GRID = [0.4 + 0.01 * i for i in range(40)]
@@ -163,7 +142,7 @@ def _family_digest(tables):
     """sha256 over every table's rows, drops and regressions, as hex."""
     text = "\n".join(
         f"{t.s.hex()} {t.model} "
-        f"{[(p.log_delta.hex(), p.log_phi_s.hex(), p.at_cap, p.upper_gap.hex()) for p in t.points]} "
+        f"{[(p.log_delta.hex(), p.log_phi_s.hex(), p.at_cap) for p in t.points]} "
         f"{[d.hex() for d in t.dropped]} {[r.hex() for r in t.regressions]}"
         for t in tables
     )
@@ -194,7 +173,7 @@ def test_families_match_values_recorded_exponent_by_exponent():
         "-0x1.4df505991a7b5p+3",
     ]
     assert _family_digest(cantor) == (
-        "2db6b60c13b216ceb63b8942a646c51aed5e7a230ac7279d1389e1a1a3a7f32e"
+        "a886233aac2c57fbb3607ed4c62ce7a362b683db386a8d109100b84e9beda6c2"
     )
     seq = phi_s_family(SequenceSet(1.0), S_GRID, GRID, tol=1e-3)
     assert sum(not p.at_cap for t in seq for p in t.points) == 42  # bisected
@@ -205,7 +184,7 @@ def test_families_match_values_recorded_exponent_by_exponent():
         "-0x1.0201f3b171896p+4",
     ]
     assert _family_digest(seq) == (
-        "4ff79cfc2a988cfef74b22360e3525db51139e9aa9f370437b997d8913f090d8"
+        "b7aa1fd0a61591606818a7e1ce150c470ba854e2f14cdaa6c4e9ee3354310f0d"
     )
 
 
@@ -302,7 +281,7 @@ def _search_digest(cases):
         else:
             outcome = (
                 f"{p.log_delta.hex()} {p.log_phi_s.hex()} {p.at_cap} "
-                f"{p.budget_exceeded} {p.upper_gap.hex()}"
+                f"{p.budget_exceeded}"
             )
             kind = "cap" if p.at_cap else "exceeded" if p.budget_exceeded else "bisected"
             outcomes[kind] += 1
@@ -317,7 +296,7 @@ def test_phi_s_search_matches_recorded_points():
     outcomes, digest = _search_digest(cases)
     assert outcomes == {"cap": 23, "bisected": 8, "exceeded": 11, "error": 21}
     assert digest == (
-        "e18266c8163263d65ff6c5430333bd65c029efd8c3d29e91dc2006abe2869a27"
+        "77e301eae96338bf357da0fae04c9667f6d154ae38969455676b26e79c604308"
     )
 
 
@@ -332,7 +311,7 @@ def test_dp_cap_in_the_floor_walk_drops_the_scale(monkeypatch):
         covers.cover_cost(model, window, 0.388)
     p = phi_s_at(model, 0.388, log_delta)
     assert p.budget_exceeded and not p.at_cap
-    assert p.log_phi_s == 2 * log_delta and p.upper_gap == math.inf
+    assert p.log_phi_s == 2 * log_delta
     low, high = phi_s_family(model, [0.388, 0.7], [log_delta, -7 * LOG2])
     assert low.points == () and len(low.dropped) == 2
     assert len(high.points) == 2 and high.dropped == ()

@@ -1,4 +1,4 @@
-"""Atomic measures: construction, ball-mass constants, certificates."""
+"""Atomic measures: construction, ball-mass constants, the roundtrip."""
 
 import math
 
@@ -13,9 +13,7 @@ from scaledim.measures import (
     ball_to_set_constant,
     build_frostman_measure,
     frostman_levels,
-    mass_lower_bound,
     massfrostman_roundtrip,
-    natural_cantor_measure,
     verify_ball_mass,
 )
 from scaledim.scalefun import PowerLaw
@@ -160,13 +158,6 @@ def test_cubes_below_float_range_are_resolution_errors(log2_delta, level):
         build_frostman_measure(PointSet(0.0), 0.5, log2_delta * LOG2, PowerLaw(0.5))
 
 
-def test_natural_measure_is_uniform(thirds):
-    nat = natural_cantor_measure(thirds, 9)
-    assert len(nat.locations) == 512
-    np.testing.assert_allclose(nat.masses, 1.0 / 512.0, rtol=1e-15)
-    assert nat.masses.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_atomic_measure_validation():
     with pytest.raises(InputError):
         AtomicMeasure(np.array([0.5, 0.2]), np.array([0.5, 0.5]), 1.0, None)
@@ -189,11 +180,8 @@ def test_ball_mass_single_atom_is_exact():
 def test_ball_mass_refuses_windows_too_deep_for_linear_radii():
     # lo = e**-800 underflows to 0.0; the scan would divide 0.0 by 0.0**s
     mu = AtomicMeasure([0.1, 0.5], [0.5, 0.5])
-    deep = ScaleWindow(-800.0, -1.0)
     with pytest.raises(InputError, match="window too deep for linear mass checks"):
-        verify_ball_mass(mu, deep, 0.5)
-    with pytest.raises(InputError, match="window too deep for linear mass checks"):
-        mass_lower_bound(mu, deep, 0.5, 1.0, 1.0)
+        verify_ball_mass(mu, ScaleWindow(-800.0, -1.0), 0.5)
     # lo = 1e-200 is a normal float, but lo**2 underflows to 0.0
     with pytest.raises(InputError, match="window too deep for linear mass checks"):
         verify_ball_mass(mu, ScaleWindow.from_linear(1e-200, 1e-100), 2.0)
@@ -377,35 +365,6 @@ def test_ball_to_set_constant_scales_by_diameter_power():
     assert ball_to_set_constant(1.4115146778577006, 0.6) == pytest.approx(
         2.1394561811015045, rel=1e-12
     )
-
-
-# --- mass certificates -----------------------------------------------------------
-
-
-def test_mass_certificate_natural_measure(thirds):
-    nat = natural_cantor_measure(thirds, 9)
-    window = ScaleWindow(-9 * LOG3, -5 * LOG3)
-    cert = mass_lower_bound(nat, window, math.log(2.0) / LOG3, 1.0, 2.0)
-    assert cert.holds
-    assert cert.log_cost_floor == pytest.approx(-math.log(2.0), abs=1e-12)
-    assert cert.worst_ratio == pytest.approx(1.2915202343305503, rel=1e-12)
-
-
-def test_mass_certificate_fails_above_dimension(thirds):
-    nat = natural_cantor_measure(thirds, 9)
-    window = ScaleWindow(-9 * LOG3, -5 * LOG3)
-    cert = mass_lower_bound(nat, window, 0.95, 1.0, 2.0)
-    assert not cert.holds
-
-
-def test_mass_certificate_input_checks(thirds, monkeypatch):
-    nat = natural_cantor_measure(thirds, 9)
-    window = ScaleWindow(-9 * LOG3, -5 * LOG3)
-    with pytest.raises(InputError):
-        mass_lower_bound(nat, window, 0.6, 5.0, 2.0)  # a above total mass
-    monkeypatch.setattr(measures, "_PAIR_BUDGET", 10)
-    with pytest.raises(BudgetError):
-        mass_lower_bound(nat, window, 0.6, 0.9, 2.0)
 
 
 # --- roundtrip diagnostic ---------------------------------------------------------
