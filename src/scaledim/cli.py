@@ -46,7 +46,9 @@ from .covers import (
     cover_cost_exhaustive,
     prepare,
 )
-from .errors import ComputationError, ConfigError, ValidationError, as_integer, as_real
+from .errors import (
+    ComputationError, ConfigError, InputError, ValidationError, as_integer, as_real
+)
 from .estimator import critical_exponent, dimension_profile
 from .interpolation import phi_s_family
 from .logspace import LOG2
@@ -130,6 +132,22 @@ def _from_spec(build, spec, what: str):
         raise ConfigError(f"malformed {what} {spec!r}: {exc!r}") from exc
 
 
+def _load_json(text: str, what: str):
+    """``json.loads`` that refuses NaN, Infinity and numbers that round to
+    them (1e999): JSON has none, and artifacts copy their inputs."""
+
+    def finite(literal: str) -> float:
+        value = float(literal)
+        if not math.isfinite(value):
+            raise ConfigError(f"{what} numbers must be finite, got {literal}")
+        return value
+
+    try:
+        return json.loads(text, parse_float=finite, parse_constant=finite)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}")
+
+
 def parse_model_spec(spec) -> dict:
     """Inline JSON (leading '{') or a path to a JSON file."""
     if isinstance(spec, dict):
@@ -141,10 +159,7 @@ def parse_model_spec(spec) -> dict:
                 text = fh.read()
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
             raise ConfigError(f"cannot read model file {spec!r}: {exc}")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"model spec is not valid JSON: {exc}")
+    data = _load_json(text, "model spec")
     if not isinstance(data, dict):
         raise ConfigError(f"model spec must be a JSON object, got {type(data).__name__}")
     return data
@@ -156,11 +171,7 @@ def parse_phi_spec(spec) -> dict:
         return spec
     text = str(spec).strip()
     if text.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"phi spec is not valid JSON: {exc}")
-        return data
+        return _load_json(text, "phi spec")
     name, _, arg = text.partition(":")
     if name == "power_law":
         if not arg:
@@ -209,10 +220,7 @@ def _format(value) -> str:
 def _json_object(value) -> dict:
     if isinstance(value, dict):
         return value
-    try:
-        data = json.loads(str(value))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"--inputs is not valid JSON: {exc}")
+    data = _load_json(str(value), "--inputs")
     if not isinstance(data, dict):
         raise ConfigError("--inputs must be a JSON object")
     return data
@@ -341,11 +349,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
+                text = fh.read()
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}")
+        file_cfg = _load_json(text, "config file")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = sorted(set(file_cfg) - set(CONFIG_KEYS))
@@ -498,6 +505,8 @@ def _run_bounds(cfg: RunConfig):
         raise ConfigError(f"unknown formula {formula!r}")
     inputs = cfg.inputs or {}
     result = _from_spec(compute, inputs, f"{formula} inputs")
+    if any(isinstance(v, float) and not math.isfinite(v) for v in result.values()):
+        raise InputError(f"{formula} result is not finite: {result}")
     payload = {"command": "bounds", "formula": formula, "inputs": inputs, "result": result}
     rows = [(k, result[k]) for k in sorted(result)]
     summary = "bounds[%s]: %s -> %s" % (

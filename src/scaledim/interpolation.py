@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 from .covers import CoverCost, ScaleWindow, prepare, upper_bound_slack
 from .errors import BudgetError, ConfigError, InputError, ScaledimError
 from .estimator import _bisect, dimension_profile
-from .scalefun import InterpolatedScale, LogCorrected, Tabulated
+from .scalefun import InterpolatedScale, LogCorrected
 from .setmodels import model_id
 
 #: Deepest floor probed before declaring cost 1 unreachable, as a
@@ -91,8 +91,7 @@ class PhiSTable:
             raise InputError(
                 f"need at least two usable scales to tabulate (got {len(self.points)})"
             )
-        table = Tabulated(tuple(self.rows()))
-        return InterpolatedScale(table=table, s=self.s, model_id=self.model)
+        return InterpolatedScale(tuple(self.rows()), s=self.s, model_id=self.model)
 
 
 def _phi_s_point(

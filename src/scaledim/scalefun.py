@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, field, fields
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DomainError, InvalidFunctionError, as_real
@@ -26,7 +27,9 @@ _ADMISSIBILITY_EPS = 1e-12
 
 
 class ScaleFunction:
-    """Base class; subclasses provide ``_log_phi`` and a ``domain_upper``."""
+    """Base class; subclasses provide ``_log_phi`` and a ``domain_upper``.
+    Tables and families derive the latter and override ``_log_domain_upper``
+    with its exact log, as a table's linear bound underflows below e**-745."""
 
     #: subclasses backed by a finite table allow queries at the domain edge
     _domain_inclusive = False
@@ -37,10 +40,7 @@ class ScaleFunction:
         raise NotImplementedError
 
     def _log_domain_upper(self) -> float:
-        # tables at scales below exp(-745) underflow linear domain_upper;
-        # subclasses stash the exact log bound in _log_domain instead
-        stashed = getattr(self, "_log_domain", None)
-        return math.log(self.domain_upper) if stashed is None else stashed
+        return math.log(self.domain_upper)
 
     def _check_domain(self, log_delta: float) -> None:
         if math.isnan(log_delta) or math.isinf(log_delta):
@@ -163,11 +163,11 @@ class Tabulated(ScaleFunction):
 
     ``log_breakpoints`` is a sorted tuple of (log_delta, log_value) pairs.
     Queries are restricted to the closed breakpoint range; both endpoints
-    are valid scales.
+    are valid scales; ``domain_upper`` is exp of the last log delta, at most 1.
     """
 
     log_breakpoints: tuple[tuple[float, float], ...]
-    domain_upper: float = field(default=-1.0)
+    domain_upper: float = field(init=False)
 
     _domain_inclusive = True
 
@@ -176,7 +176,7 @@ class Tabulated(ScaleFunction):
         if len(pts) < 1:
             raise InvalidFunctionError("Tabulated needs at least one breakpoint")
         for i, (ld, lv) in enumerate(pts):
-            if math.isnan(ld) or math.isnan(lv) or lv == math.inf:
+            if not math.isfinite(ld) or math.isnan(lv) or lv == math.inf:
                 raise InvalidFunctionError(f"non-finite breakpoint {pts[i]}")
             if lv == -math.inf:
                 raise InvalidFunctionError("breakpoint value must be positive")
@@ -193,10 +193,10 @@ class Tabulated(ScaleFunction):
                     "breakpoint values must be nondecreasing in delta"
                 )
         object.__setattr__(self, "log_breakpoints", pts)
-        if self.domain_upper == -1.0:
-            log_bound = min(pts[-1][0], 0.0)
-            object.__setattr__(self, "_log_domain", log_bound)
-            object.__setattr__(self, "domain_upper", math.exp(log_bound))
+        object.__setattr__(self, "domain_upper", math.exp(self._log_domain_upper()))
+
+    def _log_domain_upper(self) -> float:
+        return min(self.log_breakpoints[-1][0], 0.0)
 
     @classmethod
     def from_linear(cls, breakpoints: Sequence[tuple[float, float]]) -> "Tabulated":
@@ -219,16 +219,15 @@ class Tabulated(ScaleFunction):
 
     def _log_phi(self, log_delta: float) -> float:
         pts = self.log_breakpoints
-        lds = [p[0] for p in pts]
-        if log_delta < lds[0] - _ADMISSIBILITY_EPS:
+        if log_delta < pts[0][0] - _ADMISSIBILITY_EPS:
             raise DomainError(
-                f"log_delta {log_delta:.6g} below tabulated range start {lds[0]:.6g}"
+                f"log_delta {log_delta:.6g} below tabulated range start {pts[0][0]:.6g}"
             )
-        if log_delta <= lds[0]:
+        if log_delta <= pts[0][0]:
             return pts[0][1]
-        if log_delta >= lds[-1]:
+        if log_delta >= pts[-1][0]:
             return pts[-1][1]
-        i = bisect_right(lds, log_delta)
+        i = bisect_right(pts, log_delta, key=itemgetter(0))
         (x0, y0), (x1, y1) = pts[i - 1], pts[i]
         t = (log_delta - x0) / (x1 - x0)
         value = y0 + t * (y1 - y0)
@@ -245,12 +244,12 @@ class MinFamily(ScaleFunction):
 
     ``active_below`` optionally restricts each member to scales
     ``log_delta <= active_below[i]`` so that finer members switch on only
-    at finer scales.
+    at finer scales.  ``domain_upper`` is derived: the least member bound.
     """
 
     members: tuple[ScaleFunction, ...]
     active_below: Optional[tuple[float, ...]] = None
-    domain_upper: float = field(default=-1.0)
+    domain_upper: float = field(init=False)
 
     _domain_inclusive = True
 
@@ -259,15 +258,11 @@ class MinFamily(ScaleFunction):
             raise InvalidFunctionError("MinFamily needs at least one member")
         if self.active_below is not None and len(self.active_below) != len(self.members):
             raise InvalidFunctionError("active_below must match members in length")
-        if self.domain_upper == -1.0:
-            object.__setattr__(
-                self,
-                "_log_domain",
-                min(m._log_domain_upper() for m in self.members),
-            )
-            object.__setattr__(
-                self, "domain_upper", min(m.domain_upper for m in self.members)
-            )
+        bound = min(m.domain_upper for m in self.members)
+        object.__setattr__(self, "domain_upper", bound)
+
+    def _log_domain_upper(self) -> float:
+        return min(m._log_domain_upper() for m in self.members)
 
     def _log_phi(self, log_delta: float) -> float:
         values = []
@@ -286,27 +281,13 @@ class MinFamily(ScaleFunction):
 
 
 @dataclass(frozen=True)
-class InterpolatedScale(ScaleFunction):
-    """Scale function tabulated from an exponent-targeted window construction.
+class InterpolatedScale(Tabulated):
+    """Scale function tabulated from an exponent-targeted window construction:
+    a :class:`Tabulated` table with the exponent ``s`` it was built for and
+    the id of the model it belongs to."""
 
-    Wraps a :class:`Tabulated` table together with the exponent ``s`` it was
-    built for and the id of the model it belongs to.
-    """
-
-    table: Tabulated
     s: float
     model_id: str
-    domain_upper: float = field(default=-1.0)
-
-    _domain_inclusive = True
-
-    def __post_init__(self) -> None:
-        if self.domain_upper == -1.0:
-            object.__setattr__(self, "_log_domain", self.table._log_domain_upper())
-            object.__setattr__(self, "domain_upper", self.table.domain_upper)
-
-    def _log_phi(self, log_delta: float) -> float:
-        return self.table._log_phi(log_delta)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +482,6 @@ _PARAM_DECODERS = {
     "s": as_real,
     "model_id": str,
     "log_breakpoints": lambda v: tuple(_numbers(p) for p in v),
-    "table": lambda v: Tabulated(tuple(_numbers(p) for p in v)),
     "members": lambda v: tuple(scale_function_from_dict(m) for m in v),
     "active_below": lambda v: _numbers(v) if v else None,
 }
@@ -518,17 +498,14 @@ def _plain(value):
 
 def scale_function_to_dict(phi: ScaleFunction) -> dict:
     """``variant``, every field but ``domain_upper`` as ``params``, and
-    ``domain_upper``.  An interpolated scale writes its table's log pairs
-    in place of the table; a tabulated one adds linear pairs when they are
-    representable."""
+    ``domain_upper``.  A plain tabulated scale adds linear pairs when they
+    are representable; an interpolated one writes its log pairs only."""
     variant = next((name for name, cls in _VARIANTS.items() if type(phi) is cls), None)
     if variant is None:
         raise ConfigError(f"cannot serialize scale function of type {type(phi).__name__}")
     params = {f.name: _plain(getattr(phi, f.name)) for f in fields(phi)}
     del params["domain_upper"]
-    if isinstance(phi, InterpolatedScale):
-        params["log_breakpoints"] = params.pop("table")["params"]["log_breakpoints"]
-    elif isinstance(phi, Tabulated) and phi.log_breakpoints[0][1] > -700.0:
+    if type(phi) is Tabulated and phi.log_breakpoints[0][1] > -700.0:
         params["breakpoints"] = [
             [math.exp(ld), math.exp(lv)] for ld, lv in phi.log_breakpoints
         ]
@@ -545,14 +522,12 @@ def scale_function_from_dict(data: dict) -> ScaleFunction:
     params = data.get("params", {})
     if cls is Tabulated and "log_breakpoints" not in params:
         return Tabulated.from_linear([_numbers(p) for p in params["breakpoints"]])
-    if cls is InterpolatedScale:
-        params = {**params, "table": params["log_breakpoints"]}
     kwargs = {
         f.name: _PARAM_DECODERS[f.name](params[f.name])
         for f in fields(cls)
         if f.name in _PARAM_DECODERS and (f.name in params or f.default is MISSING)
     }
-    # the closed forms take domain_upper as a parameter; the others derive it
-    if cls in (PowerLaw, LogCorrected, StretchedExponential) and "domain_upper" in data:
+    takes_domain = any(f.name == "domain_upper" and f.init for f in fields(cls))
+    if takes_domain and "domain_upper" in data:  # tables and families derive it
         kwargs["domain_upper"] = as_real(data["domain_upper"])
     return cls(**kwargs)

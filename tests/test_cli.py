@@ -286,6 +286,37 @@ def _min_family_active_below(value: str) -> str:
             "bounds", "--formula", "holder", "--inputs",
             '{"alpha": 0.5, "gamma": 1.5, "dim_phi_F": 0.5, "assouad_image": Infinity}',
         ],
+        # non-finite JSON numbers exited 0 and went into the artifact as
+        # NaN or Infinity, which is not JSON
+        [
+            "bounds", "--formula", "general_lower", "--inputs",
+            '{"box_lower": 0.5, "box_upper": 0.5, "assouad": 1, "theta": 0.5, "eta": NaN}',
+        ],
+        [
+            "bounds", "--formula", "general_lower", "--inputs",
+            '{"box_lower": 0.5, "box_upper": 0.5, "assouad": 1, "theta": 0.5, "eta": 1e999}',
+        ],
+        [
+            "estimate", "--format", "json", "--phi",
+            '{"variant": "interpolated", "params": {"s": NaN, "model_id": "x",'
+            ' "log_breakpoints": [[-300, -600], [-1, -2]]}}',
+        ],
+        [
+            "estimate", "--phi",
+            '{"variant": "tabulated", "params": {"log_breakpoints": [[-300, -600], [Infinity, -2]]}}',
+        ],
+        ["estimate", "--phi", _min_family_active_below("NaN")],
+        # results that overflowed wrote Infinity and exited 0; the continuity
+        # bound is at most A, but (phi - theta) * d * (A - d) overflows
+        [
+            "bounds", "--formula", "continuity_upper", "--inputs",
+            '{"box_lower": 0.5, "box_upper": 0.5, "assouad": 1e300, "theta": 0.5,'
+            ' "dim_theta": 5e299, "phi_target": 0.9}',
+        ],
+        [
+            "bounds", "--formula", "product", "--inputs",
+            '{"e_dims": [0, 1e308, 1.5e308], "f_dims": [0, 1e308, 1.5e308]}',
+        ],
         # Cantor depths whose log length leaves the float range raised
         # OverflowError from the block edges or from the slack (depth + 1) * log 2
         ["estimate", "--model", '{"kind": "cantor", "blocks": [[%d, 0.3]]}' % 10**400],
@@ -301,7 +332,10 @@ def _min_family_active_below(value: str) -> str:
         "min-family-string-active-below", "min-family-bool-active-below",
         "tabulated-bool-log-breakpoint", "tabulated-bool-breakpoint",
         "interpolated-bool-log-breakpoint", "bounds-nan-dim-phi-f", "bounds-nan-box-lower",
-        "bounds-inf-assouad-image", "cantor-count-past-float", "cantor-log-length-past-float",
+        "bounds-inf-assouad-image", "bounds-nan-unused-key", "bounds-1e999-unused-key",
+        "interpolated-nan-s", "tabulated-inf-log-delta", "min-family-nan-active-below",
+        "continuity-upper-overflow", "product-overflow",
+        "cantor-count-past-float", "cantor-log-length-past-float",
     ],
 )
 def test_malformed_spec_exits_two(tmp_path, capsys, args):
@@ -537,6 +571,8 @@ def test_unknown_config_key_exits_two(tmp_path):
         {"grid": [True, -6, 3]},
         {"grid": [-12, True, 3]},
         {"alphas": [True, 0.5]},
+        {"s": math.nan},
+        {"tol": math.inf},
         {"model": {"kind": "carpet", "m": 2.7, "n": 100, "column_counts": [1, 100]}},
         {"model": {"kind": "carpet", "m": 2, "n": 100, "column_counts": [True, 100]}},
         {"out": True},

@@ -122,8 +122,8 @@ def _scale_functions():
         "min_family_nested": MinFamily(
             (MinFamily((PowerLaw(0.75), StretchedExponential(1.0))), shallow)
         ),
-        "interpolated": InterpolatedScale(shallow, 0.4, "sequence(p=1)"),
-        "interpolated_deep": InterpolatedScale(deep, 0.25, "cantor[3x0.2]@0"),
+        "interpolated": InterpolatedScale(shallow.log_breakpoints, 0.4, "sequence(p=1)"),
+        "interpolated_deep": InterpolatedScale(deep.log_breakpoints, 0.25, "cantor[3x0.2]@0"),
     }
 
 

@@ -154,6 +154,54 @@ def test_tabulated_endpoints_are_queryable():
         tab.eval_phi_log(-21.0)
 
 
+@pytest.mark.parametrize(
+    "pair", [(math.nan, -60.0), (math.inf, -60.0), (-math.inf, -60.0), (-30.0, math.nan)]
+)
+def test_tabulated_rejects_non_finite_breakpoints(pair):
+    # an infinite last log delta was taken, with domain_upper exp(0) = 1
+    with pytest.raises(InvalidFunctionError, match="non-finite breakpoint"):
+        Tabulated(((-40.0, -80.0), pair))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Tabulated(((-30.0, -60.0), (-10.0, -20.0)), domain_upper=5.0),
+        lambda: MinFamily((PowerLaw(0.5),), domain_upper=7.0),
+        lambda: InterpolatedScale(((-30.0, -60.0), (-10.0, -20.0)), 0.4, "x", domain_upper=1.0),
+    ],
+    ids=["tabulated", "min-family", "interpolated"],
+)
+def test_derived_domain_is_not_a_parameter(build):
+    # each took domain_upper unchecked: the table above answered -20.0 at
+    # log delta -5, above its last breakpoint
+    with pytest.raises(TypeError, match="domain_upper"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        ((-30.0, -60.0), (-20.0, -35.0), (-10.0, -18.0)),
+        ((-2.2e4, -5.0e4), (-2.1e4, -4.6e4), (-2.0e4, -4.1e4)),
+    ],
+    ids=["shallow", "deep"],
+)
+def test_interpolated_scale_evaluates_as_its_table(pairs):
+    phi = InterpolatedScale(pairs, 0.4, "sequence(p=1)")
+    table = Tabulated(pairs)
+    assert isinstance(phi, Tabulated)
+    # exp(-2e4) underflows to 0.0: the deep table's bound is kept in logs
+    assert phi.domain_upper == table.domain_upper == math.exp(pairs[-1][0])
+    lds = [ld for ld, _ in pairs]
+    for ld in lds + [(a + b) / 2 for a, b in zip(lds, lds[1:])]:
+        assert phi.eval_phi_log(ld) == table.eval_phi_log(ld)
+    above = lds[-1] + 1e-6
+    for f in (phi, table):
+        with pytest.raises(DomainError, match="above domain upper bound"):
+            f.eval_phi_log(above)
+
+
 # --- min family --------------------------------------------------------------
 
 
@@ -230,7 +278,7 @@ def test_serialization_roundtrip(phi):
 
 def test_interpolated_scale_roundtrip():
     phi = InterpolatedScale(
-        table=Tabulated(((-30.0, -60.0), (-10.0, -18.0))),
+        log_breakpoints=((-30.0, -60.0), (-10.0, -18.0)),
         s=0.4,
         model_id="sequence(p=1)",
     )
