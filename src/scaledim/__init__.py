@@ -43,6 +43,7 @@ from .errors import (
     IndeterminateError,
     InputError,
     InvalidFunctionError,
+    PhiUnderflowError,
     ResolutionError,
     ScaledimError,
     ScheduleOverflowError,

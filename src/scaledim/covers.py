@@ -65,6 +65,7 @@ _STATE_CAP = 500_000  # cover-graph states before the DP gives up
 # build that fails here stays under about 0.8 GB
 _MOVE_CAP = 5_000_000
 _TOL = 1e-12
+_U = 2.0**-53  # unit roundoff of a float
 
 
 @dataclass(frozen=True)
@@ -224,6 +225,66 @@ def _require_linear(window: ScaleWindow) -> None:
         )
 
 
+def _stuck_error(lo: float, hi: float, x: float) -> ResolutionError:
+    return ResolutionError(
+        f"window [{lo:.6g}, {hi:.6g}] is below the float spacing at "
+        f"{x!r}; the cover DP cannot move past it"
+    )
+
+
+def _state_cap_error() -> BudgetError:
+    return BudgetError(
+        f"cover DP exceeded {_STATE_CAP} states; coarsen the window "
+        "or use an analytic route"
+    )
+
+
+def _move_cap_error() -> BudgetError:
+    return BudgetError(
+        f"cover DP exceeded {_MOVE_CAP} moves; coarsen the window "
+        "or use an analytic route"
+    )
+
+
+def _refuse_wide_state(
+    after_end: np.ndarray,
+    ends: list[float],
+    x: float,
+    lo: float,
+    hi: float,
+    after_lo: Optional[float],
+    j: int,
+    stop: int,
+    edge: float,
+    states: int,
+    moves: int,
+) -> None:
+    """Raise the error that walking the items [j, stop) in reach of state
+    ``x`` would raise, where it is settled without the walk; starts and
+    ends must be sorted.
+
+    Every successor but ``after_lo`` lies right of ``x``: the front after
+    an item end at least ``lo`` away, or the front after the reach, which
+    is ``after_lo`` if ``x + hi`` rounds onto ``x``.  So the walk finds
+    ``x`` among its successors, a resolution error, exactly when
+    ``after_lo`` is ``x``.  Otherwise, the items that end by ``edge`` and
+    at least ``lo`` past ``x`` lead to the fronts ``after_end`` (inf for
+    None), which never decrease; with ``d`` distinct fronts in that run,
+    ``x`` has between ``d`` and ``d + 2`` successors, so the graph holds at
+    least ``d`` states after the walk, and at most ``states + d + 2``.
+    """
+    if after_lo == x:
+        raise _stuck_error(lo, hi, x)
+    full = bisect_right(ends, edge, j, stop)
+    first = bisect_left(ends, lo, j, full, key=lambda b: b - x)
+    run = after_end[first:full]
+    d = int(np.count_nonzero(run[1:] != run[:-1])) + (len(run) > 0)
+    if d > _STATE_CAP:
+        raise _state_cap_error()
+    if moves + d > _MOVE_CAP and states + d + 2 <= _STATE_CAP:
+        raise _move_cap_error()
+
+
 class _CoverGraph:
     """Reachable cover fronts of one skeleton under one window, stored flat.
 
@@ -250,8 +311,26 @@ class _CoverGraph:
             return starts[k] if k < n else None
 
         # the front after a move that ends at an item's end is the same
-        # from every state, so it is looked up once per item
-        after_end = [next_uncovered(b) for b in ends]
+        # from every state, so it is looked up once per item, in one
+        # searchsorted pass (inf for None) where starts and ends are
+        # sorted; a skeleton's items may overlap by up to 1e-15, and on
+        # unsorted starts searchsorted and bisect can disagree
+        ordered = bool(
+            np.all(items.starts[1:] >= items.starts[:-1])
+            and np.all(items.ends[1:] >= items.ends[:-1])
+        )
+        if ordered:
+            k = np.searchsorted(items.starts, items.ends, side="right")
+            after_end_array = np.where(
+                items.ends[k - 1] > items.ends,
+                items.ends,
+                np.append(items.starts, math.inf)[k],
+            )
+            after_end = after_end_array.tolist()
+            for j in np.flatnonzero(after_end_array == math.inf).tolist():
+                after_end[j] = None
+        else:
+            after_end = [next_uncovered(b) for b in ends]
         ftol = hi * 1e-12  # absorb float drift in accumulated endpoints
 
         # depth-first search; each state maps its successors (None once
@@ -266,11 +345,22 @@ class _CoverGraph:
             reach = x + hi
             after_lo = next_uncovered(x + lo)
             j = bisect_left(ends, x)  # first item with material at or beyond x
-            while j < n and starts[j] <= reach:
+            if ordered:
+                stop = bisect_right(starts, reach, j)  # items [j, stop) in reach
+                if stop - j >= _STATE_CAP or moves + stop - j >= _MOVE_CAP:
+                    _refuse_wide_state(
+                        after_end_array, ends, x, lo, hi, after_lo, j, stop,
+                        reach + ftol, len(edges), moves,
+                    )
+            else:
+                stop = j
+                while stop < n and starts[stop] <= reach:
+                    stop += 1
+            while j < stop:
                 b = ends[j]
                 if b > reach + ftol:  # partial reach into item j, the last move
                     nxt, length = next_uncovered(reach), hi
-                    j = n
+                    j = stop
                 else:
                     span = b - x
                     if span >= lo:  # end at the item
@@ -285,10 +375,7 @@ class _CoverGraph:
             if prev is None or lo < prev:
                 cands[after_lo] = lo
             if x in cands:  # x + lo or x + hi rounds back onto x
-                raise ResolutionError(
-                    f"window [{lo:.6g}, {hi:.6g}] is below the float spacing at "
-                    f"{x!r}; the cover DP cannot move past it"
-                )
+                raise _stuck_error(lo, hi, x)
             edges[x] = cands
             moves += len(cands)
             for nxt in cands:
@@ -296,15 +383,9 @@ class _CoverGraph:
                     edges[nxt] = {}
                     stack.append(nxt)
             if len(edges) > _STATE_CAP:
-                raise BudgetError(
-                    f"cover DP exceeded {_STATE_CAP} states; coarsen the window "
-                    "or use an analytic route"
-                )
+                raise _state_cap_error()
             if moves > _MOVE_CAP:
-                raise BudgetError(
-                    f"cover DP exceeded {_MOVE_CAP} moves; coarsen the window "
-                    "or use an analytic route"
-                )
+                raise _move_cap_error()
         positions = sorted(edges, reverse=True)
         index: dict[Optional[float], int] = {x: i for i, x in enumerate(positions)}
         index[None] = len(positions)
@@ -751,10 +832,11 @@ class _PreparedDP:
     """The DP route of one (model, window) as a function of ``s``.
 
     The first call builds the skeleton and the cover graph; every call is
-    one value sweep over the graph.  Each sweep also keeps the optimal
-    cover it determines (the replay of ``want_pieces``) as a witness: its
-    piece lengths, right to left.  :meth:`witness_cost` prices that cover
-    at another exponent for the estimator's bisection.
+    one value sweep over the graph.  Each sweep also keeps its exponent,
+    its log value and the optimal cover it determines (the replay of
+    ``want_pieces``) as a witness: its piece lengths, right to left.
+    :meth:`bracket` turns them into bounds at another exponent for the
+    estimator's bisection.
     """
 
     def __init__(self, model, window: ScaleWindow) -> None:
@@ -762,6 +844,7 @@ class _PreparedDP:
         self.window = window
         self.graph: Optional[_CoverGraph] = None
         # None before the first sweep
+        self.last: Optional[tuple[float, float]] = None  # (s, log value)
         self.witness: Optional[list[float]] = None
 
     def __call__(self, s: float) -> CoverCost:
@@ -770,8 +853,34 @@ class _PreparedDP:
             _require_linear(self.window)  # before materializing at resolution lo
             self.graph = _CoverGraph(skeleton(self.model, self.window.lo), self.window)
         cost = self.graph.cost(s, want_pieces=True)
+        self.last = (s, cost.log_cost_upper)
         self.witness = [length for _, length in reversed(cost.pieces)]
         return CoverCost(cost.log_cost_lower, cost.log_cost_upper, cost.method)
+
+    def bracket(self, s: float) -> Optional[tuple[float, float]]:
+        """Bounds (lower, upper) on the log value a sweep at ``s`` would
+        return, from the last sweep, at ``s0``, and without one; None
+        before the first sweep.
+
+        The upper end is the witness cover's cost at ``s``, a path sum of
+        the graph (:meth:`witness_cost`).  The lower end is the last log
+        value ``v0`` moved along the line of slope log lo (``s > s0``) or
+        log hi (``s < s0``), less the margin proved in
+        :func:`scaledim.estimator.critical_exponent`: twice ``3g`` for the
+        two sweeps' float error, ``g = (k + 2) * 2u`` on a graph of ``k``
+        states, and twice ``8u (|v0| + |shift|)`` for the rounding of the
+        logs, the product and the sum.
+        """
+        if self.last is None:
+            return None
+        s0, log_v0 = self.last
+        step = s - s0
+        # the lengths the graph uses: a window may pin log_lo and log_hi
+        # up to 1e-9 away from their logs
+        shift = step * math.log(self.window.lo if step > 0.0 else self.window.hi)
+        g = (len(self.graph.rows) + 2) * 2.0 * _U
+        margin = 2.0 * (3.0 * g + 8.0 * _U * (abs(log_v0) + abs(shift)))
+        return log_v0 + shift - margin, math.log(self.witness_cost(s))
 
     def witness_cost(self, s: float) -> float:
         """The witness cover's cost at ``s``, summed right to left as the

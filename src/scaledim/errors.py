@@ -24,6 +24,11 @@ class InvalidFunctionError(ValidationError):
     """A scale function violates admissibility (e.g. value <= 0 or > delta)."""
 
 
+class PhiUnderflowError(InvalidFunctionError):
+    """A scale function's log lies below the float range: it evaluates to
+    -inf, so phi(delta) is no positive float."""
+
+
 class InputError(ValidationError):
     """Numeric inputs to a bound calculator are inconsistent."""
 

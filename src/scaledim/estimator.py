@@ -10,7 +10,6 @@ exponent with lower cost >= 1 (the dimension is at least s_lower).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -71,32 +70,45 @@ def critical_exponent(
     bound certifies nothing, the bracket is vacuous and an indeterminate
     error is raised.
 
-    On a DP route the prepared window keeps the optimal cover of its last
-    sweep.  Before sweeping at a new ``s``, that cover's lengths are
-    summed at ``s`` right to left, ``total = length**s + total``, as the
-    sweep sums every path.  Float addition rounds monotonically, so the
-    sweep's value is the least such float sum over the graph's paths and
-    is never above this one.  A total below 1 therefore settles ``s``
-    without a sweep: the upper test holds and the lower test fails, as
-    they would after the sweep, so every bracket is the sweep's bit for
-    bit.  At ``s = 0`` a cover costs its piece count, at least 1, so
-    ``s = 0`` is always swept.  ``evaluations`` counts the distinct
-    exponents looked at, whether a sweep or a witness settled them.
+    On a DP route the prepared window bounds the sweep's log value at a
+    new ``s`` from its last sweep, at ``s0``, without sweeping again
+    (``bracket``), and a bracket that does not straddle 0 settles ``s``:
+    the two tests come out as the sweep would make them, so every bracket
+    is the sweep's bit for bit.  Above the root the upper end settles:
+    the last sweep's optimal cover, summed at ``s`` right to left
+    (``total = length**s + total``) as the sweep sums every path.  Float
+    addition rounds monotonically, so the sweep's value is the least such
+    float sum over the graph's paths and is never above this one; a total
+    below 1 means the upper test holds and the lower test fails.  Below
+    the root the lower end settles: every piece length ``L`` lies in
+    ``[lo, hi]``, so ``L**s >= L**s0 * lo**(s - s0)`` for ``s > s0`` and
+    ``>= L**s0 * hi**(s - s0)`` for ``s < s0``, and the least real path
+    sum at ``s`` is at least the one at ``s0`` times that factor.  The
+    float sweep lies within a factor ``1 +- g`` of the real one,
+    ``g = (k + 2) * 2u`` for ``k`` states and ``u = 2**-53``, because a
+    path has at most ``k`` pieces and ``**`` and each addition round by
+    at most 2u and u; so the sweep's log value at ``s`` is at least
+    ``v0 + (s - s0) log b - 3g``, ``b = lo`` or ``hi``.  The lower end
+    subtracts twice ``3g`` and twice ``8u (|v0| + |(s - s0) log b|)``,
+    which bounds the rounding of ``math.log`` and of the sum and product;
+    ``log b`` is taken of the linear ``lo`` and ``hi`` the graph uses.
+    A lower end above 0 means the upper test fails and the lower test
+    holds.  ``evaluations`` counts the distinct exponents looked at,
+    whether a sweep or a bracket settled them.
     """
     if not tol > 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
     window = ScaleWindow(phi.eval_phi_log(log_delta), log_delta)
     s_cap = float(ambient_dimension(model))
     cost_at = prepare(model, window, oracle=oracle)
-    witness_cost = getattr(cost_at, "witness_cost", None)
+    bracket = getattr(cost_at, "bracket", None)
     cache: dict[float, CoverCost] = {}
 
     def costs(s: float) -> CoverCost:
         if s not in cache:
-            total = witness_cost(s) if witness_cost is not None else math.inf
-            if total < 1.0:
-                # settled without a sweep: every piece is at least lo long
-                cache[s] = CoverCost(s * window.log_lo, math.log(total), "dp-witness")
+            known = bracket(s) if bracket is not None else None
+            if known is not None and (known[0] > 0.0 or known[1] < 0.0):
+                cache[s] = CoverCost(known[0], known[1], "dp-bound")
             else:
                 cache[s] = cost_at(s)
         return cache[s]
@@ -121,7 +133,7 @@ def critical_exponent(
     )
 
     if clamped_upper and s_lower <= tol:
-        probe = costs(s_cap)
+        probe = cost_at(s_cap)  # the route's own bracket, never a settled one
         raise IndeterminateError(
             "cost bracket straddles 1 over the whole exponent range "
             f"[0, {s_cap:g}] at log_delta={log_delta:.6g}",

@@ -21,7 +21,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .errors import ConfigError, DomainError, InvalidFunctionError, as_real
+from .errors import ConfigError, DomainError, InvalidFunctionError, PhiUnderflowError, as_real
 
 _ADMISSIBILITY_EPS = 1e-12
 
@@ -60,10 +60,9 @@ class ScaleFunction:
         """log phi(delta) for log_delta = log(delta); the preferred entry point."""
         self._check_domain(log_delta)
         value = self._log_phi(log_delta)
-        if math.isnan(value) or value == math.inf:
-            raise InvalidFunctionError(
-                f"scale function produced invalid log value {value} at {log_delta}"
-            )
+        if not -math.inf < value < math.inf:  # NaN or infinite
+            error = PhiUnderflowError if value == -math.inf else InvalidFunctionError
+            raise error(f"scale function produced invalid log value {value} at {log_delta}")
         if value > log_delta + _ADMISSIBILITY_EPS:
             raise InvalidFunctionError(
                 f"scale function exceeds delta at log_delta={log_delta:.6g}: "
@@ -258,6 +257,10 @@ class MinFamily(ScaleFunction):
             raise InvalidFunctionError("MinFamily needs at least one member")
         if self.active_below is not None and len(self.active_below) != len(self.members):
             raise InvalidFunctionError("active_below must match members in length")
+        if self.active_below is not None and any(map(math.isnan, self.active_below)):
+            raise InvalidFunctionError(
+                f"active_below entries must not be NaN, got {self.active_below}"
+            )
         bound = min(m.domain_upper for m in self.members)
         object.__setattr__(self, "domain_upper", bound)
 

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     DomainError,
     InputError,
+    PhiUnderflowError,
     ResolutionError,
     ScheduleOverflowError,
     as_integer,
@@ -678,6 +679,8 @@ def build_stability_pair(phi: ScaleFunction, levels: int) -> StabilityPair:
             log_r_seq.append(log_r)
         try:
             rhs = phi.eval_phi_log(log_r)
+        except PhiUnderflowError:
+            rhs = -math.inf  # below every level: the scan below runs to its cap
         except DomainError as exc:
             raise ScheduleOverflowError(
                 f"scale function not evaluable at checkpoint scale "

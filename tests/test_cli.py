@@ -349,6 +349,24 @@ def test_malformed_spec_exits_two(tmp_path, capsys, args):
         assert err.startswith("error: malformed phi spec ")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["phi"], ["frostman", "--s", "0.5"]],
+    ids=["phi", "frostman"],
+)
+def test_log_phi_below_the_float_range_exits_two(tmp_path, capsys, command):
+    # theta = 5e-324 puts log phi at -inf: phi wrote -Infinity into its JSON
+    # rows and exited 0, frostman raised OverflowError from its level count
+    out = tmp_path / "x.json"
+    code = main(
+        command + ["--phi", "power_law:5e-324", "--format", "json",
+                   "--grid=-12:-1:3", "--out", str(out)]
+    )
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: scale function produced invalid log value -inf")
+
+
 def test_unordered_grid_exits_two(tmp_path):
     out = tmp_path / "x.csv"
     code = main(["estimate", "--grid=-24:-96:4", "--out", str(out)])

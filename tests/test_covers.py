@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from scaledim.setmodels import (
     PointSet,
     ProductModel,
     SequenceSet,
+    Skeleton,
     UniformGrid,
     UnionModel,
     skeleton,
@@ -321,6 +323,65 @@ def test_dp_move_budget_stops_the_graph_build(monkeypatch):
         cover_cost_dp(items, window, 0.5)
     with pytest.raises(BudgetError, match="moves"):
         cover_cost(model, window, 0.5, oracle="dp")
+
+
+def test_dp_state_with_too_many_successors_fails_fast():
+    # a 6.7M-item skeleton whose first state reaches nearly every item: the
+    # state cap is settled by counting that state's successors, not by
+    # walking them, which takes 14-26 s
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="exceeded 500000 states"):
+        critical_exponent(SequenceSet(0.5), PowerLaw(0.2), -7 * math.log(2.0), oracle="dp")
+    assert time.perf_counter() - start < 3.0
+
+
+def _seeded_skeleton(rng) -> Skeleton:
+    """Points, short and long items, some touching and some a float
+    apart, which past 2.0 (the next float towards 2.0) overlap by one."""
+    starts, ends, x = [], [], float(rng.uniform(0.0, 0.1))
+    for _ in range(int(rng.integers(1, 300))):
+        width = float(rng.choice([0.0, rng.uniform(0.0, 0.01), rng.uniform(0.0, 0.03)]))
+        starts.append(x)
+        ends.append(x + width)
+        gap = rng.choice(["touch", "ulp", "gap"], p=[0.15, 0.05, 0.8])
+        x = x + width if gap == "touch" else (
+            math.nextafter(x + width, 2.0) if gap == "ulp" else x + width + float(rng.uniform(0.0, 0.02))
+        )
+    return Skeleton(np.array(starts), np.array(ends))
+
+
+def _graph_outcome(items, window):
+    try:
+        graph = covers._CoverGraph(items, window)
+    except (BudgetError, ResolutionError) as exc:
+        return type(exc).__name__, str(exc)
+    return graph.positions, graph.rows
+
+
+def test_counting_successors_raises_what_the_walk_raises(monkeypatch):
+    rng = np.random.default_rng(29)
+    refusals = []
+    refuse = covers._refuse_wide_state
+
+    def counted(*args):
+        try:
+            refuse(*args)
+        except BudgetError as exc:
+            refusals.append(str(exc))
+            raise
+
+    for _ in range(200):
+        items = _seeded_skeleton(rng)
+        hi = 2.0 ** -float(rng.uniform(0.5, 8.0))
+        window = ScaleWindow.from_linear(hi * 2.0 ** -float(rng.uniform(0.0, 3.0)), hi)
+        monkeypatch.setattr(covers, "_STATE_CAP", int(rng.choice([3, 10, 50, 500_000])))
+        monkeypatch.setattr(covers, "_MOVE_CAP", int(rng.choice([5, 30, 200, 5_000_000])))
+        monkeypatch.setattr(covers, "_refuse_wide_state", counted)
+        counting = _graph_outcome(items, window)
+        monkeypatch.setattr(covers, "_refuse_wide_state", lambda *args: None)
+        assert _graph_outcome(items, window) == counting
+    kinds = {message.split()[4] for message in refusals}
+    assert kinds == {"states;", "moves;"}
 
 
 def test_prepare_rejects_bad_oracles_and_exponents():

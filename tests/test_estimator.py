@@ -231,7 +231,78 @@ def test_dp_witness_never_changes_a_bracket(model, log2_delta, theta, tol):
         m.setattr(setmodels, "SEQUENCE_N_CAP", 100_000)
         m.setattr(covers, "_MOVE_CAP", 300_000)
         fast = _outcome(args, tol)
-        # a witness that never settles an exponent: every one is swept
-        m.setattr(covers._PreparedDP, "witness_cost", lambda self, s: math.inf)
+        # no sweep-free bracket, so neither end settles an exponent: every
+        # one is swept
+        m.setattr(covers._PreparedDP, "bracket", lambda self, s: None)
         swept = _outcome(args, tol)
     assert fast == swept
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    # points spaced wider than hi are covered one lo piece each, so the
+    # lower end is tight above the last sweep's exponent
+    model=st.one_of(dp_models, st.just(UniformGrid(2.0**-5))),
+    log2_hi=st.floats(-7.0, -3.0),
+    theta=st.floats(0.2, 0.9),
+    # None: logs only; 0: from_linear; else linear ends pinned this far
+    # from exp of the logs, as ScaleWindow allows
+    skew=st.sampled_from([None, 0.0, -9e-10, 9e-10]),
+    exponents=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
+)
+def test_dp_bracket_holds_the_sweep(model, log2_hi, theta, skew, exponents):
+    log_hi = log2_hi * LOG2
+    log_lo = log_hi / theta
+    if skew is None:
+        window = covers.ScaleWindow(log_lo, log_hi)
+    elif skew == 0.0:
+        window = covers.ScaleWindow.from_linear(math.exp(log_lo), math.exp(log_hi))
+    else:
+        window = covers.ScaleWindow(
+            log_lo + skew, log_hi - skew,
+            linear_lo=math.exp(log_lo), linear_hi=math.exp(log_hi),
+        )
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(setmodels, "SEQUENCE_N_CAP", 100_000)
+        m.setattr(covers, "_MOVE_CAP", 300_000)
+        cost_at = covers.prepare(model, window, oracle="dp")
+        assert cost_at.bracket(exponents[0]) is None  # no sweep yet
+        try:
+            cost_at(exponents[0])
+        except (BudgetError, ResolutionError):
+            return
+        for s in exponents[1:] + exponents[:1]:
+            lower, upper = cost_at.bracket(s)
+            swept = cost_at(s).log_cost_upper  # the next bracket starts here
+            assert lower <= swept <= upper
+
+
+@pytest.mark.parametrize("skew", [0.0, -9e-10, 9e-10])
+def test_dp_bracket_is_tight_on_covers_of_lo_pieces(skew):
+    # 33 points spaced wider than hi: the cover is one lo piece per point at
+    # every s, so above the last sweep's exponent the lower end is exact but
+    # for the margin; the logs of the window are pinned up to 1e-9 away
+    # from its linear ends, and the lower end must use the linear ones
+    log_hi = -6 * LOG2
+    log_lo = 2.0 * log_hi
+    window = covers.ScaleWindow(
+        log_lo + skew, log_hi - skew, linear_lo=math.exp(log_lo), linear_hi=math.exp(log_hi)
+    )
+    cost_at = covers.prepare(UniformGrid(2.0**-5), window, oracle="dp")
+    for s0, s in [(0.0, 1.0), (0.2, 0.9), (0.5, 0.5000001), (0.7, 0.71)]:
+        cost_at(s0)
+        lower, _ = cost_at.bracket(s)
+        swept = cost_at(s).log_cost_upper
+        assert swept - 1e-12 < lower <= swept
+
+
+def test_dp_bracket_settles_exponents_on_both_sides_of_the_root(monkeypatch):
+    sweeps = []
+    call = covers._PreparedDP.__call__
+    monkeypatch.setattr(
+        covers._PreparedDP, "__call__", lambda self, s: sweeps.append(s) or call(self, s)
+    )
+    ce = critical_exponent(SequenceSet(1.0), PowerLaw(0.5), -4 * LOG2, oracle="dp")
+    assert (ce.s_lower.hex(), ce.s_upper.hex()) == ("0x1.ed00000000000p-2", "0x1.ee00000000000p-2")
+    # 9 sweeps with the witness alone, 12 with neither shortcut
+    assert (ce.evaluations, len(sweeps)) == (12, 4)

@@ -12,6 +12,7 @@ from scaledim.errors import (
     DomainError,
     InputError,
     InvalidFunctionError,
+    PhiUnderflowError,
 )
 from scaledim.scalefun import (
     InterpolatedScale,
@@ -49,6 +50,16 @@ def test_power_law_rejects_bad_theta():
     for theta in (0.0, -0.5, 1.5):
         with pytest.raises(DomainError):
             PowerLaw(theta)
+
+
+def test_log_phi_below_the_float_range_is_refused():
+    # log delta / 5e-324 is -inf: phi(delta) is no positive float, which
+    # the phi command wrote into its artifact as -Infinity
+    with pytest.raises(PhiUnderflowError, match="invalid log value -inf at -1.0"):
+        PowerLaw(5e-324).eval_phi_log(-1.0)
+    with pytest.raises(PhiUnderflowError):
+        MinFamily((PowerLaw(0.5), PowerLaw(5e-324))).eval_phi_log(-1.0)
+    assert issubclass(PhiUnderflowError, InvalidFunctionError)
 
 
 def test_power_law_theta_one_fails_vanishing_ratio():
@@ -215,6 +226,16 @@ def test_min_family_takes_pointwise_min():
 def test_min_family_needs_members():
     with pytest.raises(InvalidFunctionError):
         MinFamily(())
+
+
+def test_min_family_refuses_nan_active_below():
+    # log_delta > nan is never true, so a NaN bound left its member active
+    # at every scale
+    for bounds in ((math.nan, math.nan), (-1.0, math.nan)):
+        with pytest.raises(InvalidFunctionError, match="active_below entries must not be NaN"):
+            MinFamily((PowerLaw(0.5), PowerLaw(0.25)), active_below=bounds)
+    active = MinFamily((PowerLaw(0.5), PowerLaw(0.25)), active_below=(math.inf, -10.0))
+    assert active.eval_phi_log(-5.0) == -10.0
 
 
 # --- empirical exponents and comparisons -------------------------------------
