@@ -403,12 +403,10 @@ def s_grid_values(cfg: RunConfig) -> list[float]:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
+    if isinstance(value, float):
+        return repr(float(value))  # float(): np.float64's repr names its type
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return str(value)
 
 
@@ -416,20 +414,6 @@ def _csv_field(text: str) -> str:
     if "," in text or '"' in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    return obj
 
 
 def _csv_text(header: Sequence[str], rows, provenance) -> str:
@@ -441,7 +425,7 @@ def _csv_text(header: Sequence[str], rows, provenance) -> str:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _write_atomic(path: str, text: str) -> None:

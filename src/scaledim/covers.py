@@ -40,6 +40,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -246,13 +247,23 @@ def _move_cap_error() -> BudgetError:
     )
 
 
+def _next_uncovered(starts, ends, covered_end: float) -> float:
+    """The first point at or right of ``covered_end`` that a cover from
+    there must still reach: ``covered_end`` itself strictly inside an
+    item, else the next item's start, or inf once every item is covered.
+    ``starts`` and ``ends`` are a skeleton's, as lists or as arrays."""
+    k = bisect_right(starts, covered_end)
+    if k > 0 and ends[k - 1] > covered_end:
+        return covered_end  # strictly inside item k-1
+    return starts[k] if k < len(starts) else math.inf
+
+
 def _refuse_wide_state(
+    items: Skeleton,
     after_end: np.ndarray,
-    ends: list[float],
     x: float,
     lo: float,
     hi: float,
-    after_lo: Optional[float],
     j: int,
     stop: int,
     edge: float,
@@ -260,20 +271,21 @@ def _refuse_wide_state(
     moves: int,
 ) -> None:
     """Raise the error that walking the items [j, stop) in reach of state
-    ``x`` would raise, where it is settled without the walk; starts and
-    ends must be sorted.
+    ``x`` would raise, where it is settled without the walk.
 
-    Every successor but ``after_lo`` lies right of ``x``: the front after
-    an item end at least ``lo`` away, or the front after the reach, which
-    is ``after_lo`` if ``x + hi`` rounds onto ``x``.  So the walk finds
-    ``x`` among its successors, a resolution error, exactly when
-    ``after_lo`` is ``x``.  Otherwise, the items that end by ``edge`` and
-    at least ``lo`` past ``x`` lead to the fronts ``after_end`` (inf for
-    None), which never decrease; with ``d`` distinct fronts in that run,
-    ``x`` has between ``d`` and ``d + 2`` successors, so the graph holds at
-    least ``d`` states after the walk, and at most ``states + d + 2``.
+    Every successor but the front after ``x + lo`` lies right of ``x``:
+    the front after an item end at least ``lo`` away, or the front after
+    the reach, which is the front after ``x + lo`` if ``x + hi`` rounds
+    onto ``x``.  So the walk finds ``x`` among its successors, a
+    resolution error, exactly when the front after ``x + lo`` is ``x``.
+    Otherwise, the items that end by ``edge`` and at least ``lo`` past
+    ``x`` lead to the fronts ``after_end``, which never decrease; with
+    ``d`` distinct fronts in that run, ``x`` has between ``d`` and
+    ``d + 2`` successors, so the graph holds at least ``d`` states after
+    the walk, and at most ``states + d + 2``.
     """
-    if after_lo == x:
+    ends = items.ends
+    if _next_uncovered(items.starts, ends, x + lo) == x:
         raise _stuck_error(lo, hi, x)
     full = bisect_right(ends, edge, j, stop)
     first = bisect_left(ends, lo, j, full, key=lambda b: b - x)
@@ -300,62 +312,45 @@ class _CoverGraph:
     def __init__(self, items: Skeleton, window: ScaleWindow) -> None:
         _require_linear(window)
         lo, hi = window.lo, window.hi
+        ftol = hi * 1e-12  # absorb float drift in accumulated endpoints
+        # the front after a move that ends at an item's end is the same
+        # from every state, so it is looked up once per item
+        k = np.searchsorted(items.starts, items.ends, side="right")
+        after_end_array = np.where(
+            items.ends[k - 1] > items.ends,
+            items.ends,
+            np.append(items.starts, math.inf)[k],
+        )
+        # a start state too wide to walk is settled on the arrays, before
+        # the lists below copy the skeleton
+        x0 = float(items.starts[0])
+        stop = int(np.searchsorted(items.starts, x0 + hi, side="right"))
+        if stop >= _STATE_CAP or stop >= _MOVE_CAP:
+            _refuse_wide_state(
+                items, after_end_array, x0, lo, hi, 0, stop, x0 + hi + ftol, 1, 0
+            )
         starts = items.starts.tolist()
         ends = items.ends.tolist()
-        n = len(starts)
+        after_end = after_end_array.tolist()
+        next_uncovered = partial(_next_uncovered, starts, ends)
 
-        def next_uncovered(covered_end: float) -> Optional[float]:
-            k = bisect_right(starts, covered_end)
-            if k > 0 and ends[k - 1] > covered_end:
-                return covered_end  # strictly inside item k-1
-            return starts[k] if k < n else None
-
-        # the front after a move that ends at an item's end is the same
-        # from every state, so it is looked up once per item, in one
-        # searchsorted pass (inf for None) where starts and ends are
-        # sorted; a skeleton's items may overlap by up to 1e-15, and on
-        # unsorted starts searchsorted and bisect can disagree
-        ordered = bool(
-            np.all(items.starts[1:] >= items.starts[:-1])
-            and np.all(items.ends[1:] >= items.ends[:-1])
-        )
-        if ordered:
-            k = np.searchsorted(items.starts, items.ends, side="right")
-            after_end_array = np.where(
-                items.ends[k - 1] > items.ends,
-                items.ends,
-                np.append(items.starts, math.inf)[k],
-            )
-            after_end = after_end_array.tolist()
-            for j in np.flatnonzero(after_end_array == math.inf).tolist():
-                after_end[j] = None
-        else:
-            after_end = [next_uncovered(b) for b in ends]
-        ftol = hi * 1e-12  # absorb float drift in accumulated endpoints
-
-        # depth-first search; each state maps its successors (None once
+        # depth-first search; each state maps its successors (inf once
         # everything is covered) to the shortest move length reaching them
-        x0 = starts[0]
         edges: dict[float, dict] = {x0: {}}
         stack = [x0]
         moves = 0
         while stack:
             x = stack.pop()
-            cands: dict[Optional[float], float] = {}
+            cands: dict[float, float] = {}
             reach = x + hi
             after_lo = next_uncovered(x + lo)
             j = bisect_left(ends, x)  # first item with material at or beyond x
-            if ordered:
-                stop = bisect_right(starts, reach, j)  # items [j, stop) in reach
-                if stop - j >= _STATE_CAP or moves + stop - j >= _MOVE_CAP:
-                    _refuse_wide_state(
-                        after_end_array, ends, x, lo, hi, after_lo, j, stop,
-                        reach + ftol, len(edges), moves,
-                    )
-            else:
-                stop = j
-                while stop < n and starts[stop] <= reach:
-                    stop += 1
+            stop = bisect_right(starts, reach, j)  # items [j, stop) in reach
+            if stop - j >= _STATE_CAP or moves + stop - j >= _MOVE_CAP:
+                _refuse_wide_state(
+                    items, after_end_array, x, lo, hi, j, stop,
+                    reach + ftol, len(edges), moves,
+                )
             while j < stop:
                 b = ends[j]
                 if b > reach + ftol:  # partial reach into item j, the last move
@@ -379,7 +374,7 @@ class _CoverGraph:
             edges[x] = cands
             moves += len(cands)
             for nxt in cands:
-                if nxt is not None and nxt not in edges:
+                if nxt not in edges and nxt < math.inf:
                     edges[nxt] = {}
                     stack.append(nxt)
             if len(edges) > _STATE_CAP:
@@ -387,8 +382,8 @@ class _CoverGraph:
             if moves > _MOVE_CAP:
                 raise _move_cap_error()
         positions = sorted(edges, reverse=True)
-        index: dict[Optional[float], int] = {x: i for i, x in enumerate(positions)}
-        index[None] = len(positions)
+        index = {x: i for i, x in enumerate(positions)}
+        index[math.inf] = len(positions)
         # list rows: tuples of up to 19 items would be kept on CPython's
         # free lists after the graph is dropped
         self.rows = [

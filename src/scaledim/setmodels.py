@@ -53,7 +53,8 @@ class Skeleton:
     iteration yields (start, end) pairs of Python floats.  The order is
     checked here, the one place for it: a skeleton that exists is
     nonempty, has no NaN, no item with start > end, and no item starting
-    more than 1e-15 before the previous one ends.
+    before the previous one ends (touching is allowed), so its starts and
+    its ends never decrease.
     """
 
     starts: np.ndarray
@@ -72,7 +73,7 @@ class Skeleton:
         if np.count_nonzero(ordered) < starts.size:
             i = int(np.argmin(ordered))
             raise InputError(f"bad skeleton item ({float(starts[i])}, {float(ends[i])})")
-        if np.count_nonzero(starts[1:] < ends[:-1] - 1e-15):
+        if np.count_nonzero(starts[1:] < ends[:-1]):
             raise InputError("skeleton items must be sorted and disjoint")
         starts.flags.writeable = False
         ends.flags.writeable = False
@@ -376,9 +377,9 @@ class CantorSchedule:
         for step in range(1, level + 1):
             r = self.ratio_at(step)
             child = length * r
-            starts = np.concatenate([starts, starts + (length - child)])
+            # each interval's two children side by side keep the order
+            starts = np.stack((starts, starts + (length - child)), axis=1).ravel()
             length = child
-        starts.sort()
         return starts, length
 
     def skeleton(self, resolution: float) -> Skeleton:
@@ -505,6 +506,11 @@ class HolderImage:
         """
         _check_resolution(resolution)
         base_res = resolution ** (1.0 / self.alpha)
+        if base_res == 0.0:
+            raise ResolutionError(
+                f"the Holder base resolution, {resolution:.6g} ** (1/alpha) at "
+                f"alpha = {self.alpha!r}, underflows to 0"
+            )
         items = skeleton(self.base, base_res)
         starts = self._map(np.maximum(items.starts, 0.0))
         ends = starts.copy()

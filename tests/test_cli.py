@@ -1,5 +1,6 @@
 """Command line interface: exit codes, file output, determinism."""
 
+import csv
 import json
 import math
 import os
@@ -62,6 +63,21 @@ def test_estimate_labels_a_deep_cantor_schedule_briefly(tmp_path, capsys):
 
 
 # --- bounds --------------------------------------------------------------------
+
+
+def test_bounds_csv_quotes_a_field_with_a_comma(tmp_path):
+    code, out = run(
+        tmp_path,
+        "b.csv",
+        ["bounds", "--formula", "maincty", "--format", "csv", "--inputs",
+         '{"dim_phi_F": 0, "assouad": 1, "eta": 0.5}'],
+    )
+    assert code == 0
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert lines[-1] == 'note,"bound not applicable, dimension 0 case"'
+    rows = list(csv.reader(lines))
+    assert rows[-1] == ["note", "bound not applicable, dimension 0 case"]
+    assert all(len(row) == 2 for row in rows)
 
 
 def test_bounds_general_lower_value(tmp_path):
@@ -394,6 +410,20 @@ def test_grid_spacing_below_the_float_range_exits_three(tmp_path, capsys):
     assert code == 3
     assert capsys.readouterr().err == (
         "error: grid skeleton would need inf points, above the 1048576 cap\n"
+    )
+    assert not out.exists()
+
+
+def test_holder_base_resolution_below_the_float_range_exits_three(tmp_path, capsys):
+    # resolution ** (1/alpha) underflows to 0: the message names that base
+    # resolution, not a resolution the user never gave
+    out = tmp_path / "x.json"
+    model = '{"kind": "holder", "base": {"kind": "point", "location": 0.5}, "alpha": 1e-300}'
+    code = main(["estimate", "--model", model, "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: the Holder base resolution, 8.27181e-25 ** (1/alpha) at "
+        "alpha = 1e-300, underflows to 0\n"
     )
     assert not out.exists()
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,9 +336,29 @@ def test_dp_state_with_too_many_successors_fails_fast():
     assert time.perf_counter() - start < 3.0
 
 
+def test_wide_start_state_is_refused_before_the_skeleton_is_copied(monkeypatch):
+    # 200,000 points all in reach of the first state, each with a front of
+    # its own: the state cap is settled on the skeleton's arrays, before
+    # the graph build copies them into three lists of Python floats, which
+    # would take at least 3 * 32 bytes per item
+    n = 200_000
+    points = np.linspace(0.0, 1.0, n)
+    items = Skeleton(points, points)
+    window = ScaleWindow.from_linear(1e-9, 2.0)
+    monkeypatch.setattr(covers, "_STATE_CAP", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="exceeded 1000 states"):
+            covers._CoverGraph(items, window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * n
+
+
 def _seeded_skeleton(rng) -> Skeleton:
-    """Points, short and long items, some touching and some a float
-    apart, which past 2.0 (the next float towards 2.0) overlap by one."""
+    """Points, short and long items, some touching, some one float apart
+    and the rest further apart."""
     starts, ends, x = [], [], float(rng.uniform(0.0, 0.1))
     for _ in range(int(rng.integers(1, 300))):
         width = float(rng.choice([0.0, rng.uniform(0.0, 0.01), rng.uniform(0.0, 0.03)]))
@@ -345,7 +366,7 @@ def _seeded_skeleton(rng) -> Skeleton:
         ends.append(x + width)
         gap = rng.choice(["touch", "ulp", "gap"], p=[0.15, 0.05, 0.8])
         x = x + width if gap == "touch" else (
-            math.nextafter(x + width, 2.0) if gap == "ulp" else x + width + float(rng.uniform(0.0, 0.02))
+            math.nextafter(x + width, math.inf) if gap == "ulp" else x + width + float(rng.uniform(0.0, 0.02))
         )
     return Skeleton(np.array(starts), np.array(ends))
 
@@ -382,6 +403,41 @@ def test_counting_successors_raises_what_the_walk_raises(monkeypatch):
         assert _graph_outcome(items, window) == counting
     kinds = {message.split()[4] for message in refusals}
     assert kinds == {"states;", "moves;"}
+
+
+def test_counting_successors_raises_the_walks_resolution_error(monkeypatch):
+    # a point at a, then m points at b and an item [b, b + w]: lo and hi lie
+    # above half the float spacing at a and below half of it at b, so the
+    # second state, b, reaches m + 1 items and its lo and hi moves round
+    # back onto it
+    rng = np.random.default_rng(31)
+    refuse = covers._refuse_wide_state
+    settled = []
+
+    def counted(*args):
+        try:
+            refuse(*args)
+        except ResolutionError:
+            settled.append(args[2])
+            raise
+
+    for _ in range(20):
+        a, b = float(rng.uniform(0.5, 1.0)), float(rng.uniform(1.0, 2.0))
+        m = int(rng.integers(2, 40))
+        starts = [a] + [b] * (m + 1)
+        ends = [a] + [b] * m + [b + float(rng.uniform(0.0, 0.5))]
+        lo, hi = np.sort(rng.uniform(0.51, 0.99, size=2) * 2.0**-53)
+        window = ScaleWindow.from_linear(float(lo), float(hi))
+        items = Skeleton(starts, ends)
+        assert a + window.lo != a and b + window.hi == b
+        monkeypatch.setattr(covers, "_STATE_CAP", int(rng.integers(2, m + 2)))
+        monkeypatch.setattr(covers, "_refuse_wide_state", counted)
+        counting = _graph_outcome(items, window)
+        assert settled[-1] == b
+        monkeypatch.setattr(covers, "_refuse_wide_state", lambda *args: None)
+        assert _graph_outcome(items, window) == counting
+        assert counting[0] == "ResolutionError" and f"float spacing at {b!r}" in counting[1]
+    assert len(settled) == 20
 
 
 def test_prepare_rejects_bad_oracles_and_exponents():

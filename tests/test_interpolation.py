@@ -157,6 +157,31 @@ def test_phi_s_function_is_the_family_of_one_exponent(model):
         )[0]
 
 
+def test_family_lifts_rows_and_records_regressions(monkeypatch):
+    # designed feasibility sups per (s, log delta): at s = 0.3 the row at -8
+    # falls more than tol below the one at -12, and the row at -4 falls by
+    # less; at s = 0.5 the row at -12 lies below s = 0.3's
+    designed = {
+        (0.3, -12.0): -20.0, (0.3, -8.0): -21.0, (0.3, -4.0): -20.25,
+        (0.5, -12.0): -22.0, (0.5, -8.0): -19.0, (0.5, -4.0): -18.0,
+    }
+
+    def point(model, s, log_delta, ladder, *, tol):
+        return interpolation.PhiSPoint(log_delta, designed[s, log_delta], True, False)
+
+    monkeypatch.setattr(interpolation, "_phi_s_point", point)
+    low, high = phi_s_family(SequenceSet(1.0), [0.5, 0.3], [-4.0, -8.0, -12.0], tol=0.5)
+    # the running max along the scales, a regression only past tol
+    assert low.rows() == [(-12.0, -20.0), (-8.0, -20.0), (-4.0, -20.0)]
+    assert low.regressions == (-8.0,)
+    # s = 0.5's row at -12 lifted to s = 0.3's
+    assert high.rows() == [(-12.0, -20.0), (-8.0, -19.0), (-4.0, -18.0)]
+    assert high.regressions == ()
+    # a lifted row keeps its own at_cap flag
+    assert all(p.at_cap and not p.budget_exceeded for p in low.points + high.points)
+    assert low.dropped == high.dropped == ()
+
+
 def test_families_match_values_recorded_exponent_by_exponent():
     # digests recorded when each exponent's table was computed on its own
     cantor = phi_s_family(

@@ -342,11 +342,16 @@ def test_holder_alpha_validation():
         ([0.0, 0.3], [0.1, 0.2], r"bad skeleton item \(0.3, 0.2\)"),
         ([0.5, 0.0], [0.6, 0.1], "must be sorted and disjoint"),
         ([0.0, 0.5 - 1e-14], [0.5, 0.6], "must be sorted and disjoint"),
+        ([0.0, 0.5 - 1e-16], [0.5, 0.6], "must be sorted and disjoint"),
+        # one float of overlap is refused wherever the set lies on the line
+        ([9.9, math.nextafter(10.0, -math.inf)], [10.0, 10.05], "must be sorted and disjoint"),
+        ([16.9, math.nextafter(17.0, -math.inf)], [17.0, 17.05], "must be sorted and disjoint"),
         (np.array([0.0]), np.array([0.0, 1.0]), "1-D arrays of equal length"),
         (np.zeros((2, 2)), np.ones((2, 2)), "1-D arrays of equal length"),
     ],
     ids=["empty", "nan-start", "nan-end", "start-after-end", "unsorted",
-         "overlap", "unequal-lengths", "2-d"],
+         "overlap", "overlap-1e-16", "ulp-overlap-at-10", "ulp-overlap-at-17",
+         "unequal-lengths", "2-d"],
 )
 def test_skeleton_refuses_what_breaks_its_order(starts, ends, message):
     with pytest.raises(InputError, match=message):
@@ -358,8 +363,6 @@ def test_skeleton_takes_any_array_like_as_read_only_float64():
     assert list(items) == [(0.0, 1.0), (2.0, 3.0)]
     for arr in (items.starts, items.ends):
         assert arr.dtype == np.float64 and not arr.flags.writeable
-    # a touch within 1e-15 of the previous end is not an overlap
-    assert len(Skeleton([0.0, 0.5 - 1e-16], [0.5, 0.6])) == 2
 
 
 def test_cover_cost_dp_refuses_pairs_out_of_order():
