@@ -15,16 +15,20 @@ scan radius the ends of the atom runs.  The masses do: the seed mass, the
 caps, the normalization and the prefix sums.  :func:`massfrostman_roundtrip`
 therefore builds the structure once per scale and runs only the cap chain
 and the scoring per s; :func:`build_frostman_measure` and
-:func:`verify_ball_mass` run the same steps for a single s.
+:func:`verify_ball_mass` run the same steps for a single s.  The seeded
+cubes come out sorted, so their first atoms and each chain level's
+numbering are read off where a value is new, without sorting.
 
 The ball-mass scan searches run ends only at radii that can still set a
-maximum.  The heaviest ball mass never decreases with the radius, so at a
-radius r it is at most the heaviest mass at any larger radius; where that
-mass over r^s is below the best ratio already found, r cannot reach the
-maximum and is skipped.  The bound holds in floats (the prefix masses never
-decrease, the run ends never decrease in r, and float subtraction and
-division are monotone), so the constants and witnesses are those of the
-full scan, bit for bit.
+maximum.  It searches the largest and the smallest radius first, then
+visits the others once from the top down.  The heaviest ball mass never
+decreases with the radius, so at a radius r it is at most the heaviest
+mass at the nearest searched radius above; where that mass over r^s is
+below the best ratio already found, the smallest radius's included, r
+cannot reach the maximum and is skipped.  The bound holds in
+floats (the prefix masses never decrease, the run ends never decrease in
+r, and float subtraction and division are monotone), so the constants and
+witnesses are those of the full scan, bit for bit.
 """
 
 from __future__ import annotations
@@ -140,7 +144,7 @@ class _Seed:
     """The s-independent part of a Frostman construction at one scale.
 
     ``inverses[k]`` maps each atom to its level-(m-k-1) cube among the
-    occupied ones, as ``np.unique(..., return_inverse=True)`` numbers them.
+    occupied ones, numbered 0, 1, ... in ascending cube order.
     """
 
     base: int
@@ -188,18 +192,29 @@ def _seed(model, log_delta: float, phi: ScaleFunction, base: int) -> _Seed:
     owner = np.repeat(np.arange(spans.size), spans)
     offset = np.cumsum(spans) - spans  # of each item's range in `reached`
     reached = np.arange(owner.size) + np.repeat(q_first - offset, spans)
-    cubes, first = np.unique(reached, return_index=True)
+    # `reached` never decreases, so each cube's first occurrence is where
+    # its value is new
+    first = np.flatnonzero(_new_values(reached))
+    cubes = reached[first]
     locations = np.maximum(items.starts[owner[first]], cubes / scale)
 
     # cap-chain ancestors by exact integer division, finest to coarsest; a
     # divisor above every |cube| (cubes are sorted) gives the same quotients
-    # and fits in int64
+    # and fits in int64.  The quotients are sorted too, so counting new
+    # values numbers the ancestors in ascending order
     top = max(-int(cubes[0]), int(cubes[-1])) + 1
     inverses = tuple(
-        np.unique(cubes // min(base ** (k + 1), top), return_inverse=True)[1]
-        for k in range(le)
+        np.cumsum(_new_values(cubes // min(base ** (k + 1), top))) - 1 for k in range(le)
     )
     return _Seed(base, m, le, cubes, locations, inverses)
+
+
+def _new_values(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from their predecessor."""
+    new = np.empty(values.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return new
 
 
 def _cap_chain(seed: _Seed, s: float) -> AtomicMeasure:
@@ -279,14 +294,15 @@ def _scan_runs(
     prefix masses are a running sum of positive masses, and float
     subtraction is monotone.  Float division is monotone too, so at a
     radius r below a searched radius r' a measure's ratio is at most its
-    heaviest run mass at r' over r**s.  Every fourth radius, counted down
-    from the largest, is searched first; each other radius, from the top
-    down, is searched only if that bound, from the nearest searched radius
-    above it, is not strictly below some measure's best ratio so far.  A
-    skipped radius thus has every ratio strictly below the maximum, and
-    scoring the searched radii in ascending order gives the maximum and
-    its witness (the smallest radius reaching it) of the full scan, bit
-    for bit.
+    heaviest run mass at r' over r**s.  The largest and the smallest
+    radius are searched first: the largest bounds every mass below it, and
+    the smallest, where r**s is least, often holds the maximum ratio.  Each
+    other radius, from the top down, is searched only if that bound, from
+    the nearest searched radius above it, is not strictly below some
+    measure's best ratio so far.  A skipped radius thus has every ratio
+    strictly below the maximum, and scoring the searched radii in
+    ascending order gives the maximum and its witness (the smallest radius
+    reaching it) of the full scan, bit for bit.
 
     Every run holds at least its first atom.  Where 2r is at most half the
     float spacing at an atom, ``loc + 2r`` rounds back to ``loc`` and the
@@ -317,18 +333,15 @@ def _scan_runs(
             row.append((ratio, mass, i, int(ends[i])))
         runs[k] = row
 
-    # coarse pass: every fourth radius, from the largest down
     top = len(radii) - 1
-    for k in range(top, -1, -4):
-        search(k)
+    search(top)
+    search(0)
     above = top  # the nearest searched radius above k
-    for k in range(top - 1, -1, -1):
-        if k not in runs:
-            r = radii[k]
-            heaviest = (mass for _, mass, _, _ in runs[above])
-            if any(m / r**s >= b for m, s, b in zip(heaviest, exponents, reached)):
-                search(k)
-        if k in runs:
+    for k in range(top - 1, 0, -1):
+        r = radii[k]
+        heaviest = (mass for _, mass, _, _ in runs[above])
+        if any(m / r**s >= b for m, s, b in zip(heaviest, exponents, reached)):
+            search(k)
             above = k
 
     best = [-math.inf] * len(prefixes)
@@ -358,8 +371,11 @@ def verify_ball_mass(mu: AtomicMeasure, window: ScaleWindow, s: float) -> BallMa
     exact: the heaviest ball's leftmost atom starts a contiguous run of
     atoms of diameter < 2r, so sweeping run starts finds the maximum.
     The radii are linear floats: a window whose smallest radius, raised
-    to s, underflows to 0 is refused, since no ratio can be formed there.
+    to s, underflows to 0 is refused, since no ratio can be formed there,
+    and so is a non-finite s.
     """
+    if not math.isfinite(s):
+        raise InputError(f"s must be finite, got {s}")
     radii = _scan_radii(window)
     if not (radii[0] > 0.0 and radii[0] ** s > 0.0):
         raise InputError("window too deep for linear mass checks")
@@ -417,11 +433,13 @@ def massfrostman_roundtrip(
     Structure once per scale, masses and scan per s: each scale's
     skeleton, seeded cubes, atoms and cap-chain ancestry are built once
     for the whole s grid, and each searched radius's run ends are
-    searched once and scored against every s.  A radius is searched only
-    if, for some s, the heaviest run mass at a larger searched radius,
-    over r**s, is not below the best ratio so far; the heaviest run mass
-    never decreases with the radius, so a skipped radius cannot set any
-    constant, and the constants equal the full scan's bit for bit.
+    searched once and scored against every s.  The largest and the
+    smallest radius are searched first; every other radius, from the top
+    down, is searched only if, for some s, the heaviest run mass at the
+    nearest searched radius above it, over r**s, is not below the best
+    ratio so far.  The heaviest run mass never decreases with the radius,
+    so a skipped radius cannot set any constant, and the constants equal
+    the full scan's bit for bit.
 
     A row whose construction fails at some scale (s outside [0, 1], or a
     domain, input or budget error) stops there, unbuilt, with the

@@ -108,6 +108,36 @@ def test_seeding_matches_the_per_cube_reference(name, base, log_delta):
     assert mu.locations.tolist() == locations
 
 
+def _chain_by_dict(cubes, base, chain_length):
+    """Reference chain numbering: each level's ancestors, numbered in ascending order."""
+    levels = []
+    for k in range(chain_length):
+        ancestors = [q // base ** (k + 1) for q in cubes]
+        number = {a: i for i, a in enumerate(sorted(set(ancestors)))}
+        levels.append([number[a] for a in ancestors])
+    return levels
+
+
+@pytest.mark.parametrize(
+    "model, base, log_delta",
+    [
+        (SEED_MODELS["cantor"], 2, -10 * LOG2),
+        (SEED_MODELS["cantor"], 3, -6 * LOG3),
+        (translate(SequenceSet(2.0), -1.5), 20, -20 * LOG2),
+        (translate(SEED_MODELS["cantor"], -2.5), 3, -6 * LOG3),
+    ],
+    ids=["cantor base 2", "cantor base 3", "sequence at -1.5 base 20", "cantor at -2.5 base 3"],
+)
+def test_chain_numbering_matches_the_per_cube_reference(model, base, log_delta):
+    # negative cube indices floor towards -inf in numpy and in Python alike
+    seed = measures._seed(model, log_delta, PowerLaw(0.5), base)
+    cubes, _ = _seed_by_dict(model, seed.m, base)
+    assert seed.cubes.tolist() == cubes
+    assert seed.le >= 3
+    expected = _chain_by_dict(cubes, base, seed.le)
+    assert [inverse.tolist() for inverse in seed.inverses] == expected
+
+
 def test_atom_cap_counts_distinct_seeded_cubes(thirds, monkeypatch):
     args = (thirds, 0.6, -5 * LOG3, PowerLaw(0.5))
     n = len(build_frostman_measure(*args, base=3).locations)
@@ -190,6 +220,15 @@ def test_ball_mass_refuses_windows_too_deep_for_linear_radii():
     report = verify_ball_mass(mu, ScaleWindow(-690.0, -1.0), 0.5)
     assert report.radii[0] == math.exp(-690.0)
     assert 0.0 < report.c_observed < math.inf
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_ball_mass_refuses_a_non_finite_exponent(s):
+    # r**s is NaN, 0.0 or inf at the scanned radii r < 1, so no ratio
+    # mass / r**s is a growth constant
+    mu = AtomicMeasure([0.1, 0.5], [0.5, 0.5])
+    with pytest.raises(InputError, match="^s must be finite, got "):
+        verify_ball_mass(mu, ScaleWindow.from_linear(0.01, 0.2), s)
 
 
 @pytest.mark.parametrize("locations", [[0.1, 0.5], [0.0, 0.5], [-0.5, -0.1], [-3.0, 1e6]])
@@ -325,6 +364,36 @@ def test_multi_measure_scan_matches_the_full_scan(thirds, s_grid):
     assert [_report_hex(r) for r in got] == [_report_hex(r) for r in expected]
 
 
+def _drawn_scans(rng, count):
+    """Atom sets with repeated locations and mass ties, scanned by 1-4 measures.
+
+    The locations are drawn from a coarse grid, shifted as far as 1e6 from
+    0; the smallest radius stays far above the float spacing there, where
+    the full scan needs no raised run ends.  Exponents of 0 make plateaus.
+    """
+    for _ in range(count):
+        grid = np.linspace(0.0, rng.choice([0.01, 1.0, 5.0]), int(rng.integers(2, 30)))
+        offset = rng.choice([0.0, -0.37, 1e3, -2.5e4, 1e6])
+        locs = np.sort(offset + rng.choice(grid, int(rng.integers(1, 60))))
+        lo = 10.0 ** rng.uniform(-3.0, -0.5)
+        window = ScaleWindow.from_linear(lo, lo * 10.0 ** rng.uniform(0.0, 2.0))
+        prefixes, exponents = [], []
+        for _ in range(int(rng.integers(1, 5))):
+            masses = rng.choice([1.0, 2.0, 3.0], locs.size)
+            prefixes.append(AtomicMeasure(locs, masses / masses.sum()).prefix_masses())
+            exponents.append(float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)])))
+        yield locs, measures._scan_radii(window), prefixes, exponents
+
+
+def test_scan_matches_the_full_scan_on_drawn_atoms():
+    mismatched = []
+    for k, args in enumerate(_drawn_scans(np.random.default_rng(20261020), 1000)):
+        got = [_report_hex(r) for r in measures._scan_runs(*args)]
+        if got != [_report_hex(r) for r in _full_scan(*args)]:
+            mismatched.append(k)
+    assert mismatched == []
+
+
 @pytest.mark.parametrize(
     "model, s_grid, scales, base",
     [
@@ -346,7 +415,8 @@ def test_roundtrip_constants_match_the_full_scan(monkeypatch, model, s_grid, sca
 
 def test_roundtrip_scan_skips_radii_that_cannot_set_the_maximum(thirds, monkeypatch):
     # the criterion-07 thirds inputs: the full scan searches all 33 radii
-    # at each of 3 scales
+    # at each of 3 scales (99 searches); searching both end radii first
+    # and then pruning from the top down makes 37
     searches = []
     real = np.searchsorted
 
@@ -357,7 +427,7 @@ def test_roundtrip_scan_skips_radii_that_cannot_set_the_maximum(thirds, monkeypa
     monkeypatch.setattr(measures.np, "searchsorted", counting)
     scales = [-6 * LOG3, -7 * LOG3, -8 * LOG3]
     massfrostman_roundtrip(thirds, PowerLaw(0.5), CRITERION_07_S, scales, base=3)
-    assert len(searches) <= len(scales) * 33 // 2
+    assert len(searches) <= 37
 
 
 def test_ball_to_set_constant_scales_by_diameter_power():
