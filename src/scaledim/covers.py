@@ -21,7 +21,9 @@ downstream root finding can certify both sides.  Routines:
 * :func:`cover_cost_dp` -- exact minimum over a materialized skeleton for
   ``s in [0, 1]``: a graph of reachable cover fronts, built once per
   window as integer-indexed rows of moves, and a dynamic-programming
-  sweep over it per ``s``.
+  sweep over it per ``s``.  The walk keeps each front's moves to item
+  ends as one range of items, found by bisection, and slices the rows
+  from those ranges once the fronts are numbered.
 * :func:`cover_cost_cantor` -- single-level covers of a Cantor schedule,
   with a natural-measure lower bound; works at symbolic depths.  Both
   bounds are extrema of lines in ``s``.
@@ -40,7 +42,8 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import partial
+from itertools import accumulate, repeat
+from operator import ne, sub
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -61,9 +64,10 @@ from .setmodels import (
 
 _LINEAR_LOG_FLOOR = -680.0  # below this, exp() underflows and the DP is off limits
 _STATE_CAP = 500_000  # cover-graph states before the DP gives up
-# cover-graph moves before the DP gives up: a move costs 130-150 bytes of
-# resident memory while the graph is built (0.2M-3.7M-move graphs), so a
-# build that fails here stays under about 0.8 GB
+# cover-graph moves before the DP gives up.  A finished graph holds about
+# 106 bytes of resident memory per move (3.75M moves, 14,440 states), so a
+# graph just under the cap stays near 0.55 GB; the walk keeps one small
+# record per state and no move, so a build that fails here stays small
 _MOVE_CAP = 5_000_000
 _TOL = 1e-12
 _U = 2.0**-53  # unit roundoff of a float
@@ -258,6 +262,12 @@ def _next_uncovered(starts, ends, covered_end: float) -> float:
     return starts[k] if k < len(starts) else math.inf
 
 
+def _among(values: list, v: float, first: int, full: int) -> bool:
+    """Whether ``v`` is one of the sorted ``values[first:full]``."""
+    i = bisect_left(values, v, first, full)
+    return i < full and values[i] == v
+
+
 def _refuse_wide_state(
     items: Skeleton,
     after_end: np.ndarray,
@@ -307,6 +317,28 @@ class _CoverGraph:
     successor index) pairs, one per successor with its shortest length;
     every move goes right, so every successor has a smaller index.
     Nothing here depends on ``s``, so one graph serves every exponent.
+
+    The walk is a depth-first search from the first item's start.  Its
+    rule, item by item: each item in reach of a state ``x`` gives a move,
+    to the front after the item's end if the item ends at least lo right
+    of ``x`` and within the reach, to the front after ``x + lo`` (length
+    lo) if it ends closer, and to the reach itself (length hi) for the
+    first item that ends past the reach, which is the last move; then the
+    lo move.  A row keeps one move per front, in the order the fronts
+    first appear, with the shortest length.
+
+    Item ends never decrease, so the moves to item ends are one item range
+    ``[first, full)``, found by bisection, and their fronts never
+    decrease.  Where those fronts are distinct and neither the lo front
+    nor the partial front is among them, the row is the lo move (first
+    if an item ends less than lo right of ``x``), the range in order,
+    the partial move and, unless it came first, the lo move.  The walk
+    keeps only the range: a front becomes a state when a scan of a
+    ``bytearray`` over front numbers finds it unmarked, and the lengths
+    and successor indices are sliced from the range once the states are
+    numbered, so no float is hashed per move.  The other rows, which
+    repeat a front, are walked item by item through a dict keyed by
+    front.
     """
 
     def __init__(self, items: Skeleton, window: ScaleWindow) -> None:
@@ -332,64 +364,185 @@ class _CoverGraph:
         starts = items.starts.tolist()
         ends = items.ends.tolist()
         after_end = after_end_array.tolist()
-        next_uncovered = partial(_next_uncovered, starts, ends)
+        n = len(ends)
+        # after_end never decreases, so items sharing a front are runs:
+        # front[i] numbers item i's front, and a range of items has
+        # distinct fronts exactly when its front numbers are consecutive
+        front = list(accumulate(map(ne, after_end[1:], after_end), initial=0))
+        marked = bytearray(front[-1] + 1)  # 1 once a front is a state
+        front_state = [-1] * len(marked)  # its state's id; -1 for inf
+        if after_end[-1] == math.inf:
+            marked[-1] = 1  # everything covered: no state
 
-        # depth-first search; each state maps its successors (inf once
-        # everything is covered) to the shortest move length reaching them
-        edges: dict[float, dict] = {x0: {}}
-        stack = [x0]
+        # states by id in the order the walk meets them; each gets a record
+        # its row is built from: (first, full, f0, lo id, lo first, partial
+        # id or None) for a range row, a list of (length, id) for the rest
+        where: list[float] = []
+        state_of: dict[float, int] = {}
+        records: list = []
+        stack: list[int] = []
+
+        def add(pos: float) -> int:
+            # a new state met by a lo, partial or item-by-item move
+            sid = len(where)
+            where.append(pos)
+            records.append(None)
+            state_of[pos] = sid
+            stack.append(sid)
+            i = bisect_left(after_end, pos)
+            if i < n and after_end[i] == pos:
+                marked[front[i]] = 1
+                front_state[front[i]] = sid
+            return sid
+
+        add(x0)
         moves = 0
         while stack:
-            x = stack.pop()
-            cands: dict[float, float] = {}
+            sid = stack.pop()
+            x = where[sid]
             reach = x + hi
-            after_lo = next_uncovered(x + lo)
+            x_lo = x + lo
             j = bisect_left(ends, x)  # first item with material at or beyond x
             stop = bisect_right(starts, reach, j)  # items [j, stop) in reach
+            # the front after the lo move, as _next_uncovered finds it
+            i = bisect_right(starts, x_lo, j, n)
+            if i > 0 and ends[i - 1] > x_lo:
+                after_lo = x_lo
+            else:
+                after_lo = starts[i] if i < n else math.inf
             if stop - j >= _STATE_CAP or moves + stop - j >= _MOVE_CAP:
                 _refuse_wide_state(
                     items, after_end_array, x, lo, hi, j, stop,
-                    reach + ftol, len(edges), moves,
+                    reach + ftol, len(where), moves,
                 )
-            while j < stop:
-                b = ends[j]
-                if b > reach + ftol:  # partial reach into item j, the last move
-                    nxt, length = next_uncovered(reach), hi
-                    j = stop
-                else:
-                    span = b - x
-                    if span >= lo:  # end at the item
-                        nxt, length = after_end[j], (hi if hi < span else span)
+            # items [j, full) end within the reach, item full only partly;
+            # items [first, full) end at least lo right of x
+            full = bisect_right(ends, reach + ftol, j, stop)
+            first = bisect_left(ends, x_lo, j, full)
+            while first > j and ends[first - 1] - x >= lo:
+                first -= 1
+            while first < full and ends[first] - x < lo:
+                first += 1
+            # item full ends past the reach, which is inside it: the front
+            # after a partial move is the reach itself
+            after_reach = reach if full < stop else None
+            count = full - first
+            f0 = front[first] if count else 0
+            by_range = not count or (
+                front[full - 1] - f0 == count - 1
+                and (after_lo < after_end[first] or not _among(after_end, after_lo, first, full))
+                and (
+                    after_reach is None
+                    or after_reach > after_end[full - 1]
+                    or not _among(after_end, after_reach, first, full)
+                )
+            )
+            if by_range:
+                if after_reach == after_lo:
+                    after_reach = None  # the lo move reaches that front
+                if x == after_lo or x == after_reach:
+                    raise _stuck_error(lo, hi, x)  # x + lo or x + hi rounds onto x
+                moves += count + 1 + (after_reach is not None)
+                # new states in row order: the lo move leads the row when
+                # an item ends less than lo right of x, else it ends it
+                lo_first = first > j
+                if lo_first:
+                    lo_id = state_of.get(after_lo)
+                    if lo_id is None:
+                        lo_id = add(after_lo) if after_lo < math.inf else -1
+                f1 = f0 + count
+                f = marked.find(0, f0, f1)
+                while f >= 0:
+                    marked[f] = 1
+                    pos = after_end[first + f - f0]
+                    new = len(where)
+                    where.append(pos)
+                    records.append(None)
+                    state_of[pos] = new
+                    front_state[f] = new
+                    stack.append(new)
+                    f = marked.find(0, f + 1, f1)
+                reach_id = None
+                if after_reach is not None:
+                    reach_id = state_of.get(after_reach)
+                    if reach_id is None:
+                        reach_id = add(after_reach)
+                if not lo_first:
+                    lo_id = state_of.get(after_lo)
+                    if lo_id is None:
+                        lo_id = add(after_lo) if after_lo < math.inf else -1
+                records[sid] = (first, full, f0, lo_id, lo_first, reach_id)
+            else:
+                # item by item: successors (inf once everything is
+                # covered) mapped to the shortest move length reaching them
+                cands: dict[float, float] = {}
+                while j < stop:
+                    b = ends[j]
+                    if b > reach + ftol:  # partial reach into item j, the last move
+                        nxt, length = after_reach, hi
+                        j = stop
                     else:
-                        nxt, length = after_lo, lo
-                    j += 1
-                prev = cands.get(nxt)
-                if prev is None or length < prev:
-                    cands[nxt] = length
-            prev = cands.get(after_lo)
-            if prev is None or lo < prev:
-                cands[after_lo] = lo
-            if x in cands:  # x + lo or x + hi rounds back onto x
-                raise _stuck_error(lo, hi, x)
-            edges[x] = cands
-            moves += len(cands)
-            for nxt in cands:
-                if nxt not in edges and nxt < math.inf:
-                    edges[nxt] = {}
-                    stack.append(nxt)
-            if len(edges) > _STATE_CAP:
+                        span = b - x
+                        if span >= lo:  # end at the item
+                            nxt, length = after_end[j], (hi if hi < span else span)
+                        else:
+                            nxt, length = after_lo, lo
+                        j += 1
+                    prev = cands.get(nxt)
+                    if prev is None or length < prev:
+                        cands[nxt] = length
+                prev = cands.get(after_lo)
+                if prev is None or lo < prev:
+                    cands[after_lo] = lo
+                if x in cands:  # x + lo or x + hi rounds back onto x
+                    raise _stuck_error(lo, hi, x)
+                moves += len(cands)
+                row = []
+                for nxt, length in cands.items():
+                    nid = state_of.get(nxt)
+                    if nid is None:
+                        nid = add(nxt) if nxt < math.inf else -1
+                    row.append((length, nid))
+                records[sid] = row
+            if len(where) > _STATE_CAP:
                 raise _state_cap_error()
             if moves > _MOVE_CAP:
                 raise _move_cap_error()
-        positions = sorted(edges, reverse=True)
-        index = {x: i for i, x in enumerate(positions)}
-        index[math.inf] = len(positions)
+
+        m = len(where)
+        order = sorted(range(m), key=where.__getitem__, reverse=True)
+        positions = [where[sid] for sid in order]
+        index = [0] * m + [m]  # by state id; index[-1] is everything covered
+        for i, sid in enumerate(order):
+            index[sid] = i
+        front_index = [index[sid] for sid in front_state]
+        del where, state_of, front, front_state  # what only the walk reads
         # list rows: tuples of up to 19 items would be kept on CPython's
         # free lists after the graph is dropped
-        self.rows = [
-            [(length, index[nxt]) for nxt, length in edges.pop(x).items()]
-            for x in positions
-        ]
+        rows = []
+        for sid, x in zip(order, positions):
+            record = records[sid]
+            records[sid] = None  # freed as its row is built
+            if type(record) is list:
+                rows.append([(length, index[nid]) for length, nid in record])
+                continue
+            first, full, f0, lo_id, lo_first, reach_id = record
+            # items [first, clip) end at most hi right of x and move there;
+            # the rest end past hi, by at most ftol, and move hi
+            clip = full
+            while clip > first and ends[clip - 1] - x > hi:
+                clip -= 1
+            row = [(lo, index[lo_id])] if lo_first else []
+            f1 = f0 + clip - first
+            row += zip(map(sub, ends[first:clip], repeat(x)), front_index[f0:f1])
+            if clip < full:
+                row += zip(repeat(hi), front_index[f1 : f0 + full - first])
+            if reach_id is not None:
+                row.append((hi, index[reach_id]))
+            if not lo_first:
+                row.append((lo, index[lo_id]))
+            rows.append(row)
+        self.rows = rows
         self.positions = positions
 
     def cost(self, s: float, want_pieces: bool = False) -> CoverCost:
@@ -432,8 +585,9 @@ def cover_cost_dp(
 ) -> CoverCost:
     """Exact minimum cover cost of a skeleton, for s in [0, 1].
 
-    ``items`` is a :class:`~scaledim.setmodels.Skeleton` or any sequence
-    of sorted, disjoint (start, end) pairs, converted to one.  Built in
+    ``items`` is a :class:`~scaledim.setmodels.Skeleton` or an (n, 2)
+    array (or nested sequence) of sorted, disjoint (start, end) numbers,
+    converted to one; anything else is an :class:`InputError`.  Built in
     two parts: a cover graph once per (skeleton, window), then a
     value sweep per ``s``.  :func:`prepare` keeps the graph across
     exponents; this function builds it for a single ``s``.
@@ -451,17 +605,42 @@ def cover_cost_dp(
     rounds back onto it (a window below the float spacing there) raises a
     resolution error, so every state reaches the end.
 
+    Walk: the moves of a state to item ends are the items ending at least
+    lo right of it and within its reach, one range found by bisection.
+    Item ends lead to fronts that never decrease, so the walk marks new
+    fronts by scanning the range and hashes no float per move; the few
+    rows whose range repeats a front, or meets the lo or partial-reach
+    front, are walked item by item (see :class:`_CoverGraph`).
+
     Storage: the states are numbered by decreasing position and each keeps
-    a flat row of (length, successor index) moves, so memory is linear in
-    the edge count.  Sweep: every move advances strictly right, so the
-    value function is one pass over the rows in index order into a list
-    of values -- no recursion, no float-keyed lookups.
+    a flat row of (length, successor index) moves, sliced from its range
+    once the states are numbered, so memory is linear in the edge count.
+    Sweep: every move advances strictly right, so the value function is
+    one pass over the rows in index order into a list of values -- no
+    recursion, no float-keyed lookups.
     """
     _validate_exponent(s)
-    if not isinstance(items, Skeleton):
-        pairs = np.asarray(items, dtype=float).reshape(-1, 2)
-        items = Skeleton(pairs[:, 0], pairs[:, 1])
-    return _CoverGraph(items, window).cost(s, want_pieces)
+    return _CoverGraph(_as_skeleton(items), window).cost(s, want_pieces)
+
+
+def _as_skeleton(items) -> Skeleton:
+    """``items`` if it is a skeleton, else the skeleton of an (n, 2) array
+    of (start, end) numbers; anything else is an input error."""
+    if isinstance(items, Skeleton):
+        return items
+    try:
+        pairs = np.asarray(items)
+    except (TypeError, ValueError):  # ragged, say
+        pairs = None
+    if pairs is not None and pairs.shape == (0,):
+        pairs = pairs.reshape(0, 2)  # no pairs: the skeleton refuses it as empty
+    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iuf":
+        got = "not rectangular" if pairs is None else f"shape {pairs.shape} of {pairs.dtype}"
+        raise InputError(
+            "cover DP items must be a Skeleton or an (n, 2) array of "
+            f"(start, end) numbers, got {type(items).__name__} ({got})"
+        )
+    return Skeleton(pairs[:, 0], pairs[:, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import math
 import time
 import tracemalloc
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from scaledim.covers import (
     prepare,
     schedule_mass_constant,
 )
-from scaledim.errors import BudgetError, DomainError, InputError, ResolutionError
+from scaledim.errors import (
+    BudgetError,
+    DomainError,
+    InputError,
+    ResolutionError,
+    ScaledimError,
+)
 from scaledim.estimator import critical_exponent
 from scaledim.scalefun import PowerLaw
 from scaledim.setmodels import (
@@ -139,6 +146,32 @@ def test_dp_covers_extended_items():
     got = cover_cost_dp([(0.0, 0.6)], window, 1.0)
     # 0.6 of length covered by pieces of length <= 0.25: cost >= 0.6 at s=1
     assert math.exp(got.log_cost_upper) >= 0.6 - 1e-12
+
+
+@pytest.mark.parametrize(
+    "items, got",
+    [
+        ([(0.0, 0.1, 0.2, 0.3)], r"list \(shape \(1, 4\)"),  # not two items
+        ([(0.0, 0.1), (0.2,)], r"list \(not rectangular\)"),
+        ([(0.0, 0.1, 0.2)], r"list \(shape \(1, 3\)"),
+        ("0.1", r"str \(shape \(\)"),
+        (0.5, r"float \(shape \(\)"),
+        ([(0.0, "0.1")], r"list \(shape \(1, 2\) of <U"),
+        ([(False, True)], r"list \(shape \(1, 2\) of bool\)"),
+    ],
+)
+def test_cover_cost_dp_takes_only_skeletons_and_pair_arrays(items, got):
+    window = ScaleWindow.from_linear(0.01, 0.1)
+    with pytest.raises(InputError, match="Skeleton or an \\(n, 2\\) array of .* got " + got):
+        cover_cost_dp(items, window, 0.5)
+
+
+def test_cover_cost_dp_reads_pairs_as_their_skeleton():
+    window = ScaleWindow.from_linear(0.01, 0.1)
+    pairs = [(0, 0), (0.25, 0.5), (0.75, 1)]
+    want = cover_cost_dp(Skeleton([0.0, 0.25, 0.75], [0.0, 0.5, 1.0]), window, 0.5)
+    assert cover_cost_dp(pairs, window, 0.5) == want
+    assert cover_cost_dp(np.array(pairs), window, 0.5) == want
 
 
 def test_dp_wants_pieces_witness():
@@ -379,6 +412,87 @@ def _graph_outcome(items, window):
     return graph.positions, graph.rows
 
 
+def _reference_graph(items, window):
+    """The cover graph walked item by item, with every front a dict key:
+    the reference the range walk of ``covers._CoverGraph`` must match,
+    (positions, rows) and errors alike."""
+    covers._require_linear(window)
+    lo, hi = window.lo, window.hi
+    ftol = hi * 1e-12
+    k = np.searchsorted(items.starts, items.ends, side="right")
+    after_end_array = np.where(
+        items.ends[k - 1] > items.ends,
+        items.ends,
+        np.append(items.starts, math.inf)[k],
+    )
+    x0 = float(items.starts[0])
+    stop = int(np.searchsorted(items.starts, x0 + hi, side="right"))
+    if stop >= covers._STATE_CAP or stop >= covers._MOVE_CAP:
+        covers._refuse_wide_state(
+            items, after_end_array, x0, lo, hi, 0, stop, x0 + hi + ftol, 1, 0
+        )
+    starts = items.starts.tolist()
+    ends = items.ends.tolist()
+    after_end = after_end_array.tolist()
+
+    def next_uncovered(point):
+        return covers._next_uncovered(starts, ends, point)
+
+    edges = {x0: {}}
+    stack = [x0]
+    moves = 0
+    while stack:
+        x = stack.pop()
+        cands = {}
+        reach = x + hi
+        after_lo = next_uncovered(x + lo)
+        j = bisect_left(ends, x)
+        stop = bisect_right(starts, reach, j)
+        if stop - j >= covers._STATE_CAP or moves + stop - j >= covers._MOVE_CAP:
+            covers._refuse_wide_state(
+                items, after_end_array, x, lo, hi, j, stop,
+                reach + ftol, len(edges), moves,
+            )
+        while j < stop:
+            b = ends[j]
+            if b > reach + ftol:
+                nxt, length = next_uncovered(reach), hi
+                j = stop
+            else:
+                span = b - x
+                if span >= lo:
+                    nxt, length = after_end[j], (hi if hi < span else span)
+                else:
+                    nxt, length = after_lo, lo
+                j += 1
+            prev = cands.get(nxt)
+            if prev is None or length < prev:
+                cands[nxt] = length
+        prev = cands.get(after_lo)
+        if prev is None or lo < prev:
+            cands[after_lo] = lo
+        if x in cands:
+            raise covers._stuck_error(lo, hi, x)
+        edges[x] = cands
+        moves += len(cands)
+        for nxt in cands:
+            if nxt not in edges and nxt < math.inf:
+                edges[nxt] = {}
+                stack.append(nxt)
+        if len(edges) > covers._STATE_CAP:
+            raise covers._state_cap_error()
+        if moves > covers._MOVE_CAP:
+            raise covers._move_cap_error()
+    positions = sorted(edges, reverse=True)
+    index = {x: i for i, x in enumerate(positions)}
+    index[math.inf] = len(positions)
+    rows = [
+        [(length, index[nxt]) for nxt, length in edges.pop(x).items()]
+        for x in positions
+    ]
+    return positions, rows
+
+
 def test_counting_successors_raises_what_the_walk_raises(monkeypatch):
     rng = np.random.default_rng(29)
     refusals = []
@@ -438,6 +552,110 @@ def test_counting_successors_raises_the_walks_resolution_error(monkeypatch):
         assert _graph_outcome(items, window) == counting
         assert counting[0] == "ResolutionError" and f"float spacing at {b!r}" in counting[1]
     assert len(settled) == 20
+
+
+def _rows_left_to_the_item_loop(items, window, positions):
+    """(shared, collided): whether some state has two item-end moves to
+    one front, and whether some state's lo or partial front is also an
+    item-end front -- the rows the range walk leaves to the item loop,
+    found from the move rules item by item."""
+    lo, hi = window.lo, window.hi
+    ftol = hi * 1e-12
+    starts, ends = items.starts.tolist(), items.ends.tolist()
+    after_end = [covers._next_uncovered(starts, ends, b) for b in ends]
+    shared = collided = False
+    for x in positions:
+        reach = x + hi
+        j = bisect_left(ends, x)
+        stop = bisect_right(starts, reach, j)
+        fronts = [
+            after_end[k] for k in range(j, stop)
+            if ends[k] <= reach + ftol and ends[k] - x >= lo
+        ]
+        others = {covers._next_uncovered(starts, ends, x + lo)}
+        if any(ends[k] > reach + ftol for k in range(j, stop)):
+            others.add(covers._next_uncovered(starts, ends, reach))
+        shared |= len(set(fronts)) < len(fronts)
+        collided |= not others.isdisjoint(fronts)
+    return shared, collided
+
+
+def _line_model_skeletons(rng):
+    """(skeleton, window) of one model of each line kind at a seeded
+    window, shifted by a seeded offset where the kind can be; grids also
+    at dyadic windows, where lo moves land exactly on item ends."""
+    ratios = rng.uniform(0.05, 1.0 / 3.0, size=int(rng.integers(1, 12))).tolist()
+    points = np.sort(rng.uniform(0.0, 1.0, size=int(rng.integers(2, 5))))
+    spacing = 2.0 ** -float(rng.integers(2, 8))
+    models = [
+        PointSet(float(rng.uniform(0.0, 1.0))),
+        SequenceSet(float(rng.uniform(0.5, 3.0))),
+        UniformGrid(spacing),
+        CantorSchedule.from_ratios(ratios),
+        UnionModel(tuple(PointSet(float(p)) for p in points)),
+        UnionModel((SequenceSet(1.0), CantorSchedule.middle_thirds(12, offset=2.0))),
+    ]
+    offset = float(rng.choice([0.0, 1.0, -3.5, 1e3]))
+    models = [translate(m, offset) for m in models]
+    alpha = float(rng.uniform(0.5, 1.0))
+    models.append(HolderImage(SequenceSet(float(rng.uniform(0.5, 3.0))), alpha))
+    for model in models:
+        hi = 2.0 ** -float(rng.uniform(1.0, 6.0))
+        window = ScaleWindow.from_linear(hi * 2.0 ** -float(rng.uniform(0.0, 3.0)), hi)
+        yield skeleton(model, window.lo), window
+    k = int(rng.integers(0, 3))
+    wider = int(rng.integers(0, 3))
+    window = ScaleWindow.from_linear(spacing * 2.0**k, spacing * 2.0 ** (k + wider))
+    yield skeleton(UniformGrid(spacing), window.lo), window
+
+
+def test_range_walk_matches_the_reference_walk(monkeypatch):
+    rng = np.random.default_rng(43)
+    cases = [(_seeded_skeleton(rng), None) for _ in range(300)]
+    for _ in range(12):
+        cases += list(_line_model_skeletons(rng))
+    shared = collided = 0
+    for items, window in cases:
+        if window is None:
+            hi = 2.0 ** -float(rng.uniform(0.5, 8.0))
+            window = ScaleWindow.from_linear(hi * 2.0 ** -float(rng.uniform(0.0, 3.0)), hi)
+        monkeypatch.setattr(covers, "_STATE_CAP", int(rng.choice([3, 10, 50, 500_000])))
+        monkeypatch.setattr(covers, "_MOVE_CAP", int(rng.choice([5, 30, 200, 5_000_000])))
+        try:
+            reference = _reference_graph(items, window)
+        except (BudgetError, ResolutionError) as exc:
+            reference = type(exc).__name__, str(exc)
+        assert _graph_outcome(items, window) == reference
+        if isinstance(reference[0], list):
+            breaks = _rows_left_to_the_item_loop(items, window, reference[0])
+            shared += breaks[0]
+            collided += breaks[1]
+    assert shared > 0 and collided > 0
+
+
+def test_range_walk_peaks_no_higher_than_the_reference_walk():
+    # SequenceSet(0.6) under PowerLaw(0.33) at log delta = -4 ln 2: 369
+    # states and 24,692 moves.  With tracemalloc on CPython 3.11 the
+    # reference walk peaked at 87.7 bytes per move and the range walk at
+    # 86.4: the finished rows are most of both
+    log_delta = -4.0 * math.log(2.0)
+    window = ScaleWindow(PowerLaw(0.33).eval_phi_log(log_delta), log_delta)
+    items = skeleton(SequenceSet(0.6), window.lo)
+
+    def traced(build):
+        build(items, window)  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            graph = build(items, window)
+            return graph, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    graph, peak = traced(covers._CoverGraph)
+    (positions, rows), reference_peak = traced(_reference_graph)
+    assert (graph.positions, graph.rows) == (positions, rows)
+    assert 24_000 < sum(map(len, rows)) < 26_000
+    assert peak <= reference_peak
 
 
 def test_prepare_rejects_bad_oracles_and_exponents():
@@ -610,6 +828,61 @@ def test_union_with_small_gap_keeps_max_lower_bound():
 def test_combine_union_rejects_empty():
     with pytest.raises(InputError):
         combine_union([], None, ScaleWindow.from_linear(0.1, 0.2))
+
+
+# --- DP routes: every outcome is a value or a package error ----------------
+
+
+@st.composite
+def _dp_models(draw):
+    """A line model of any kind with a DP route, shifted by up to 1e15
+    where its kind can be."""
+    kind = draw(st.sampled_from(["point", "sequence", "cantor", "grid", "union", "holder"]))
+    if kind == "point":
+        model = PointSet(draw(st.floats(0.0, 1.0)))
+    elif kind == "sequence":
+        model = SequenceSet(draw(st.floats(0.5, 3.0)))
+    elif kind == "cantor":
+        ratios = draw(st.lists(st.floats(0.05, 1.0 / 3.0), min_size=1, max_size=8))
+        model = CantorSchedule.from_ratios(ratios)
+    elif kind == "grid":
+        model = UniformGrid(draw(st.sampled_from([1.0, 0.25, 2.0**-6]) | st.floats(2.0**-7, 1.0)))
+    elif kind == "union":
+        model = UnionModel(
+            (SequenceSet(draw(st.floats(0.5, 3.0))), CantorSchedule.middle_thirds(12, offset=2.0))
+        )
+    else:
+        base = draw(st.sampled_from([SequenceSet(1.0), middle_thirds(12), UniformGrid(2.0**-5)]))
+        return HolderImage(base, draw(st.floats(0.5, 1.0)))
+    offset = draw(st.sampled_from([0.0, 1e15, -1e15, 2.0**40]) | st.floats(-1e15, 1e15))
+    return translate(model, offset)
+
+
+_EXPONENTS = st.sampled_from([0.0, 1.0, math.nan, -0.5, 1.5, math.inf, -1e-300]) | st.floats(
+    0.0, 1.0
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    model=_dp_models(),
+    log_hi=st.floats(-5.0, 0.5),
+    width=st.floats(0.0, 3.0),
+    exponents=st.lists(_EXPONENTS, min_size=1, max_size=3),
+    theta=st.floats(0.6, 1.0),
+)
+def test_dp_routes_return_or_raise_package_errors(model, log_hi, width, exponents, theta):
+    # a call may raise only scaledim.errors types; anything else fails here
+    cost_at = prepare(model, ScaleWindow(log_hi - width, log_hi), oracle="dp")
+    for s in exponents:
+        try:
+            cost_at(s)
+        except ScaledimError:
+            pass
+    try:
+        critical_exponent(model, PowerLaw(theta), min(log_hi, -0.05), oracle="dp")
+    except ScaledimError:
+        pass
 
 
 # --- invariance and monotonicity properties ------------------------------
