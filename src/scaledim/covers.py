@@ -43,7 +43,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import ne, sub
+from operator import mul, ne, sub
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -575,6 +575,20 @@ class _CoverGraph:
         log_total = math.log(value[start])
         return CoverCost(log_total, log_total, "exact-dp", pieces)
 
+    def greedy(self) -> list[float]:
+        """Piece lengths of the cover that takes each state's furthest
+        move: to everything covered if it can, else to the successor with
+        the smallest index, that is the rightmost front."""
+        rows = self.rows
+        done = len(rows)
+        lengths = []
+        i = done - 1
+        while i < done:
+            # done maps to 0, successor i to i + 1
+            length, i = min(rows[i], key=lambda move: (move[1] + 1) % (done + 1))
+            lengths.append(length)
+        return lengths
+
 
 def cover_cost_dp(
     items: Skeleton | Sequence[tuple[float, float]],
@@ -1002,15 +1016,50 @@ def cover_cost_product(model: ProductModel, window: ScaleWindow, s: float) -> Co
 # dispatch
 
 
+def _witness_root(lengths: list[float]) -> Optional[float]:
+    """The exponent where a cover of these piece lengths costs 1, from a
+    few Newton steps on ``log sum L**s`` started at 0, clamped to 1; None
+    if its cost does not fall through 1 above 0 (a single piece, or no
+    piece shorter than 1).
+
+    The log cost is convex in ``s``, so from 0, where it is at least 0,
+    the steps climb towards the root without passing it (in real
+    arithmetic); the few rounding ulps left do not matter to a caller
+    that only steers by it.
+    """
+    logs = list(map(math.log, lengths))
+    s = 0.0
+    for _ in range(12):
+        terms = list(map(pow, lengths, repeat(s)))
+        total = sum(terms)
+        slope = sum(map(mul, terms, logs))
+        if not slope < 0.0:
+            return None
+        step = math.log(total) * total / slope
+        s -= step
+        if s > 1.0 or abs(step) <= 1e-15 * s:
+            break
+    return min(s, 1.0) if s > 0.0 else None
+
+
 class _PreparedDP:
     """The DP route of one (model, window) as a function of ``s``.
 
-    The first call builds the skeleton and the cover graph; every call is
-    one value sweep over the graph.  Each sweep also keeps its exponent,
+    The first call or steering step builds the skeleton and the cover
+    graph; every call is one value sweep over the graph.  Each sweep also keeps its exponent,
     its log value and the optimal cover it determines (the replay of
     ``want_pieces``) as a witness: its piece lengths, right to left.
     :meth:`bracket` turns them into bounds at another exponent for the
     estimator's bisection.
+
+    :meth:`steer` takes a steering sweep: one sweep at the exponent where
+    the witness cover costs 1 (Dinkelbach's step), which the estimator
+    takes when a bracket is open, so that the next brackets start near
+    the root and settle the exponents that a bisection would otherwise
+    sweep.  It only chooses where the last sweep lies: a bracket holds
+    from any sweep, so it settles each test as a sweep at that exponent
+    would, and the estimator neither caches nor counts the steering
+    sweep.
     """
 
     def __init__(self, model, window: ScaleWindow) -> None:
@@ -1021,12 +1070,15 @@ class _PreparedDP:
         self.last: Optional[tuple[float, float]] = None  # (s, log value)
         self.witness: Optional[list[float]] = None
 
-    def __call__(self, s: float) -> CoverCost:
-        _validate_exponent(s)
+    def _built(self) -> _CoverGraph:
         if self.graph is None:
             _require_linear(self.window)  # before materializing at resolution lo
             self.graph = _CoverGraph(skeleton(self.model, self.window.lo), self.window)
-        cost = self.graph.cost(s, want_pieces=True)
+        return self.graph
+
+    def __call__(self, s: float) -> CoverCost:
+        _validate_exponent(s)
+        cost = self._built().cost(s, want_pieces=True)
         self.last = (s, cost.log_cost_upper)
         self.witness = [length for _, length in reversed(cost.pieces)]
         return CoverCost(cost.log_cost_lower, cost.log_cost_upper, cost.method)
@@ -1055,6 +1107,19 @@ class _PreparedDP:
         g = (len(self.graph.rows) + 2) * 2.0 * _U
         margin = 2.0 * (3.0 * g + 8.0 * _U * (abs(log_v0) + abs(shift)))
         return log_v0 + shift - margin, math.log(self.witness_cost(s))
+
+    def steer(self) -> None:
+        """Sweep once where the witness cover costs 1
+        (:func:`_witness_root`), building the graph first if need be;
+        before the first sweep the witness is the graph's greedy cover.
+        Nothing is swept when there is no such exponent or it is the last
+        sweep's."""
+        witness = self.witness
+        if witness is None:
+            witness = self._built().greedy()
+        s = _witness_root(witness)
+        if s is not None and (self.last is None or s != self.last[0]):
+            self(s)
 
     def witness_cost(self, s: float) -> float:
         """The witness cover's cost at ``s``, summed right to left as the

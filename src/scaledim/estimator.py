@@ -11,7 +11,7 @@ exponent with lower cost >= 1 (the dimension is at least s_lower).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .covers import CoverCost, ScaleWindow, prepare
 from .errors import ConfigError, IndeterminateError
@@ -95,6 +95,17 @@ def critical_exponent(
     A lower end above 0 means the upper test fails and the lower test
     holds.  ``evaluations`` counts the distinct exponents looked at,
     whether a sweep or a bracket settled them.
+
+    Where the bracket at ``s`` is open, the route first takes a steering
+    sweep (``steer``): one sweep at the exponent where the last sweep's
+    optimal cover costs 1, or before any sweep the graph's greedy cover,
+    which is Dinkelbach's step towards the root.  Then ``s`` is bracketed
+    again and swept only if the bracket is still open.  A steering sweep
+    is neither cached nor counted in ``evaluations``, and all it changes
+    is which sweep the next brackets start from; the bounds above hold
+    from any sweep, so each test still comes out as a sweep at ``s``
+    would make it, and every bisection step, bracket and ``evaluations``
+    is what it would be without steering.
     """
     if not tol > 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
@@ -104,13 +115,21 @@ def critical_exponent(
     bracket = getattr(cost_at, "bracket", None)
     cache: dict[float, CoverCost] = {}
 
+    def settled(s: float) -> Optional[CoverCost]:
+        known = bracket(s)
+        if known is not None and (known[0] > 0.0 or known[1] < 0.0):
+            return CoverCost(known[0], known[1], "dp-bound")
+        return None
+
     def costs(s: float) -> CoverCost:
         if s not in cache:
-            known = bracket(s) if bracket is not None else None
-            if known is not None and (known[0] > 0.0 or known[1] < 0.0):
-                cache[s] = CoverCost(known[0], known[1], "dp-bound")
-            else:
-                cache[s] = cost_at(s)
+            known = None
+            if bracket is not None:
+                known = settled(s)
+                if known is None:
+                    cost_at.steer()  # a steering sweep, neither cached nor counted
+                    known = settled(s)
+            cache[s] = cost_at(s) if known is None else known
         return cache[s]
 
     def crossing(

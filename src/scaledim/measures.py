@@ -98,6 +98,21 @@ class AtomicMeasure:
         if not np.all(mas > 0.0):
             raise InputError("masses must be positive")
 
+    @classmethod
+    def _on_sorted(cls, locations, masses, total, meta) -> "AtomicMeasure":
+        """A measure on 1-D, nonempty, sorted float ``locations`` already
+        checked, and float ``masses`` of their shape; only the masses'
+        signs are checked."""
+        if not np.all(masses > 0.0):
+            raise InputError("masses must be positive")
+        measure = object.__new__(cls)
+        for name, value in zip(
+            ("locations", "masses", "pre_normalization_total", "meta"),
+            (locations, masses, total, meta),
+        ):
+            object.__setattr__(measure, name, value)
+        return measure
+
     def prefix_masses(self) -> np.ndarray:
         """Cumulative masses with a leading 0, for interval queries."""
         out = np.empty(self.masses.size + 1)
@@ -197,6 +212,9 @@ def _seed(model, log_delta: float, phi: ScaleFunction, base: int) -> _Seed:
     first = np.flatnonzero(_new_values(reached))
     cubes = reached[first]
     locations = np.maximum(items.starts[owner[first]], cubes / scale)
+    # checked here once: every s of the scale builds on these locations
+    if np.any(np.diff(locations) < 0.0):
+        raise InputError("locations must be sorted ascending")
 
     # cap-chain ancestors by exact integer division, finest to coarsest; a
     # divisor above every |cube| (cubes are sorted) gives the same quotients
@@ -234,7 +252,8 @@ def _cap_chain(seed: _Seed, s: float) -> AtomicMeasure:
     meta = FrostmanMeta(
         base=base, level_fine=m, chain_length=seed.le, cube_indices=seed.cubes
     )
-    return AtomicMeasure(seed.locations, masses / raw_total, raw_total, meta)
+    # the seed's locations are checked; an underflowed atom still fails
+    return AtomicMeasure._on_sorted(seed.locations, masses / raw_total, raw_total, meta)
 
 
 def build_frostman_measure(

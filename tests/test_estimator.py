@@ -1,23 +1,28 @@
 """Critical-exponent bisection and dimension profiles."""
 
 import math
+import random
 from collections import Counter
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scaledim import covers, estimator, setmodels
-from scaledim.errors import BudgetError, IndeterminateError, ResolutionError
+from scaledim.errors import BudgetError, IndeterminateError, ResolutionError, ScaledimError
 from scaledim.estimator import critical_exponent, dimension_profile
 from scaledim.scalefun import LogCorrected, PowerLaw
 from scaledim.setmodels import (
     CantorSchedule,
     HolderImage,
+    PointSet,
     ProductModel,
     SequenceSet,
     UniformGrid,
+    UnionModel,
     build_stability_pair,
+    translate,
 )
 
 LOG2 = math.log(2.0)
@@ -304,5 +309,157 @@ def test_dp_bracket_settles_exponents_on_both_sides_of_the_root(monkeypatch):
     )
     ce = critical_exponent(SequenceSet(1.0), PowerLaw(0.5), -4 * LOG2, oracle="dp")
     assert (ce.s_lower.hex(), ce.s_upper.hex()) == ("0x1.ed00000000000p-2", "0x1.ee00000000000p-2")
-    # 9 sweeps with the witness alone, 12 with neither shortcut
-    assert (ce.evaluations, len(sweeps)) == (12, 4)
+    # two steering sweeps leave no exponent open; 4 sweeps without steering,
+    # 9 with the witness alone, 12 with neither shortcut
+    assert (ce.evaluations, len(sweeps)) == (12, 2)
+
+
+@st.composite
+def _line_models(draw):
+    """A line model of any kind with a DP route, shifted by up to 1e15
+    where its kind can be."""
+    kind = draw(st.sampled_from(["point", "sequence", "cantor", "grid", "union", "holder"]))
+    if kind == "point":
+        model = PointSet(draw(st.floats(0.0, 1.0)))
+    elif kind == "sequence":
+        model = SequenceSet(draw(st.floats(0.5, 3.0)))
+    elif kind == "cantor":
+        ratios = draw(st.lists(st.floats(0.05, 1.0 / 3.0), min_size=1, max_size=8))
+        model = CantorSchedule.from_ratios(ratios)
+    elif kind == "grid":
+        model = UniformGrid(draw(st.sampled_from([0.25, 2.0**-6]) | st.floats(2.0**-7, 1.0)))
+    elif kind == "union":
+        model = UnionModel(
+            (SequenceSet(draw(st.floats(0.5, 3.0))), CantorSchedule.middle_thirds(12, offset=2.0))
+        )
+    else:
+        base = draw(st.sampled_from([SequenceSet(1.0), CantorSchedule.middle_thirds(12)]))
+        return HolderImage(base, draw(st.floats(0.5, 1.0)))
+    offset = draw(st.sampled_from([0.0, 1e15, -1e15, 2.0**40]) | st.floats(-1e15, 1e15))
+    return translate(model, offset)
+
+
+def _hex_outcome(args, tol):
+    """Every field of the result in hex, or the error's type, message and
+    bracket."""
+    try:
+        ce = critical_exponent(*args, tol=tol, oracle="dp")
+    except ScaledimError as exc:
+        bracket = getattr(exc, "bracket", None)
+        return type(exc).__name__, str(exc), bracket and tuple(v.hex() for v in bracket)
+    return tuple(v.hex() if type(v) is float else v for v in astuple(ce))
+
+
+def _with_and_without_steering(args, tol):
+    steered = _hex_outcome(args, tol)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(covers._PreparedDP, "steer", lambda self: None)
+        unsteered = _hex_outcome(args, tol)
+    return steered, unsteered
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    model=_line_models(),
+    log2_delta=st.floats(-7.0, -0.1),
+    theta=st.floats(0.3, 0.95),
+    tol=st.sampled_from([1e-2, 1e-3, 1e-6, 5e-324]),
+)
+def test_steering_never_changes_an_outcome(model, log2_delta, theta, tol):
+    args = (model, PowerLaw(theta), log2_delta * LOG2)
+    with pytest.MonkeyPatch.context() as m:
+        # past these caps both runs raise the same error, in well under the
+        # seconds a full build of the finest windows takes
+        m.setattr(setmodels, "SEQUENCE_N_CAP", 100_000)
+        m.setattr(covers, "_MOVE_CAP", 300_000)
+        steered, unsteered = _with_and_without_steering(args, tol)
+    assert steered == unsteered
+
+
+@pytest.mark.parametrize(
+    "args, tol, cap, error",
+    [
+        # the start state reaches 6.7M items: the state cap, before any sweep
+        ((SequenceSet(0.5), PowerLaw(0.2), -7 * LOG2), 1e-3, None, "BudgetError"),
+        # lo and hi are below the float spacing at 1e15
+        (
+            (translate(SequenceSet(1.0), 1e15), PowerLaw(0.5), -3 * LOG2),
+            1e-3, None, "ResolutionError",
+        ),
+        # the window floor e**-1000 has no linear value
+        ((SequenceSet(1.0), PowerLaw(0.01), -10.0), 1e-3, None, "ResolutionError"),
+        # an exponent cap at tol: the upper cost stays above 1 and the lower
+        # bound certifies nothing above 0, while steering sweeps past the cap
+        ((SequenceSet(1.0), PowerLaw(0.5), -5 * LOG2), 1e-3, 1e-3, "IndeterminateError"),
+        ((CantorSchedule.middle_thirds(40), PowerLaw(0.5), -6 * LOG2), 1e-2, 0.0, "IndeterminateError"),
+    ],
+)
+def test_steering_raises_what_bisection_raises(monkeypatch, args, tol, cap, error):
+    if cap is not None:
+        monkeypatch.setattr(estimator, "ambient_dimension", lambda model: cap)
+    steered, unsteered = _with_and_without_steering(args, tol)
+    assert steered[0] == error
+    assert steered == unsteered
+
+
+def test_witness_root_is_where_the_cover_costs_one():
+    rng = random.Random(27)
+    for _ in range(200):
+        hi = rng.uniform(1e-6, 0.999)
+        lo = hi * rng.uniform(1e-6, 1.0)
+        lengths = [rng.uniform(lo, hi) for _ in range(rng.randint(2, 400))]
+        s = covers._witness_root(lengths)
+        assert 0.0 < s <= 1.0
+        log_cost = math.log(math.fsum(length**s for length in lengths))
+        # a root above 1 is clamped there, where the cover costs more than 1
+        assert abs(log_cost) <= 1e-9 or (s == 1.0 and log_cost > 0.0)
+    # no piece shorter than 1: the cost never falls through 1
+    for lengths in ([1.0], [1.0, 1.0], [2.0, 1.5], [1.0, 3.0]):
+        assert covers._witness_root(lengths) is None
+    assert covers._witness_root([0.5]) is None  # one piece costs 1 only at 0
+
+
+@pytest.mark.parametrize(
+    "model, log2_delta",
+    [
+        (SequenceSet(1.0), -5),
+        (HolderImage(SequenceSet(2.0), 0.7), -6),
+        (CantorSchedule.middle_thirds(40), -7),
+        (UniformGrid(2.0**-9), -4),
+    ],
+)
+def test_no_steering_sweep_repeats_the_last_sweep(monkeypatch, model, log2_delta):
+    sweeps = []  # (s, whether a steering sweep)
+    steering = False
+    call, steer = covers._PreparedDP.__call__, covers._PreparedDP.steer
+
+    def counted_call(self, s):
+        sweeps.append((s, steering))
+        return call(self, s)
+
+    def flagged_steer(self):
+        nonlocal steering
+        steering = True
+        try:
+            steer(self)
+        finally:
+            steering = False
+
+    monkeypatch.setattr(covers._PreparedDP, "__call__", counted_call)
+    monkeypatch.setattr(covers._PreparedDP, "steer", flagged_steer)
+    critical_exponent(model, PowerLaw(0.5), log2_delta * LOG2, tol=1e-6, oracle="dp")
+    assert sweeps and sweeps[0][1]  # the first sweep steers from the greedy cover
+    for (before, _), (s, steered) in zip(sweeps, sweeps[1:]):
+        assert not steered or s != before
+    # at the iteration's fixed point a steering step sweeps nothing
+    window = covers.ScaleWindow(2.0 * log2_delta * LOG2, log2_delta * LOG2)
+    cost_at = covers.prepare(model, window, oracle="dp")
+    cost_at.steer()
+    for _ in range(20):
+        root = covers._witness_root(cost_at.witness)
+        if root == cost_at.last[0]:
+            break
+        cost_at(root)
+    sweeps.clear()
+    cost_at.steer()
+    assert sweeps == []

@@ -188,6 +188,21 @@ def test_cubes_below_float_range_are_resolution_errors(log2_delta, level):
         build_frostman_measure(PointSet(0.0), 0.5, log2_delta * LOG2, PowerLaw(0.5))
 
 
+def test_cap_chain_stops_on_an_underflowed_atom():
+    # six atoms seeded at 2**-1074 each, the least subnormal; five share a
+    # parent capped at 2**-1073, so each is scaled by 0.4 and rounds to 0,
+    # while the sixth keeps its mass and the raw total stays positive
+    cubes = np.arange(6, dtype=np.int64)
+    locations = np.linspace(0.0, 0.5, 6)
+    seed = measures._Seed(2, 1074, 1, cubes, locations, (np.array([0, 0, 0, 0, 0, 1]),))
+    with pytest.raises(InputError, match="^masses must be positive$"):
+        measures._cap_chain(seed, 1.0)
+    # at s = 0 every cap is 1: the five share it, the sixth keeps its 1
+    mu = measures._cap_chain(seed, 0.0)
+    assert mu.locations is locations
+    assert mu.masses.tolist() == [0.1] * 5 + [0.5] and mu.pre_normalization_total == 2.0
+
+
 def test_atomic_measure_validation():
     with pytest.raises(InputError):
         AtomicMeasure(np.array([0.5, 0.2]), np.array([0.5, 0.5]), 1.0, None)
