@@ -20,15 +20,20 @@ cubes come out sorted, so their first atoms and each chain level's
 numbering are read off where a value is new, without sorting.
 
 The ball-mass scan searches run ends only at radii that can still set a
-maximum.  It searches the largest and the smallest radius first, then
-visits the others once from the top down.  The heaviest ball mass never
-decreases with the radius, so at a radius r it is at most the heaviest
-mass at the nearest searched radius above; where that mass over r^s is
-below the best ratio already found, the smallest radius's included, r
-cannot reach the maximum and is skipped.  The bound holds in
-floats (the prefix masses never decrease, the run ends never decrease in
-r, and float subtraction and division are monotone), so the constants and
-witnesses are those of the full scan, bit for bit.
+maximum.  It searches the largest radius first, tests the smallest
+second, then visits the others once from the top down.  The heaviest
+ball mass never decreases with the radius, so at a radius r it is at
+most the heaviest mass at the nearest searched radius above.  Inside
+:func:`massfrostman_roundtrip` it is also at most the cap bound of the
+measure's own chain: every level-l cube holds at most b^-ls of the raw
+mass, and a ball of radius r meets at most ceil(2r b^l) + 1 of them.
+An arbitrary measure, as :func:`verify_ball_mass` gets it, has no caps
+and no such bound.  Where the least bound over r^s is below the best
+ratio already found, r cannot reach the maximum and is skipped.  The
+bounds hold in floats (the prefix masses never decrease, the run ends
+never decrease in r, float subtraction and division are monotone, and
+the cap bound carries a proved margin), so the constants and witnesses
+are those of the full scan, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .covers import ScaleWindow
 from .errors import BudgetError, DomainError, InputError, ResolutionError
 from .estimator import critical_exponent
 from .scalefun import ScaleFunction
-from .setmodels import skeleton
+from .setmodels import _line_skeleton, skeleton
 
 #: Default branching base of the cube hierarchy.
 DEFAULT_BASE = 20
@@ -136,8 +141,7 @@ def frostman_levels(
     rejected, and so is a base that is not an integer >= 2; a level whose
     b^m overflows a float is a ``ResolutionError``.
     """
-    if not isinstance(base, (int, np.integer)) or isinstance(base, bool) or base < 2:
-        raise DomainError(f"cube base must be an integer >= 2, got {base!r}")
+    _check_base(base)
     log_b = math.log(base)
     log_phi = phi.eval_phi_log(log_delta)
     m = math.floor(-(math.log(2.0) + log_phi) / log_b + 1e-12)
@@ -152,6 +156,11 @@ def frostman_levels(
     except OverflowError:
         raise ResolutionError(f"level-{m} cubes in base {base} lie below float range")
     return m, le
+
+
+def _check_base(base) -> None:
+    if not isinstance(base, (int, np.integer)) or isinstance(base, bool) or base < 2:
+        raise DomainError(f"cube base must be an integer >= 2, got {base!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,11 +306,72 @@ def _scan_radii(window: ScaleWindow) -> list[float]:
     return sorted(float(r) for r in radii + [window.lo, window.hi])
 
 
+def _cap_bounds(
+    seed: _Seed,
+    radii: list[float],
+    mus: Sequence[AtomicMeasure],
+    exponents: Sequence[float],
+) -> list[list[float]]:
+    """Upper bounds on the heaviest run mass of cap-chain measures, per radius.
+
+    Every cube of a chain level l = m - le, ..., m (a level-m cube holds
+    one atom) carries at most the raw mass b^-ls, and a run of atoms of
+    width below 2r meets at most ceil(2r b^l) + 1 level-l cubes, so it
+    holds at most that many caps over the raw total T of the normalized
+    mass.  The bound of a measure at r is the least over the chain levels
+    of (ceil(2r b^l) + 2) b^-ls / T, times 1 + rho, plus n 2^-50, for n
+    atoms, rho = 2^-20 + (n + Q) 2^-50 and Q one more than the largest
+    |cube index|.
+
+    The extra cube and the margins cover the floats (u = 2^-53, and
+    g = n u / (1 - n u) bounds the relative error of a float sum of at
+    most n positive terms):
+
+    - Masses.  A capped cube's raw mass is at most cap (1 + u)^2 / (1 - g):
+      its factor fl(cap / S) is at most (1 + u) cap / S, or 1 only where
+      cap / S >= 1 - u; S is within g of the exact sum; each scaled atom
+      rounds up by at most u.  Coarser caps scale atoms by factors <= 1,
+      which never raise a float.  The chain's caps and the ones here are
+      pow of the same float exponents, within two ulps of each other.
+    - Prefix sums.  The normalized masses fl(mu / T) sum to less than
+      1.01, so each prefix sum is within 1.02 n u of the exact sum of its
+      terms, and a run mass from two of them exceeds (1 + u)^2 times the
+      exact normalized run mass by less than n 2^-50 / 2.
+    - Geometry.  An atom's location x, the larger of fl(q / fl(b^m)) for
+      its cube q and the start of a skeleton item with
+      fl(start fl(b^m)) < q + 1, has x b^m within t = 5 u Q of
+      [q, q + 1], so the atom's level-l
+      ancestor is floor(y b^(l-m)) for some y within t of x b^m.  A run
+      lies in [x_i, fl(x_i + 2r)), of width at most 2r (1 + u) + u |x|max,
+      and |x|max b^m <= Q + t; with x = 2r b^l it meets
+      N <= x (1 + u) + 12 u Q + 2 cubes, while the counted
+      C = ceil(fl(2r fl(b^l))) + 2 >= x (1 - 2u) + 2, where fl(b^l) is the
+      exact integer b^l rounded once.  So N / C <= 1 + 4u + 6 u Q.
+
+    The computed bound rounds at most six times, so with those factors
+    it stays within 1 + rho of C b^-ls / T: every heaviest run mass the
+    scan computes is at most it, bit for bit in floats.
+    """
+    levels = np.arange(seed.m - seed.le, seed.m + 1)
+    widths = np.array([float(seed.base**level) for level in levels])
+    counts = np.ceil(np.multiply.outer(2.0 * np.asarray(radii), widths)) + 2.0
+    n = seed.locations.size
+    top = max(-int(seed.cubes[0]), int(seed.cubes[-1])) + 1
+    rho = 2.0**-20 + (n + top) * 2.0**-50
+    bounds = []
+    for mu, s in zip(mus, exponents):
+        caps = float(seed.base) ** (-levels * s)
+        least = (counts * caps).min(axis=1) / mu.pre_normalization_total
+        bounds.append((least * (1.0 + rho) + n * 2.0**-50).tolist())
+    return bounds
+
+
 def _scan_runs(
     locs: np.ndarray,
     radii: list[float],
     prefixes: Sequence[np.ndarray],
     exponents: Sequence[float],
+    bounds: Sequence[Sequence[float]] = (),
 ) -> list[BallMassReport]:
     """Ball-mass scan of several measures on the same atoms.
 
@@ -311,17 +381,22 @@ def _scan_runs(
     are searched.  The heaviest run mass never decreases with the radius:
     the run ends ``searchsorted(locs, locs + 2r)`` never decrease in r, the
     prefix masses are a running sum of positive masses, and float
-    subtraction is monotone.  Float division is monotone too, so at a
-    radius r below a searched radius r' a measure's ratio is at most its
-    heaviest run mass at r' over r**s.  The largest and the smallest
-    radius are searched first: the largest bounds every mass below it, and
-    the smallest, where r**s is least, often holds the maximum ratio.  Each
-    other radius, from the top down, is searched only if that bound, from
-    the nearest searched radius above it, is not strictly below some
-    measure's best ratio so far.  A skipped radius thus has every ratio
-    strictly below the maximum, and scoring the searched radii in
-    ascending order gives the maximum and its witness (the smallest radius
-    reaching it) of the full scan, bit for bit.
+    subtraction is monotone.  ``bounds``, where given, holds an upper
+    bound on each measure's heaviest run mass at each radius (the cap
+    bound of :func:`_cap_bounds`; an arbitrary measure has none).  So at a
+    radius r below a searched radius r' a measure's heaviest run mass is
+    at most the least of its heaviest mass at r' and its bound at r, and,
+    float division being monotone, its ratio is at most that over r**s.
+    The largest radius is searched first; it bounds every mass below it.
+    The smallest radius, where r**s is least and which often holds the
+    maximum ratio, is tested second, and the others from the top down:
+    each is searched only if that bound over r**s, from the nearest
+    searched radius above it, is not strictly below some measure's best
+    ratio so far.  With no bounds and s >= 0 the smallest radius always
+    passes.  A skipped radius thus has every ratio strictly below the
+    maximum, and scoring the searched radii in ascending order gives the
+    maximum and its witness (the smallest radius reaching it) of the full
+    scan, bit for bit.
 
     Every run holds at least its first atom.  Where 2r is at most half the
     float spacing at an atom, ``loc + 2r`` rounds back to ``loc`` and the
@@ -353,15 +428,17 @@ def _scan_runs(
         runs[k] = row
 
     top = len(radii) - 1
+    limits = bounds or [[math.inf] * len(radii)] * len(prefixes)
     search(top)
-    search(0)
-    above = top  # the nearest searched radius above k
-    for k in range(top - 1, 0, -1):
+    for k in (0, *range(top - 1, 0, -1)):
         r = radii[k]
+        above = min(j for j in runs if j > k)  # the nearest searched radius above k
         heaviest = (mass for _, mass, _, _ in runs[above])
-        if any(m / r**s >= b for m, s, b in zip(heaviest, exponents, reached)):
+        if any(
+            min(m, c[k]) / r**s >= b
+            for m, c, s, b in zip(heaviest, limits, exponents, reached)
+        ):
             search(k)
-            above = k
 
     best = [-math.inf] * len(prefixes)
     witness = [(0.0, radii[0], 0.0)] * len(prefixes)
@@ -452,22 +529,37 @@ def massfrostman_roundtrip(
     Structure once per scale, masses and scan per s: each scale's
     skeleton, seeded cubes, atoms and cap-chain ancestry are built once
     for the whole s grid, and each searched radius's run ends are
-    searched once and scored against every s.  The largest and the
-    smallest radius are searched first; every other radius, from the top
-    down, is searched only if, for some s, the heaviest run mass at the
-    nearest searched radius above it, over r**s, is not below the best
-    ratio so far.  The heaviest run mass never decreases with the radius,
-    so a skipped radius cannot set any constant, and the constants equal
-    the full scan's bit for bit.
+    searched once and scored against every s.  The largest radius is
+    searched first; the smallest and then every other, from the top down,
+    only if, for some s, the least of two bounds on its heaviest run mass,
+    over r**s, is not below the best ratio so far: the heaviest run mass
+    at the nearest searched radius above it, since that mass never
+    decreases with the radius, and the cap bound of the measure's own
+    chain, since a run of width below 2r meets at most ceil(2r b^l) + 1
+    level-l cubes, each holding at most b^-ls of the raw mass.  The cap
+    bound holds only for these cap-chain measures; it is exact in floats
+    with a proved margin, so a skipped radius cannot set any constant,
+    and the constants equal the full scan's bit for bit.  On the
+    default-seed ``frostman`` benchmark cycle the scans search 5.67 of
+    their 33 radii on average.
 
-    A row whose construction fails at some scale (s outside [0, 1], or a
-    domain, input or budget error) stops there, unbuilt, with the
-    constants of the scales before.
+    A non-integer or unit ``base``, a model with no line skeleton, a
+    scale that is not finite or outside ``phi``'s domain and a NaN
+    exponent are refused up front, with the errors
+    :func:`build_frostman_measure` raises.  A row whose construction fails
+    at some scale (s outside [0, 1], a window too narrow for the
+    hierarchy, the atom budget, zero total mass or an underflowed atom)
+    stops there, unbuilt, with the constants of the scales before.
     """
-    grid = sorted(set(float(x) for x in log_deltas), reverse=True)
+    _check_base(base)
+    _line_skeleton(model)
+    log_phis = {ld: phi.eval_phi_log(ld) for ld in map(float, log_deltas)}
+    grid = sorted(log_phis, reverse=True)
     if len(grid) < 2:
         raise InputError("need at least two scales for a growth diagnostic")
     s_values = sorted(float(v) for v in s_grid)
+    if any(math.isnan(s) for s in s_values):
+        raise InputError("s must not be NaN")
     c_vals: list[list[float]] = [[] for _ in s_values]
     totals: list[list[float]] = [[] for _ in s_values]
     live = [j for j, s in enumerate(s_values) if 0.0 <= s <= 1.0]
@@ -476,7 +568,7 @@ def massfrostman_roundtrip(
             break
         try:
             seed = _seed(model, ld, phi, base)
-        except (DomainError, InputError, BudgetError):
+        except (DomainError, BudgetError):
             live = []
             break
         built = []
@@ -488,12 +580,15 @@ def massfrostman_roundtrip(
         live = [j for j, _ in built]
         if not built:
             break
-        window = ScaleWindow(phi.eval_phi_log(ld), ld)
+        radii = _scan_radii(ScaleWindow(log_phis[ld], ld))
+        exponents = [s_values[j] for j, _ in built]
+        mus = [mu for _, mu in built]
         reports = _scan_runs(
             seed.locations,
-            _scan_radii(window),
-            [mu.prefix_masses() for _, mu in built],
-            [s_values[j] for j, _ in built],
+            radii,
+            [mu.prefix_masses() for mu in mus],
+            exponents,
+            _cap_bounds(seed, radii, mus, exponents),
         )
         for (j, mu), rep in zip(built, reports):
             c_vals[j].append(rep.c_observed)

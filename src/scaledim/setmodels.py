@@ -747,15 +747,20 @@ def _check_resolution(resolution: float) -> None:
         raise ResolutionError(f"resolution must be a positive float, got {resolution}")
 
 
-def skeleton(model, resolution: float) -> Skeleton:
-    """Materialize a model as sorted disjoint intervals, exact to a resolution."""
+def _line_skeleton(model):
+    """A model's ``skeleton`` method; a model without one is an input error."""
     fn = getattr(model, "skeleton", None)
     if fn is None:
         raise InputError(
             f"model kind {getattr(model, 'kind', type(model).__name__)!r} "
             "has no line skeleton"
         )
-    return fn(resolution)
+    return fn
+
+
+def skeleton(model, resolution: float) -> Skeleton:
+    """Materialize a model as sorted disjoint intervals, exact to a resolution."""
+    return _line_skeleton(model)(resolution)
 
 
 def translate(model, dx: float):

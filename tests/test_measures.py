@@ -1,9 +1,12 @@
 """Atomic measures: construction, ball-mass constants, the roundtrip."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scaledim import measures
 from scaledim.covers import ScaleWindow
@@ -21,6 +24,7 @@ from scaledim.setmodels import (
     CantorSchedule,
     HolderImage,
     PointSet,
+    ProductModel,
     SequenceSet,
     UniformGrid,
     UnionModel,
@@ -275,8 +279,11 @@ def test_ball_mass_frostman_reference(thirds):
     assert len(report.radii) == 33
 
 
-def _full_scan(locs, radii, prefixes, exponents):
-    """Reference ball-mass scan: every radius searched, every measure scored."""
+def _full_scan(locs, radii, prefixes, exponents, bounds=()):
+    """Reference ball-mass scan: every radius searched, every measure scored.
+
+    ``bounds`` is taken, as by the pruned scan, and not used.
+    """
     best = [-math.inf] * len(prefixes)
     witness = [(0.0, radii[0], 0.0)] * len(prefixes)
     for r in radii:
@@ -409,12 +416,20 @@ def test_scan_matches_the_full_scan_on_drawn_atoms():
     assert mismatched == []
 
 
+FROSTMAN_SEQUENCE = ([0.26, 0.32, 0.38], [-12 * LOG2, -13 * LOG2, -14 * LOG2])
+CRITERION_07_SEQUENCE = (
+    [0.20 + 0.025 * k for k in range(12)],
+    [-12 * LOG2, -15 * LOG2, -18 * LOG2],
+)
+
+
 @pytest.mark.parametrize(
     "model, s_grid, scales, base",
     [
         ("thirds", CRITERION_07_S, [-6 * LOG3, -7 * LOG3, -8 * LOG3], 3),
         ("sequence p=1", SCAN_EXPONENTS, [-12 * LOG2, -13 * LOG2], 20),
         ("sequence p=2", SCAN_EXPONENTS, [-12 * LOG2, -13 * LOG2], 20),
+        ("sequence p=1", *FROSTMAN_SEQUENCE, 20),
     ],
 )
 def test_roundtrip_constants_match_the_full_scan(monkeypatch, model, s_grid, scales, base):
@@ -423,15 +438,18 @@ def test_roundtrip_constants_match_the_full_scan(monkeypatch, model, s_grid, sca
     got = massfrostman_roundtrip(*args, base=base)
     monkeypatch.setattr(measures, "_scan_runs", _full_scan)
     expected = massfrostman_roundtrip(*args, base=base)
-    assert [[c.hex() for c in r.c_values] for r in got.rows] == [
-        [c.hex() for c in r.c_values] for r in expected.rows
-    ]
+
+    def rows_hex(report):
+        return [
+            ([c.hex() for c in r.c_values], [t.hex() for t in r.raw_totals])
+            for r in report.rows
+        ]
+
+    assert rows_hex(got) == rows_hex(expected)
 
 
-def test_roundtrip_scan_skips_radii_that_cannot_set_the_maximum(thirds, monkeypatch):
-    # the criterion-07 thirds inputs: the full scan searches all 33 radii
-    # at each of 3 scales (99 searches); searching both end radii first
-    # and then pruning from the top down makes 37
+def _count_searches(monkeypatch, model, s_grid, scales, base):
+    """Run-end searches of one roundtrip."""
     searches = []
     real = np.searchsorted
 
@@ -439,10 +457,72 @@ def test_roundtrip_scan_skips_radii_that_cannot_set_the_maximum(thirds, monkeypa
         searches.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(measures.np, "searchsorted", counting)
+    with monkeypatch.context() as m:
+        m.setattr(measures.np, "searchsorted", counting)
+        massfrostman_roundtrip(model, PowerLaw(0.5), s_grid, scales, base=base)
+    return len(searches)
+
+
+def test_roundtrip_scan_skips_radii_that_cannot_set_the_maximum(thirds, monkeypatch):
+    # the criterion-07 thirds inputs: the full scan searches all 33 radii
+    # at each of 3 scales (99 searches); searching the top radius, then
+    # the smallest, then pruning from the top down makes 37, with or
+    # without the cap bound
     scales = [-6 * LOG3, -7 * LOG3, -8 * LOG3]
-    massfrostman_roundtrip(thirds, PowerLaw(0.5), CRITERION_07_S, scales, base=3)
-    assert len(searches) <= 37
+    assert _count_searches(monkeypatch, thirds, CRITERION_07_S, scales, 3) <= 37
+
+
+@pytest.mark.parametrize(
+    "s_grid, scales",
+    [FROSTMAN_SEQUENCE, CRITERION_07_SEQUENCE],
+    ids=["frostman workload", "criterion 07"],
+)
+def test_cap_bound_leaves_one_search_per_scale_on_the_sequence(monkeypatch, s_grid, scales):
+    # the heaviest mass above alone leaves 18 and 21 searches
+    assert _count_searches(monkeypatch, SequenceSet(1.0), s_grid, scales, 20) <= 3
+
+
+_CAP_MODELS = {
+    "thirds": SEED_MODELS["cantor"],
+    "sequence p=1 at -1.5": translate(SequenceSet(1.0), -1.5),
+    "sequence p=1 at 1e3": translate(SequenceSet(1.0), 1e3),
+    "sequence p=2 at 0.25": translate(SequenceSet(2.0), 0.25),
+    "union": SEED_MODELS["union"],
+}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+# the thirds in base 2 fill ceil(2r 2^l) + 1 saturated cubes with runs
+# whose float mass exceeds that many caps over T by about 1e-14
+@example(name="thirds", base=2, log2_delta=-6.0, theta=0.45, s=1.0)
+@given(
+    name=st.sampled_from(sorted(_CAP_MODELS)),
+    base=st.sampled_from([2, 3, 20]),
+    log2_delta=st.floats(-11.0, -4.0),
+    theta=st.floats(0.45, 0.6),
+    s=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0)),
+)
+def test_cap_bound_holds_the_heaviest_run_mass(name, base, log2_delta, theta, s):
+    """The cap bound is at least the full scan's heaviest run mass at every radius.
+
+    About 2 s under ``-X dev``; some 100 of the 121 examples build a
+    measure, the rest have windows too narrow for the hierarchy.
+    Counting one cube fewer without the margins, or two cubes fewer,
+    fails it.
+    """
+    phi = PowerLaw(theta)
+    ld = log2_delta * LOG2
+    try:
+        seed = measures._seed(_CAP_MODELS[name], ld, phi, base)
+        mu = measures._cap_chain(seed, s)
+    except DomainError:
+        return  # a window too narrow for the hierarchy
+    radii = measures._scan_radii(ScaleWindow(phi.eval_phi_log(ld), ld))
+    (bound,) = measures._cap_bounds(seed, radii, [mu], [s])
+    locs, prefix = mu.locations, mu.prefix_masses()
+    for r, b in zip(radii, bound):
+        ends = np.searchsorted(locs, locs + 2.0 * r, side="left")
+        assert float(np.max(prefix[ends] - prefix[: locs.size])) <= b, (r, b)
 
 
 def test_ball_to_set_constant_scales_by_diameter_power():
@@ -508,6 +588,44 @@ def test_roundtrip_rows_match_per_scale_builds(thirds, monkeypatch, atom_cap):
         [3, 3, 3, 3, 0] if atom_cap is None else [2, 2, 2, 2, 0]
     )
     assert all(r.slope == math.inf for r in report.rows if not r.built)
+
+
+@pytest.mark.parametrize(
+    "model, log_deltas, base",
+    [
+        (SequenceSet(1.0), [-12 * LOG2, -13 * LOG2], 1),
+        (SequenceSet(1.0), [-12 * LOG2, -13 * LOG2], True),
+        (SequenceSet(1.0), [-12 * LOG2, math.nan, -13 * LOG2], 20),
+        (SequenceSet(1.0), [0.5, -12 * LOG2], 20),
+        (ProductModel(SequenceSet(1.0), SequenceSet(1.0)), [-12 * LOG2, -13 * LOG2], 20),
+    ],
+    ids=["base 1", "base True", "nan scale", "scale above phi's domain", "no line skeleton"],
+)
+def test_roundtrip_refuses_what_a_build_refuses(model, log_deltas, base):
+    # these once came back as unbuilt rows beside a real bracket, with
+    # estimate 0.0
+    phi = PowerLaw(0.5)
+    with pytest.raises((DomainError, InputError)) as refused:
+        for ld in log_deltas:
+            build_frostman_measure(model, 0.3, ld, phi, base=base)
+    message = f"^{re.escape(str(refused.value))}$"
+    with pytest.raises(type(refused.value), match=message):
+        massfrostman_roundtrip(model, phi, [0.3, 0.4], log_deltas, base=base)
+
+
+def test_roundtrip_refuses_a_nan_exponent():
+    # a NaN once left the s grid unsorted: rows for s = 0.5, nan, 0.3
+    args = (SequenceSet(1.0), PowerLaw(0.5))
+    with pytest.raises(InputError, match="^s must not be NaN$"):
+        massfrostman_roundtrip(*args, [0.5, math.nan, 0.3], [-10.0, -11.0])
+    # infinite exponents lie outside [0, 1]: unbuilt rows, in order
+    report = massfrostman_roundtrip(*args, [0.5, math.inf, -math.inf, 0.3], [-10.0, -11.0])
+    assert [(r.s, r.built) for r in report.rows] == [
+        (-math.inf, False),
+        (0.3, True),
+        (0.5, True),
+        (math.inf, False),
+    ]
 
 
 def test_roundtrip_builds_one_skeleton_per_scale(thirds, monkeypatch):
