@@ -22,8 +22,9 @@ downstream root finding can certify both sides.  Routines:
   ``s in [0, 1]``: a graph of reachable cover fronts, built once per
   window as integer-indexed rows of moves, and a dynamic-programming
   sweep over it per ``s``.  The walk keeps each front's moves to item
-  ends as one range of items, found by bisection, and slices the rows
-  from those ranges once the fronts are numbered.
+  ends as one range of items, found by bisection; once the fronts are
+  numbered, a row holds slices of the item ends and successor indices
+  over its range, and each sweep takes the lengths from them.
 * :func:`cover_cost_cantor` -- single-level covers of a Cantor schedule,
   with a natural-measure lower bound; works at symbolic depths.  Both
   bounds are extrema of lines in ``s``.
@@ -65,9 +66,10 @@ from .setmodels import (
 _LINEAR_LOG_FLOOR = -680.0  # below this, exp() underflows and the DP is off limits
 _STATE_CAP = 500_000  # cover-graph states before the DP gives up
 # cover-graph moves before the DP gives up.  A finished graph holds about
-# 106 bytes of resident memory per move (3.75M moves, 14,440 states), so a
-# graph just under the cap stays near 0.55 GB; the walk keeps one small
-# record per state and no move, so a build that fails here stays small
+# 17 bytes of resident memory per move (3.75M moves, 14,440 states: two
+# list references per move and each state's row), so a graph just under
+# the cap stays near 90 MB; the walk keeps one small record per state and
+# no move, so a build that fails here stays small
 _MOVE_CAP = 5_000_000
 _TOL = 1e-12
 _U = 2.0**-53  # unit roundoff of a float
@@ -313,7 +315,7 @@ class _CoverGraph:
     States are the left endpoints of a possible next cover interval,
     numbered by decreasing position: ``positions[i]`` is state ``i``, the
     start is the last state and index ``len(positions)`` means everything
-    is covered.  ``rows[i]`` lists state ``i``'s moves as (length,
+    is covered.  :meth:`moves` lists state ``i``'s moves as (length,
     successor index) pairs, one per successor with its shortest length;
     every move goes right, so every successor has a smaller index.
     Nothing here depends on ``s``, so one graph serves every exponent.
@@ -334,11 +336,18 @@ class _CoverGraph:
     if an item ends less than lo right of ``x``), the range in order,
     the partial move and, unless it came first, the lo move.  The walk
     keeps only the range: a front becomes a state when a scan of a
-    ``bytearray`` over front numbers finds it unmarked, and the lengths
-    and successor indices are sliced from the range once the states are
-    numbered, so no float is hashed per move.  The other rows, which
-    repeat a front, are walked item by item through a dict keyed by
-    front.
+    ``bytearray`` over front numbers finds it unmarked, so no float is
+    hashed per move.  Once the states are numbered, ``rows[i]`` is the
+    tuple ``(x, ends, fronts, lo successor, hi successors, lo first)``:
+    ``ends`` and ``fronts`` are slices of the walk's lists of item ends
+    and of front indices over the items that end within ``hi`` of ``x``,
+    whose lengths ``b - x`` each sweep takes again, and the hi successors
+    are those of the clipped items, which end past the reach by less than
+    the drift tolerance, and then the partial reach.  Slices copy
+    references only, so a graph keeps no float or tuple per move.  The
+    other rows, which repeat a front, are walked item by item through a
+    dict keyed by front and keep their list of (length, successor index)
+    moves.
     """
 
     def __init__(self, items: Skeleton, window: ScaleWindow) -> None:
@@ -517,8 +526,9 @@ class _CoverGraph:
             index[sid] = i
         front_index = [index[sid] for sid in front_state]
         del where, state_of, front, front_state  # what only the walk reads
-        # list rows: tuples of up to 19 items would be kept on CPython's
-        # free lists after the graph is dropped
+        # a range row keeps slices of the walk's lists, which copy references
+        # only, and no float or tuple per move; the lengths to item ends are
+        # taken again in each sweep
         rows = []
         for sid, x in zip(order, positions):
             record = records[sid]
@@ -532,48 +542,100 @@ class _CoverGraph:
             clip = full
             while clip > first and ends[clip - 1] - x > hi:
                 clip -= 1
-            row = [(lo, index[lo_id])] if lo_first else []
             f1 = f0 + clip - first
-            row += zip(map(sub, ends[first:clip], repeat(x)), front_index[f0:f1])
-            if clip < full:
-                row += zip(repeat(hi), front_index[f1 : f0 + full - first])
+            hi_next = front_index[f1 : f0 + full - first]
             if reach_id is not None:
-                row.append((hi, index[reach_id]))
-            if not lo_first:
-                row.append((lo, index[lo_id]))
-            rows.append(row)
+                hi_next.append(index[reach_id])
+            rows.append(
+                (x, ends[first:clip], front_index[f0:f1], index[lo_id], hi_next, lo_first)
+            )
         self.rows = rows
         self.positions = positions
+        self.lo, self.hi = lo, hi
+
+    def moves(self, i: int) -> list[tuple[float, int]]:
+        """State ``i``'s moves as (length, successor index) pairs, in the
+        order the walk found them: one per successor, with its shortest
+        length."""
+        row = self.rows[i]
+        if type(row) is list:
+            return list(row)
+        x, item_ends, fronts, lo_next, hi_next, lo_first = row
+        moves = [(self.lo, lo_next)] if lo_first else []
+        moves += zip(map(sub, item_ends, repeat(x)), fronts)
+        moves += zip(repeat(self.hi), hi_next)
+        if not lo_first:
+            moves.append((self.lo, lo_next))
+        return moves
 
     def cost(self, s: float, want_pieces: bool = False) -> CoverCost:
-        """Value sweep in decreasing position order; ``s`` must be in [0, 1]."""
+        """Value sweep in decreasing position order; ``s`` must be in [0, 1].
+
+        A state's value is the least of its moves' ``length**s`` plus the
+        successor's value.  That least float does not depend on the order
+        the moves are taken in, so a range row takes its lo and hi moves
+        first, with ``lo**s`` and ``hi**s`` raised once per sweep, and then
+        its item ends, whose lengths ``b - x`` are the floats
+        :meth:`moves` gives."""
         rows = self.rows
         start = len(rows) - 1
+        lo_s, hi_s = self.lo**s, self.hi**s
         # value[i]: cheapest cover from state i; past the start, all covered
         value = [math.inf] * len(rows) + [0.0]
         for i, row in enumerate(rows):
-            best = math.inf
-            for length, nxt in row:
-                v = length**s + value[nxt]
-                if v < best:
-                    best = v
+            if type(row) is tuple:
+                x, item_ends, fronts, lo_next, hi_next, _ = row
+                best = lo_s + value[lo_next]
+                for nxt in hi_next:
+                    v = hi_s + value[nxt]
+                    if v < best:
+                        best = v
+                for b, nxt in zip(item_ends, fronts):
+                    v = (b - x) ** s + value[nxt]
+                    if v < best:
+                        best = v
+            else:
+                best = math.inf
+                for length, nxt in row:
+                    v = length**s + value[nxt]
+                    if v < best:
+                        best = v
             value[i] = best
         pieces = None
         if want_pieces:
-            # replay the sweep's first strict minimum along the optimal path
+            # replay along the optimal path: at each state the first move
+            # in row order whose value is the state's, the move a sweep in
+            # row order keeps as its first strict minimum
             path = []
             i = start
             while i <= start:
-                best = math.inf
-                for length, nxt in rows[i]:
-                    v = length**s + value[nxt]
-                    if v < best:
-                        best, move = v, (length, nxt)
-                path.append((self.positions[i], move[0]))
-                i = move[1]
+                length, nxt = self._first_best(i, s, value, lo_s, hi_s)
+                path.append((self.positions[i], length))
+                i = nxt
             pieces = tuple(path)
         log_total = math.log(value[start])
         return CoverCost(log_total, log_total, "exact-dp", pieces)
+
+    def _first_best(
+        self, i: int, s: float, value: list[float], lo_s: float, hi_s: float
+    ) -> tuple[float, int]:
+        """The first of :meth:`moves` ``(length, nxt)`` with ``length**s +
+        value[nxt] == value[i]``, found on the row without building the
+        move list; ``lo_s`` and ``hi_s`` are ``lo**s`` and ``hi**s``."""
+        row = self.rows[i]
+        best = value[i]
+        if type(row) is list:
+            return next(move for move in row if move[0] ** s + value[move[1]] == best)
+        x, item_ends, fronts, lo_next, hi_next, lo_first = row
+        if lo_first and lo_s + value[lo_next] == best:
+            return self.lo, lo_next
+        for b, nxt in zip(item_ends, fronts):
+            if (b - x) ** s + value[nxt] == best:
+                return b - x, nxt
+        for nxt in hi_next:
+            if hi_s + value[nxt] == best:
+                return self.hi, nxt
+        return self.lo, lo_next
 
     def greedy(self) -> list[float]:
         """Piece lengths of the cover that takes each state's furthest
@@ -585,7 +647,7 @@ class _CoverGraph:
         i = done - 1
         while i < done:
             # done maps to 0, successor i to i + 1
-            length, i = min(rows[i], key=lambda move: (move[1] + 1) % (done + 1))
+            length, i = min(self.moves(i), key=lambda move: (move[1] + 1) % (done + 1))
             lengths.append(length)
         return lengths
 
@@ -627,11 +689,15 @@ def cover_cost_dp(
     front, are walked item by item (see :class:`_CoverGraph`).
 
     Storage: the states are numbered by decreasing position and each keeps
-    a flat row of (length, successor index) moves, sliced from its range
-    once the states are numbered, so memory is linear in the edge count.
+    a row of its moves: the item ends and successor indices of its range
+    as slices of the walk's lists, two references per move, and the
+    successors of its lo and hi moves; the lengths are not stored.
+    Memory is linear in the edge count.
     Sweep: every move advances strictly right, so the value function is
     one pass over the rows in index order into a list of values -- no
-    recursion, no float-keyed lookups.
+    recursion, no float-keyed lookups.  Each move costs ``(b - x) ** s``
+    for an item end ``b``, or ``lo ** s`` or ``hi ** s``, raised once per
+    sweep; the least value of a row is the same float in any order.
     """
     _validate_exponent(s)
     return _CoverGraph(_as_skeleton(items), window).cost(s, want_pieces)
@@ -1069,11 +1135,17 @@ class _PreparedDP:
         # None before the first sweep
         self.last: Optional[tuple[float, float]] = None  # (s, log value)
         self.witness: Optional[list[float]] = None
+        # what bracket reads of the graph: its sweeps' error term 3g and the
+        # logs of the lengths lo and hi, set with the graph
+        self._three_g = self._log_lo = self._log_hi = math.nan
 
     def _built(self) -> _CoverGraph:
         if self.graph is None:
             _require_linear(self.window)  # before materializing at resolution lo
-            self.graph = _CoverGraph(skeleton(self.model, self.window.lo), self.window)
+            graph = _CoverGraph(skeleton(self.model, self.window.lo), self.window)
+            self._three_g = 3.0 * ((len(graph.rows) + 2) * 2.0 * _U)
+            self._log_lo, self._log_hi = math.log(graph.lo), math.log(graph.hi)
+            self.graph = graph
         return self.graph
 
     def __call__(self, s: float) -> CoverCost:
@@ -1101,11 +1173,10 @@ class _PreparedDP:
             return None
         s0, log_v0 = self.last
         step = s - s0
-        # the lengths the graph uses: a window may pin log_lo and log_hi
-        # up to 1e-9 away from their logs
-        shift = step * math.log(self.window.lo if step > 0.0 else self.window.hi)
-        g = (len(self.graph.rows) + 2) * 2.0 * _U
-        margin = 2.0 * (3.0 * g + 8.0 * _U * (abs(log_v0) + abs(shift)))
+        # the logs of the lengths the graph uses: a window may pin log_lo
+        # and log_hi up to 1e-9 away from them
+        shift = step * (self._log_lo if step > 0.0 else self._log_hi)
+        margin = 2.0 * (self._three_g + 8.0 * _U * (abs(log_v0) + abs(shift)))
         return log_v0 + shift - margin, math.log(self.witness_cost(s))
 
     def steer(self) -> None:

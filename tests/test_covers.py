@@ -212,12 +212,9 @@ def test_prepared_dp_matches_cover_cost_dp_bit_for_bit(model):
             assert bits(cover_cost(model, window, s, oracle="dp")) == bits(cost_at(s))
 
 
-def _sweep_value(rows, s):
-    """The DP value at the start state, not its log: a reference sweep."""
-    value = [math.inf] * len(rows) + [0.0]
-    for i, row in enumerate(rows):
-        value[i] = min(length**s + value[nxt] for length, nxt in row)
-    return value[len(rows) - 1]
+def _rows(graph):
+    """Every state's moves as (length, successor index) pairs, in row order."""
+    return [graph.moves(i) for i in range(len(graph.positions))]
 
 
 @pytest.mark.parametrize(
@@ -237,7 +234,8 @@ def test_dp_witness_never_costs_less_than_the_sweep(model):
         assert cost_at.witness_cost(0.5) == math.inf  # no sweep yet
         exponents = [0.0, 1.0] + [float(v) for v in rng.uniform(0.0, 1.0, 5)]
         cost_at(0.0)
-        values = {s: _sweep_value(cost_at.graph.rows, s) for s in exponents}
+        positions, rows = cost_at.graph.positions, _rows(cost_at.graph)
+        values = {s: _reference_sweep(positions, rows, s)[0] for s in exponents}
         for s1 in exponents:
             # the reference sweep is the prepared window's, bit for bit
             assert math.log(values[s1]) == cost_at(s1).log_cost_upper
@@ -348,8 +346,8 @@ def test_dp_move_budget_stops_the_graph_build(monkeypatch):
     window = ScaleWindow.from_linear(2.0**-10, 2.0**-5)
     items = skeleton(model, window.lo)
     full = covers._CoverGraph(items, window)
-    moves = sum(len(row) for row in full.rows)
-    assert moves > len(full.rows)  # a tighter bound than the state count
+    moves = sum(map(len, _rows(full)))
+    assert moves > len(full.positions)  # a tighter bound than the state count
     monkeypatch.setattr(covers, "_MOVE_CAP", moves)
     assert cover_cost_dp(items, window, 0.5) == full.cost(0.5)
     monkeypatch.setattr(covers, "_MOVE_CAP", moves - 1)
@@ -409,7 +407,7 @@ def _graph_outcome(items, window):
         graph = covers._CoverGraph(items, window)
     except (BudgetError, ResolutionError) as exc:
         return type(exc).__name__, str(exc)
-    return graph.positions, graph.rows
+    return graph.positions, _rows(graph)
 
 
 def _reference_graph(items, window):
@@ -636,8 +634,8 @@ def test_range_walk_matches_the_reference_walk(monkeypatch):
 def test_range_walk_peaks_no_higher_than_the_reference_walk():
     # SequenceSet(0.6) under PowerLaw(0.33) at log delta = -4 ln 2: 369
     # states and 24,692 moves.  With tracemalloc on CPython 3.11 the
-    # reference walk peaked at 87.7 bytes per move and the range walk at
-    # 86.4: the finished rows are most of both
+    # reference walk peaked at 87.7 bytes per move, most of it its rows of
+    # tuples, and the range walk, whose rows are slices, at 19.9
     log_delta = -4.0 * math.log(2.0)
     window = ScaleWindow(PowerLaw(0.33).eval_phi_log(log_delta), log_delta)
     items = skeleton(SequenceSet(0.6), window.lo)
@@ -653,9 +651,109 @@ def test_range_walk_peaks_no_higher_than_the_reference_walk():
 
     graph, peak = traced(covers._CoverGraph)
     (positions, rows), reference_peak = traced(_reference_graph)
-    assert (graph.positions, graph.rows) == (positions, rows)
+    assert (graph.positions, _rows(graph)) == (positions, rows)
     assert 24_000 < sum(map(len, rows)) < 26_000
     assert peak <= reference_peak
+
+
+def _reference_sweep(positions, rows, s):
+    """(value at the start, witness pieces) of the sweep and its replay
+    over rows of (length, successor index) moves: the reference the sweep
+    of ``covers._CoverGraph`` must match bit for bit."""
+    value = [math.inf] * len(rows) + [0.0]
+    for i, row in enumerate(rows):
+        best = math.inf
+        for length, nxt in row:
+            v = length**s + value[nxt]
+            if v < best:
+                best = v
+        value[i] = best
+    start = len(rows) - 1
+    path = []
+    i = start
+    while i <= start:
+        best = math.inf
+        for length, nxt in rows[i]:
+            v = length**s + value[nxt]
+            if v < best:
+                best, move = v, (length, nxt)
+        path.append((positions[i], move[0]))
+        i = move[1]
+    return value[start], tuple(path)
+
+
+def _reference_greedy(rows):
+    """Each state's furthest move over rows of (length, successor index)
+    moves, as ``covers._CoverGraph.greedy`` takes it."""
+    done = len(rows)
+    lengths = []
+    i = done - 1
+    while i < done:
+        length, i = min(rows[i], key=lambda move: (move[1] + 1) % (done + 1))
+        lengths.append(length)
+    return lengths
+
+
+def _sweep_cases(rng):
+    """(skeleton, window) pairs: seeded sequence sets, middle thirds and
+    Holder images at seeded windows, random points, and the seeded
+    skeletons whose touching and one-float gaps force item-by-item rows."""
+    for _ in range(8):
+        alpha = float(rng.uniform(0.5, 1.0))
+        p = float(rng.uniform(0.5, 3.0))
+        models = [SequenceSet(p), middle_thirds(30), HolderImage(SequenceSet(p), alpha)]
+        points = np.sort(rng.uniform(0.0, 1.0, size=int(rng.integers(1, 200))))
+        skeletons = [Skeleton(points, points), _seeded_skeleton(rng)]
+        for model_or_items in models + skeletons:
+            hi = 2.0 ** -float(rng.uniform(1.0, 7.0))
+            window = ScaleWindow.from_linear(hi * 2.0 ** -float(rng.uniform(0.0, 3.5)), hi)
+            if isinstance(model_or_items, Skeleton):
+                yield model_or_items, window
+            else:
+                yield skeleton(model_or_items, window.lo), window
+
+
+def test_sweep_matches_the_tuple_row_sweep_bit_for_bit():
+    # the graph keeps range rows as slices and takes their moves in another
+    # order; the least value is the same float, and the witness replay and
+    # the greedy cover still take each row's moves in the walk's order
+    rng = np.random.default_rng(47)
+    shared = collided = 0
+    for items, window in _sweep_cases(rng):
+        positions, rows = _reference_graph(items, window)
+        graph = covers._CoverGraph(items, window)
+        assert graph.positions == positions
+        assert graph.greedy() == _reference_greedy(rows)
+        for s in [0.0, 1.0] + [float(v) for v in rng.uniform(0.0, 1.0, 4)]:
+            value, pieces = _reference_sweep(positions, rows, s)
+            got = graph.cost(s, want_pieces=True)
+            assert got.log_cost_upper.hex() == math.log(value).hex()
+            assert got.pieces == pieces
+        breaks = _rows_left_to_the_item_loop(items, window, positions)
+        shared += breaks[0]
+        collided += breaks[1]
+    assert shared > 0 and collided > 0
+
+
+def test_cover_graph_keeps_no_object_per_move():
+    # SequenceSet(0.5) under PowerLaw(0.35) at log delta = -4 ln 2: 720
+    # states and 39,835 moves.  With tracemalloc on CPython 3.11 the graph
+    # retained 19.8 bytes per move, two list slots (item end and successor)
+    # and its share of each state's row; rows of (length, successor) tuples
+    # retained 87.8, a tuple and a length float per move
+    log_delta = -4.0 * math.log(2.0)
+    window = ScaleWindow(PowerLaw(0.35).eval_phi_log(log_delta), log_delta)
+    items = skeleton(SequenceSet(0.5), window.lo)
+    covers._CoverGraph(items, window)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        graph = covers._CoverGraph(items, window)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    moves = sum(map(len, _rows(graph)))
+    assert 39_000 < moves < 41_000
+    assert retained < 32 * moves
 
 
 def test_prepare_rejects_bad_oracles_and_exponents():
