@@ -43,7 +43,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby, repeat
 from operator import mul, ne, sub
 from typing import Callable, Optional, Sequence
 
@@ -326,28 +326,30 @@ class _CoverGraph:
     of ``x`` and within the reach, to the front after ``x + lo`` (length
     lo) if it ends closer, and to the reach itself (length hi) for the
     first item that ends past the reach, which is the last move; then the
-    lo move.  A row keeps one move per front, in the order the fronts
-    first appear, with the shortest length.
+    lo move.  A successor's place in the row is where it first appears.
 
     Item ends never decrease, so the moves to item ends are one item range
     ``[first, full)``, found by bisection, and their fronts never
-    decrease.  Where those fronts are distinct and neither the lo front
-    nor the partial front is among them, the row is the lo move (first
-    if an item ends less than lo right of ``x``), the range in order,
-    the partial move and, unless it came first, the lo move.  The walk
-    keeps only the range: a front becomes a state when a scan of a
-    ``bytearray`` over front numbers finds it unmarked, so no float is
-    hashed per move.  Once the states are numbered, ``rows[i]`` is the
-    tuple ``(x, ends, fronts, lo successor, hi successors, lo first)``:
-    ``ends`` and ``fronts`` are slices of the walk's lists of item ends
-    and of front indices over the items that end within ``hi`` of ``x``,
-    whose lengths ``b - x`` each sweep takes again, and the hi successors
-    are those of the clipped items, which end past the reach by less than
-    the drift tolerance, and then the partial reach.  Slices copy
-    references only, so a graph keeps no float or tuple per move.  The
-    other rows, which repeat a front, are walked item by item through a
-    dict keyed by front and keep their list of (length, successor index)
-    moves.
+    decrease: items that share a front are a run, and a front becomes a
+    state when a scan of a ``bytearray`` over front numbers finds it
+    unmarked, so no float is hashed per move.  Once the states are
+    numbered, ``rows[i]`` is the tuple ``(x, ends, nexts, lo successor,
+    hi successors, lo first)``: ``ends`` and ``nexts`` are slices of the
+    walk's lists of item ends and of item successor indices over the
+    items that end within ``hi`` of ``x``, whose lengths ``b - x`` each
+    sweep takes again, and the hi successors are those of the clipped
+    items, which end past the reach by less than the drift tolerance, and
+    then the partial reach.  The lo move leads the row if an item ends
+    less than lo right of ``x``, else it ends it.  Slices copy references
+    only, so a graph keeps no float or tuple per move.
+
+    A row may repeat a successor.  A repeat is never shorter than the
+    successor's first move, since item ends grow and clipped items move
+    hi, except for the lo successor: where ``x + lo`` rounds onto an item
+    end more than lo right of ``x``, that item's move leads there too.
+    So :meth:`moves` and the witness replay price every move to the lo
+    successor at ``lo``, and a sweep, whose least value is the same float
+    with repeats or without, takes the row as it is.
     """
 
     def __init__(self, items: Skeleton, window: ScaleWindow) -> None:
@@ -375,24 +377,25 @@ class _CoverGraph:
         after_end = after_end_array.tolist()
         n = len(ends)
         # after_end never decreases, so items sharing a front are runs:
-        # front[i] numbers item i's front, and a range of items has
-        # distinct fronts exactly when its front numbers are consecutive
+        # front[i] numbers item i's front and front_at[f] is front f
         front = list(accumulate(map(ne, after_end[1:], after_end), initial=0))
-        marked = bytearray(front[-1] + 1)  # 1 once a front is a state
-        front_state = [-1] * len(marked)  # its state's id; -1 for inf
+        front_at = [pos for pos, _ in groupby(after_end)]
+        marked = bytearray(len(front_at))  # 1 once a front is a state
+        front_state = [-1] * len(front_at)  # its state's id; -1 for inf
         if after_end[-1] == math.inf:
             marked[-1] = 1  # everything covered: no state
 
-        # states by id in the order the walk meets them; each gets a record
-        # its row is built from: (first, full, f0, lo id, lo first, partial
-        # id or None) for a range row, a list of (length, id) for the rest
+        # states by id in the order the walk meets them; each gets the
+        # record its row is built from: (first, full, lo id, lo first,
+        # partial id or None)
         where: list[float] = []
         state_of: dict[float, int] = {}
         records: list = []
         stack: list[int] = []
 
         def add(pos: float) -> int:
-            # a new state met by a lo, partial or item-by-item move
+            # a new state met by a lo or partial move, marked as a front
+            # if it is one, so the range scans never add it again
             sid = len(where)
             where.append(pos)
             records.append(None)
@@ -435,84 +438,52 @@ class _CoverGraph:
             # item full ends past the reach, which is inside it: the front
             # after a partial move is the reach itself
             after_reach = reach if full < stop else None
-            count = full - first
-            f0 = front[first] if count else 0
-            by_range = not count or (
-                front[full - 1] - f0 == count - 1
-                and (after_lo < after_end[first] or not _among(after_end, after_lo, first, full))
-                and (
-                    after_reach is None
-                    or after_reach > after_end[full - 1]
+            if after_reach == after_lo:
+                after_reach = None  # the lo move reaches that front
+            if x == after_lo or x == after_reach:
+                raise _stuck_error(lo, hi, x)  # x + lo or x + hi rounds onto x
+            # distinct successors: the range's fronts, then the lo and
+            # partial fronts unless the range leads there too
+            if first < full:
+                f0, f1 = front[first], front[full - 1] + 1
+                moves += f1 - f0
+                if after_lo < after_end[first] or not _among(after_end, after_lo, first, full):
+                    moves += 1
+                if after_reach is not None and (
+                    after_reach > after_end[full - 1]
                     or not _among(after_end, after_reach, first, full)
-                )
-            )
-            if by_range:
-                if after_reach == after_lo:
-                    after_reach = None  # the lo move reaches that front
-                if x == after_lo or x == after_reach:
-                    raise _stuck_error(lo, hi, x)  # x + lo or x + hi rounds onto x
-                moves += count + 1 + (after_reach is not None)
-                # new states in row order: the lo move leads the row when
-                # an item ends less than lo right of x, else it ends it
-                lo_first = first > j
-                if lo_first:
-                    lo_id = state_of.get(after_lo)
-                    if lo_id is None:
-                        lo_id = add(after_lo) if after_lo < math.inf else -1
-                f1 = f0 + count
-                f = marked.find(0, f0, f1)
-                while f >= 0:
-                    marked[f] = 1
-                    pos = after_end[first + f - f0]
-                    new = len(where)
-                    where.append(pos)
-                    records.append(None)
-                    state_of[pos] = new
-                    front_state[f] = new
-                    stack.append(new)
-                    f = marked.find(0, f + 1, f1)
-                reach_id = None
-                if after_reach is not None:
-                    reach_id = state_of.get(after_reach)
-                    if reach_id is None:
-                        reach_id = add(after_reach)
-                if not lo_first:
-                    lo_id = state_of.get(after_lo)
-                    if lo_id is None:
-                        lo_id = add(after_lo) if after_lo < math.inf else -1
-                records[sid] = (first, full, f0, lo_id, lo_first, reach_id)
+                ):
+                    moves += 1
             else:
-                # item by item: successors (inf once everything is
-                # covered) mapped to the shortest move length reaching them
-                cands: dict[float, float] = {}
-                while j < stop:
-                    b = ends[j]
-                    if b > reach + ftol:  # partial reach into item j, the last move
-                        nxt, length = after_reach, hi
-                        j = stop
-                    else:
-                        span = b - x
-                        if span >= lo:  # end at the item
-                            nxt, length = after_end[j], (hi if hi < span else span)
-                        else:
-                            nxt, length = after_lo, lo
-                        j += 1
-                    prev = cands.get(nxt)
-                    if prev is None or length < prev:
-                        cands[nxt] = length
-                prev = cands.get(after_lo)
-                if prev is None or lo < prev:
-                    cands[after_lo] = lo
-                if x in cands:  # x + lo or x + hi rounds back onto x
-                    raise _stuck_error(lo, hi, x)
-                moves += len(cands)
-                row = []
-                for nxt, length in cands.items():
-                    nid = state_of.get(nxt)
-                    if nid is None:
-                        nid = add(nxt) if nxt < math.inf else -1
-                    row.append((length, nid))
-                records[sid] = row
+                f0 = f1 = 0
+                moves += 1 + (after_reach is not None)
+            # new states in row order
+            lo_first = first > j
+            if lo_first:
+                lo_id = state_of.get(after_lo)
+                if lo_id is None:
+                    lo_id = add(after_lo) if after_lo < math.inf else -1
+            f = marked.find(0, f0, f1)
+            while f >= 0:
+                marked[f] = 1
+                pos = front_at[f]
+                new = len(where)
+                where.append(pos)
+                records.append(None)
+                state_of[pos] = new
+                front_state[f] = new
+                stack.append(new)
+                f = marked.find(0, f + 1, f1)
+            reach_id = None
+            if after_reach is not None:
+                reach_id = state_of.get(after_reach)
+                if reach_id is None:
+                    reach_id = add(after_reach)
+            if not lo_first:
+                lo_id = state_of.get(after_lo)
+                if lo_id is None:
+                    lo_id = add(after_lo) if after_lo < math.inf else -1
+            records[sid] = (first, full, lo_id, lo_first, reach_id)
             if len(where) > _STATE_CAP:
                 raise _state_cap_error()
             if moves > _MOVE_CAP:
@@ -524,30 +495,25 @@ class _CoverGraph:
         index = [0] * m + [m]  # by state id; index[-1] is everything covered
         for i, sid in enumerate(order):
             index[sid] = i
-        front_index = [index[sid] for sid in front_state]
-        del where, state_of, front, front_state  # what only the walk reads
-        # a range row keeps slices of the walk's lists, which copy references
-        # only, and no float or tuple per move; the lengths to item ends are
-        # taken again in each sweep
+        # each item's successor index; a row keeps slices of it and of the
+        # item ends, which copy references only, and no float or tuple per
+        # move; the lengths to item ends are taken again in each sweep
+        item_next = [index[front_state[f]] for f in front]
+        del where, state_of, front, front_at, front_state  # what only the walk reads
         rows = []
         for sid, x in zip(order, positions):
-            record = records[sid]
+            first, full, lo_id, lo_first, reach_id = records[sid]
             records[sid] = None  # freed as its row is built
-            if type(record) is list:
-                rows.append([(length, index[nid]) for length, nid in record])
-                continue
-            first, full, f0, lo_id, lo_first, reach_id = record
             # items [first, clip) end at most hi right of x and move there;
             # the rest end past hi, by at most ftol, and move hi
             clip = full
             while clip > first and ends[clip - 1] - x > hi:
                 clip -= 1
-            f1 = f0 + clip - first
-            hi_next = front_index[f1 : f0 + full - first]
+            hi_next = item_next[clip:full]
             if reach_id is not None:
                 hi_next.append(index[reach_id])
             rows.append(
-                (x, ends[first:clip], front_index[f0:f1], index[lo_id], hi_next, lo_first)
+                (x, ends[first:clip], item_next[first:clip], index[lo_id], hi_next, lo_first)
             )
         self.rows = rows
         self.positions = positions
@@ -557,49 +523,43 @@ class _CoverGraph:
         """State ``i``'s moves as (length, successor index) pairs, in the
         order the walk found them: one per successor, with its shortest
         length."""
-        row = self.rows[i]
-        if type(row) is list:
-            return list(row)
-        x, item_ends, fronts, lo_next, hi_next, lo_first = row
-        moves = [(self.lo, lo_next)] if lo_first else []
-        moves += zip(map(sub, item_ends, repeat(x)), fronts)
-        moves += zip(repeat(self.hi), hi_next)
-        if not lo_first:
-            moves.append((self.lo, lo_next))
-        return moves
+        x, item_ends, nexts, lo_next, hi_next, lo_first = self.rows[i]
+        row = [(self.lo, lo_next)] if lo_first else []
+        row += zip(map(sub, item_ends, repeat(x)), nexts)
+        row += zip(repeat(self.hi), hi_next)
+        row.append((self.lo, lo_next))
+        shortest: dict[int, float] = {}
+        for length, nxt in row:
+            if nxt not in shortest:
+                shortest[nxt] = self.lo if nxt == lo_next else length
+        return [(length, nxt) for nxt, length in shortest.items()]
 
     def cost(self, s: float, want_pieces: bool = False) -> CoverCost:
         """Value sweep in decreasing position order; ``s`` must be in [0, 1].
 
         A state's value is the least of its moves' ``length**s`` plus the
         successor's value.  That least float does not depend on the order
-        the moves are taken in, so a range row takes its lo and hi moves
-        first, with ``lo**s`` and ``hi**s`` raised once per sweep, and then
-        its item ends, whose lengths ``b - x`` are the floats
-        :meth:`moves` gives."""
+        the moves are taken in, and a repeated successor, whose move is
+        never shorter than its first, cannot lower it, since ``**`` is
+        monotone in its base; so a row takes its lo and hi moves first,
+        with ``lo**s`` and ``hi**s`` raised once per sweep, and then its
+        item ends, whose lengths ``b - x`` are the floats :meth:`moves`
+        gives."""
         rows = self.rows
         start = len(rows) - 1
         lo_s, hi_s = self.lo**s, self.hi**s
         # value[i]: cheapest cover from state i; past the start, all covered
         value = [math.inf] * len(rows) + [0.0]
-        for i, row in enumerate(rows):
-            if type(row) is tuple:
-                x, item_ends, fronts, lo_next, hi_next, _ = row
-                best = lo_s + value[lo_next]
-                for nxt in hi_next:
-                    v = hi_s + value[nxt]
-                    if v < best:
-                        best = v
-                for b, nxt in zip(item_ends, fronts):
-                    v = (b - x) ** s + value[nxt]
-                    if v < best:
-                        best = v
-            else:
-                best = math.inf
-                for length, nxt in row:
-                    v = length**s + value[nxt]
-                    if v < best:
-                        best = v
+        for i, (x, item_ends, nexts, lo_next, hi_next, _) in enumerate(rows):
+            best = lo_s + value[lo_next]
+            for nxt in hi_next:
+                v = hi_s + value[nxt]
+                if v < best:
+                    best = v
+            for b, nxt in zip(item_ends, nexts):
+                v = (b - x) ** s + value[nxt]
+                if v < best:
+                    best = v
             value[i] = best
         pieces = None
         if want_pieces:
@@ -621,19 +581,25 @@ class _CoverGraph:
     ) -> tuple[float, int]:
         """The first of :meth:`moves` ``(length, nxt)`` with ``length**s +
         value[nxt] == value[i]``, found on the row without building the
-        move list; ``lo_s`` and ``hi_s`` are ``lo**s`` and ``hi**s``."""
-        row = self.rows[i]
+        move list; ``lo_s`` and ``hi_s`` are ``lo**s`` and ``hi**s``.  A
+        repeated successor matches only where its first move matched, so
+        the first match on the row is the first among the moves."""
+        x, item_ends, nexts, lo_next, hi_next, lo_first = self.rows[i]
         best = value[i]
-        if type(row) is list:
-            return next(move for move in row if move[0] ** s + value[move[1]] == best)
-        x, item_ends, fronts, lo_next, hi_next, lo_first = row
-        if lo_first and lo_s + value[lo_next] == best:
+        lo_best = lo_s + value[lo_next] == best
+        if lo_first and lo_best:
             return self.lo, lo_next
-        for b, nxt in zip(item_ends, fronts):
-            if (b - x) ** s + value[nxt] == best:
+        for b, nxt in zip(item_ends, nexts):
+            if nxt == lo_next:
+                if lo_best:
+                    return self.lo, nxt
+            elif (b - x) ** s + value[nxt] == best:
                 return b - x, nxt
         for nxt in hi_next:
-            if hi_s + value[nxt] == best:
+            if nxt == lo_next:
+                if lo_best:
+                    return self.lo, nxt
+            elif hi_s + value[nxt] == best:
                 return self.hi, nxt
         return self.lo, lo_next
 
@@ -684,9 +650,10 @@ def cover_cost_dp(
     Walk: the moves of a state to item ends are the items ending at least
     lo right of it and within its reach, one range found by bisection.
     Item ends lead to fronts that never decrease, so the walk marks new
-    fronts by scanning the range and hashes no float per move; the few
-    rows whose range repeats a front, or meets the lo or partial-reach
-    front, are walked item by item (see :class:`_CoverGraph`).
+    fronts by scanning the range's front numbers and hashes no float per
+    move.  A row may list one successor twice, where items share a front
+    or the lo or partial-reach front is also an item's; the sweep's least
+    value is the same with the repeats (see :class:`_CoverGraph`).
 
     Storage: the states are numbered by decreasing position and each keeps
     a row of its moves: the item ends and successor indices of its range

@@ -335,21 +335,30 @@ class CantorSchedule:
                 return self.depth
         # the first block with logs[i] >= log_target >= logs[i + 1]
         i = bisect_left(logs, -log_target, 1, key=operator.neg) - 1
-        lv0, lv1, lg0 = self.levels[i], self.levels[i + 1], logs[i]
-        guess = lv0 + int((log_target - lg0) / math.log(self.blocks[i][1]))
-        guess = max(lv0, min(lv1, guess))
-        # fix float rounding with a local walk
-        if round_up:
-            while guess > lv0 and self.log_length(guess - 1) <= log_target:
-                guess -= 1
-            while self.log_length(guess) > log_target:
-                guess += 1
-        else:
-            while guess < lv1 and self.log_length(guess + 1) >= log_target:
-                guess += 1
-            while self.log_length(guess) < log_target:
-                guess -= 1
-        return guess
+        edge, log0, step = self.levels[i], logs[i], math.log(self.blocks[i][1])
+        lv0, lv1 = edge, self.levels[i + 1]
+        guess = edge + int((log_target - log0) / step)
+        # the log length, log0 + (level - edge) * step as log_length takes
+        # it, never rises with the level, so the level is bisected for, by
+        # hand, since bisect takes no range longer than sys.maxsize and a
+        # block may hold 10**308 levels.  The first two probes are the float
+        # guess and the level after it, which bracket the answer unless the
+        # levels outgrow the float precision
+        probes = [guess + 1, guess]
+        while lv0 < lv1:
+            if round_up:
+                mid = min(max(probes.pop(), lv0), lv1 - 1) if probes else (lv0 + lv1) // 2
+                if log0 + (mid - edge) * step <= log_target:
+                    lv1 = mid
+                else:
+                    lv0 = mid + 1
+            else:
+                mid = min(max(probes.pop(), lv0 + 1), lv1) if probes else (lv0 + lv1 + 1) // 2
+                if log0 + (mid - edge) * step >= log_target:
+                    lv0 = mid
+                else:
+                    lv1 = mid - 1
+        return lv0
 
     def coarsest_level_not_above(self, log_len: float) -> Optional[int]:
         """Smallest level whose intervals are <= the given log length."""

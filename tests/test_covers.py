@@ -552,11 +552,11 @@ def test_counting_successors_raises_the_walks_resolution_error(monkeypatch):
     assert len(settled) == 20
 
 
-def _rows_left_to_the_item_loop(items, window, positions):
+def _rows_that_repeat_a_successor(items, window, positions):
     """(shared, collided): whether some state has two item-end moves to
     one front, and whether some state's lo or partial front is also an
-    item-end front -- the rows the range walk leaves to the item loop,
-    found from the move rules item by item."""
+    item-end front -- the rows of ``covers._CoverGraph`` that repeat a
+    successor, found from the move rules item by item."""
     lo, hi = window.lo, window.hi
     ftol = hi * 1e-12
     starts, ends = items.starts.tolist(), items.ends.tolist()
@@ -625,7 +625,7 @@ def test_range_walk_matches_the_reference_walk(monkeypatch):
             reference = type(exc).__name__, str(exc)
         assert _graph_outcome(items, window) == reference
         if isinstance(reference[0], list):
-            breaks = _rows_left_to_the_item_loop(items, window, reference[0])
+            breaks = _rows_that_repeat_a_successor(items, window, reference[0])
             shared += breaks[0]
             collided += breaks[1]
     assert shared > 0 and collided > 0
@@ -697,7 +697,8 @@ def _reference_greedy(rows):
 def _sweep_cases(rng):
     """(skeleton, window) pairs: seeded sequence sets, middle thirds and
     Holder images at seeded windows, random points, and the seeded
-    skeletons whose touching and one-float gaps force item-by-item rows."""
+    skeletons whose touching and one-float gaps give rows that repeat a
+    successor."""
     for _ in range(8):
         alpha = float(rng.uniform(0.5, 1.0))
         p = float(rng.uniform(0.5, 3.0))
@@ -714,9 +715,10 @@ def _sweep_cases(rng):
 
 
 def test_sweep_matches_the_tuple_row_sweep_bit_for_bit():
-    # the graph keeps range rows as slices and takes their moves in another
-    # order; the least value is the same float, and the witness replay and
-    # the greedy cover still take each row's moves in the walk's order
+    # the graph keeps rows as slices, which may repeat a successor, and
+    # takes their moves in another order; the least value is the same
+    # float, and the witness replay and the greedy cover still take each
+    # row's moves in the walk's order
     rng = np.random.default_rng(47)
     shared = collided = 0
     for items, window in _sweep_cases(rng):
@@ -729,10 +731,30 @@ def test_sweep_matches_the_tuple_row_sweep_bit_for_bit():
             got = graph.cost(s, want_pieces=True)
             assert got.log_cost_upper.hex() == math.log(value).hex()
             assert got.pieces == pieces
-        breaks = _rows_left_to_the_item_loop(items, window, positions)
+        breaks = _rows_that_repeat_a_successor(items, window, positions)
         shared += breaks[0]
         collided += breaks[1]
     assert shared > 0 and collided > 0
+
+
+def test_replay_prices_an_item_move_to_the_lo_front_at_lo():
+    # 1.0 + lo rounds onto the end of the point item at nextafter(1.0, 2.0),
+    # which lies 4/3 lo right of 1.0: from the state 1.0 that item's move
+    # and the lo move, taken after it, both lead to the front 1.5, and the
+    # shorter lo is that successor's length.  At s = 0 every move costs 1,
+    # so the replay takes the lo move only if it prices the item's at lo
+    items = Skeleton([1.0, 1.5, 1.8], [math.nextafter(1.0, 2.0), 1.5, 1.8])
+    window = ScaleWindow.from_linear(0.75 * 2.0**-52, 0.7)
+    assert 1.0 + window.lo == math.nextafter(1.0, 2.0)
+    graph = covers._CoverGraph(items, window)
+    positions, rows = _reference_graph(items, window)
+    assert (graph.positions, _rows(graph)) == (positions, rows)
+    for s in [0.0, 0.3, 1.0]:
+        value, pieces = _reference_sweep(positions, rows, s)
+        got = graph.cost(s, want_pieces=True)
+        assert got.log_cost_upper.hex() == math.log(value).hex()
+        assert got.pieces == pieces
+    assert graph.cost(0.0, want_pieces=True).pieces[0] == (1.0, window.lo)
 
 
 def test_cover_graph_keeps_no_object_per_move():
@@ -981,6 +1003,64 @@ def test_dp_routes_return_or_raise_package_errors(model, log_hi, width, exponent
         critical_exponent(model, PowerLaw(theta), min(log_hi, -0.05), oracle="dp")
     except ScaledimError:
         pass
+
+
+# --- analytic routes: every outcome is a value or a package error ----------
+
+
+@st.composite
+def _analytic_models(draw):
+    """A model of any kind with an analytic route: sequences, Cantor
+    schedules down to depth 10**308, grids, points, unions, and products of
+    a Cantor schedule with a sequence or with another schedule."""
+
+    def cantor():
+        blocks = draw(st.lists(
+            st.tuples(st.sampled_from([1, 3, 30, 10**6, 10**100]), st.floats(0.05, 1.0 / 3.0)),
+            min_size=1, max_size=3,
+        ))
+        deepest = CantorSchedule(((10**308, 0.3),))
+        return draw(st.just(CantorSchedule(tuple(blocks))) | st.just(deepest))
+
+    kind = draw(st.sampled_from(
+        ["sequence", "cantor", "grid", "point", "union", "cantor-sequence", "cantor-cantor"]
+    ))
+    if kind == "sequence":
+        return SequenceSet(draw(st.floats(0.5, 3.0)))
+    if kind == "cantor":
+        return cantor()
+    if kind == "grid":
+        return UniformGrid(draw(st.sampled_from([1.0, 2.0**-6, 1e-300]) | st.floats(1e-9, 1.0)))
+    if kind == "point":
+        return PointSet(draw(st.floats(-1e15, 1e15)))
+    if kind == "union":
+        return UnionModel((SequenceSet(draw(st.floats(0.5, 3.0))), translate(cantor(), 2.0)))
+    if kind == "cantor-sequence":
+        return ProductModel(cantor(), SequenceSet(draw(st.floats(0.5, 3.0))))
+    return ProductModel(cantor(), cantor())
+
+
+# budget: 3 s.  At 200 examples the property runs in about 1.4 s on a
+# 2-core host; a route that walks a deep schedule's levels one by one
+# exceeds it at once (at depth 10**308 and log -1e300 a level query once
+# walked about 7.4e283 levels and never returned)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    model=_analytic_models(),
+    log_hi=st.sampled_from([-1e300, -1e10, -700.0, -40.0, 0.0]) | st.floats(-1e300, 0.5),
+    width=st.sampled_from([0.0, 1.0, 1e300]) | st.floats(0.0, 50.0),
+    exponents=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.1, math.nan, math.inf]), min_size=1, max_size=3),
+)
+def test_analytic_routes_return_or_raise_package_errors(model, log_hi, width, exponents):
+    window = ScaleWindow(max(log_hi - width, -1e300), log_hi)
+    cost_at = prepare(model, window)
+    for s in exponents:
+        for call in (lambda: cost_at(s), lambda: cover_cost(model, window, s)):
+            try:
+                got = call()
+            except ScaledimError:
+                continue
+            assert isinstance(got, CoverCost)
 
 
 # --- invariance and monotonicity properties ------------------------------

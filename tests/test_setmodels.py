@@ -3,12 +3,13 @@
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from scaledim import setmodels
-from scaledim.covers import ScaleWindow, cover_cost_dp
+from scaledim.covers import ScaleWindow, cover_cost_dp, prepare
 from scaledim.errors import (
     DomainError,
     InputError,
@@ -155,6 +156,64 @@ def test_schedule_level_queries_match_the_recorded_digest():
         "fea5f3dab9047725817af4b6a97e0b68ef6c6849ba7890e055f430aefd32e5f1",
         "14b28e1ecdeae87d0ad915032a05c1f6665e62a265cab71a749a4fcc970192de",
     ]
+
+
+def _walked_level(sched: CantorSchedule, log_target: float, round_up: bool):
+    """The level query as a walk from the float guess, one level a step:
+    the reference the bisection must match where the walk ends soon."""
+    logs = sched.log_lengths
+    if round_up and (logs[-1] > log_target or logs[0] <= log_target):
+        return None if logs[-1] > log_target else 0
+    if not round_up and (logs[0] < log_target or logs[-1] >= log_target):
+        return None if logs[0] < log_target else sched.depth
+    i = next(k for k in range(len(logs) - 1) if logs[k] >= log_target >= logs[k + 1])
+    lv0, lv1 = sched.levels[i], sched.levels[i + 1]
+    guess = lv0 + int((log_target - logs[i]) / math.log(sched.blocks[i][1]))
+    guess = max(lv0, min(lv1, guess))
+    if round_up:
+        while guess > lv0 and sched.log_length(guess - 1) <= log_target:
+            guess -= 1
+        while sched.log_length(guess) > log_target:
+            guess += 1
+    else:
+        while guess < lv1 and sched.log_length(guess + 1) >= log_target:
+            guess += 1
+        while sched.log_length(guess) < log_target:
+            guess -= 1
+    return guess
+
+
+def test_schedule_level_queries_match_the_level_walk():
+    rng = np.random.default_rng(53)
+    for _ in range(60):
+        blocks = tuple(
+            (int(rng.choice([1, 2, 7, 40, 10**6, 10**15])), float(rng.uniform(0.05, 1.0 / 3.0)))
+            for _ in range(int(rng.integers(1, 5)))
+        )
+        sched = CantorSchedule(blocks)
+        for _ in range(20):
+            level = int(rng.integers(0, sched.depth + 1))
+            base = sched.log_length(level)
+            target = float(rng.choice([
+                base, math.nextafter(base, math.inf), math.nextafter(base, -math.inf),
+                base * float(rng.uniform(0.0, 1.1)),
+            ]))
+            assert sched.coarsest_level_not_above(target) == _walked_level(sched, target, True)
+            assert sched.finest_level_not_below(target) == _walked_level(sched, target, False)
+
+
+def test_level_query_past_the_float_precision_returns():
+    # at depth 10**308 the float guess is about 7.4e283 levels off the
+    # level the log length crosses -1e300 at, too far to walk
+    deepest = CantorSchedule(((10**308, 0.3),))
+    start = time.perf_counter()
+    up = deepest.coarsest_level_not_above(-1e300)
+    down = deepest.finest_level_not_below(-1e300)
+    cost = prepare(deepest, ScaleWindow(-1e300, -1e300))(0.5)
+    assert time.perf_counter() - start < 1.0
+    assert deepest.log_length(up) <= -1e300 < deepest.log_length(up - 1)
+    assert deepest.log_length(down) >= -1e300 > deepest.log_length(down + 1)
+    assert math.isfinite(cost.log_cost_upper)
 
 
 def test_schedule_materialize_depth_cap():
