@@ -44,7 +44,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, groupby, repeat
-from operator import mul, ne, sub
+from operator import mul, ne
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -315,9 +315,9 @@ class _CoverGraph:
     States are the left endpoints of a possible next cover interval,
     numbered by decreasing position: ``positions[i]`` is state ``i``, the
     start is the last state and index ``len(positions)`` means everything
-    is covered.  :meth:`moves` lists state ``i``'s moves as (length,
-    successor index) pairs, one per successor with its shortest length;
-    every move goes right, so every successor has a smaller index.
+    is covered.  State ``i``'s moves are (length, successor index) pairs,
+    one per successor with its shortest length; every move goes right, so
+    every successor has a smaller index.
     Nothing here depends on ``s``, so one graph serves every exponent.
 
     The walk is a depth-first search from the first item's start.  Its
@@ -347,9 +347,12 @@ class _CoverGraph:
     successor's first move, since item ends grow and clipped items move
     hi, except for the lo successor: where ``x + lo`` rounds onto an item
     end more than lo right of ``x``, that item's move leads there too.
-    So :meth:`moves` and the witness replay price every move to the lo
-    successor at ``lo``, and a sweep, whose least value is the same float
-    with repeats or without, takes the row as it is.
+    So the witness replay prices every move to the lo successor at
+    ``lo``, and a sweep, whose least value is the same float with repeats
+    or without, takes the row as it is.
+
+    :meth:`sparse_cover` sweeps the same rows over at most three moves a
+    state, for steering before the first full sweep.
     """
 
     def __init__(self, items: Skeleton, window: ScaleWindow) -> None:
@@ -519,21 +522,6 @@ class _CoverGraph:
         self.positions = positions
         self.lo, self.hi = lo, hi
 
-    def moves(self, i: int) -> list[tuple[float, int]]:
-        """State ``i``'s moves as (length, successor index) pairs, in the
-        order the walk found them: one per successor, with its shortest
-        length."""
-        x, item_ends, nexts, lo_next, hi_next, lo_first = self.rows[i]
-        row = [(self.lo, lo_next)] if lo_first else []
-        row += zip(map(sub, item_ends, repeat(x)), nexts)
-        row += zip(repeat(self.hi), hi_next)
-        row.append((self.lo, lo_next))
-        shortest: dict[int, float] = {}
-        for length, nxt in row:
-            if nxt not in shortest:
-                shortest[nxt] = self.lo if nxt == lo_next else length
-        return [(length, nxt) for nxt, length in shortest.items()]
-
     def cost(self, s: float, want_pieces: bool = False) -> CoverCost:
         """Value sweep in decreasing position order; ``s`` must be in [0, 1].
 
@@ -543,8 +531,7 @@ class _CoverGraph:
         never shorter than its first, cannot lower it, since ``**`` is
         monotone in its base; so a row takes its lo and hi moves first,
         with ``lo**s`` and ``hi**s`` raised once per sweep, and then its
-        item ends, whose lengths ``b - x`` are the floats :meth:`moves`
-        gives."""
+        item ends, whose lengths are the floats ``b - x``."""
         rows = self.rows
         start = len(rows) - 1
         lo_s, hi_s = self.lo**s, self.hi**s
@@ -579,11 +566,13 @@ class _CoverGraph:
     def _first_best(
         self, i: int, s: float, value: list[float], lo_s: float, hi_s: float
     ) -> tuple[float, int]:
-        """The first of :meth:`moves` ``(length, nxt)`` with ``length**s +
-        value[nxt] == value[i]``, found on the row without building the
-        move list; ``lo_s`` and ``hi_s`` are ``lo**s`` and ``hi**s``.  A
-        repeated successor matches only where its first move matched, so
-        the first match on the row is the first among the moves."""
+        """The first of state ``i``'s moves ``(length, nxt)``, in the
+        order the walk found them, one per successor at its shortest
+        length, with ``length**s + value[nxt] == value[i]``, found on the
+        row without building the move list; ``lo_s`` and ``hi_s`` are
+        ``lo**s`` and ``hi**s``.  A repeated successor matches only where
+        its first move matched, so the first match on the row is the first
+        among the moves."""
         x, item_ends, nexts, lo_next, hi_next, lo_first = self.rows[i]
         best = value[i]
         lo_best = lo_s + value[lo_next] == best
@@ -603,19 +592,43 @@ class _CoverGraph:
                 return self.hi, nxt
         return self.lo, lo_next
 
-    def greedy(self) -> list[float]:
-        """Piece lengths of the cover that takes each state's furthest
-        move: to everything covered if it can, else to the successor with
-        the smallest index, that is the rightmost front."""
+    def sparse_cover(self, s: float) -> list[float]:
+        """Piece lengths, right to left, of the cheapest cover at ``s`` that
+        takes from each state only its lo move, its hi moves and its move
+        to the furthest item end: at most three moves a row, read off the
+        rows.  At ``s = 0`` every piece costs 1, so it has the fewest
+        pieces such a cover can have.  Only steering reads it.
+
+        Every move to an item end is at least lo long and every hi move hi
+        long, so none to the lo successor beats the lo move, which a row
+        takes first."""
         rows = self.rows
         done = len(rows)
-        lengths = []
+        lo, hi = self.lo, self.hi
+        lo_s, hi_s = lo**s, hi**s
+        value = [math.inf] * done + [0.0]
+        # each state's chosen move: its length and its successor
+        lengths = [lo] * done
+        succ = [0] * done
+        for i, (x, item_ends, nexts, lo_next, hi_next, _) in enumerate(rows):
+            best, nxt = lo_s + value[lo_next], lo_next
+            for j in hi_next:
+                v = hi_s + value[j]
+                if v < best:
+                    best, nxt, lengths[i] = v, j, hi
+            if nexts:
+                length = item_ends[-1] - x
+                v = length**s + value[nexts[-1]]
+                if v < best:
+                    best, nxt, lengths[i] = v, nexts[-1], length
+            value[i], succ[i] = best, nxt
+        path = []
         i = done - 1
         while i < done:
-            # done maps to 0, successor i to i + 1
-            length, i = min(self.moves(i), key=lambda move: (move[1] + 1) % (done + 1))
-            lengths.append(length)
-        return lengths
+            path.append(lengths[i])
+            i = succ[i]
+        path.reverse()
+        return path
 
 
 def cover_cost_dp(
@@ -1148,14 +1161,22 @@ class _PreparedDP:
 
     def steer(self) -> None:
         """Sweep once where the witness cover costs 1
-        (:func:`_witness_root`), building the graph first if need be;
-        before the first sweep the witness is the graph's greedy cover.
-        Nothing is swept when there is no such exponent or it is the last
-        sweep's."""
-        witness = self.witness
-        if witness is None:
-            witness = self._built().greedy()
-        s = _witness_root(witness)
+        (:func:`_witness_root`), building the graph first if need be.
+        Before the first sweep the exponent comes from Dinkelbach's step
+        on the graph's sparse moves (:meth:`_CoverGraph.sparse_cover`),
+        started at ``s = 0`` and stopped where the cover's root stops
+        falling.  Nothing is swept when there is no such exponent or it
+        is the last sweep's."""
+        if self.witness is not None:
+            s = _witness_root(self.witness)
+        else:
+            graph = self._built()
+            s = _witness_root(graph.sparse_cover(0.0))
+            while s is not None:
+                root = _witness_root(graph.sparse_cover(s))
+                if root is None or not root < s:
+                    break
+                s = root
         if s is not None and (self.last is None or s != self.last[0]):
             self(s)
 

@@ -98,8 +98,11 @@ def critical_exponent(
 
     Where the bracket at ``s`` is open, the route first takes a steering
     sweep (``steer``): one sweep at the exponent where the last sweep's
-    optimal cover costs 1, or before any sweep the graph's greedy cover,
-    which is Dinkelbach's step towards the root.  Then ``s`` is bracketed
+    optimal cover costs 1, which is Dinkelbach's step towards the root.
+    Before any sweep the step runs on a sparse subgraph instead, each
+    state's lo, hi and furthest item-end moves (``sparse_cover``), from
+    ``s = 0`` until the cheap cover's root stops falling, and the one
+    steering sweep goes there.  Then ``s`` is bracketed
     again and swept only if the bracket is still open.  A steering sweep
     is neither cached nor counted in ``evaluations``, and all it changes
     is which sweep the next brackets start from; the bounds above hold

@@ -468,13 +468,21 @@ def verify_ball_mass(mu: AtomicMeasure, window: ScaleWindow, s: float) -> BallMa
     atoms of diameter < 2r, so sweeping run starts finds the maximum.
     The radii are linear floats: a window whose smallest radius, raised
     to s, underflows to 0 is refused, since no ratio can be formed there,
-    and so is a non-finite s.
+    and so is a non-finite s, or one at which some radius raised to it
+    leaves the float range (``r**s`` is monotone in ``r``, so the end
+    radii show it).
     """
     if not math.isfinite(s):
         raise InputError(f"s must be finite, got {s}")
     radii = _scan_radii(window)
-    if not (radii[0] > 0.0 and radii[0] ** s > 0.0):
+    try:
+        powers = (radii[0] ** s, radii[-1] ** s) if radii[0] > 0.0 else (0.0,)
+    except OverflowError:
+        powers = (math.inf,)
+    if not powers[0] > 0.0:
         raise InputError("window too deep for linear mass checks")
+    if not all(0.0 < power < math.inf for power in powers):
+        raise InputError(f"radii raised to s={s} leave the float range over this window")
     return _scan_runs(mu.locations, radii, [mu.prefix_masses()], [s])[0]
 
 

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, file output, determinism."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -564,6 +565,38 @@ def test_repeat_runs_are_byte_identical(tmp_path, name, args):
     _, first = run(tmp_path, "a_" + name, args)
     _, second = run(tmp_path, "b_" + name, args)
     assert first.read_bytes() == second.read_bytes()
+
+
+#: sha256 of the artifacts written through the DP routes: verify's battery
+#: (its holder-image-consistency check forces oracle="dp") at the default
+#: seed and at seed 7, and the estimate of a Holder image, whose default
+#: route is the DP bisection with its steering sweeps.  Steering only
+#: chooses where sweeps happen, so a change to it must keep these bytes.
+DP_ARTIFACT_SHA256 = {
+    "verify.json": (
+        ["verify"],
+        "1e3333db2c1c18b186325b58a3eddf4c5611703b2409f014d43408c80d934cbe",
+    ),
+    "verify7.json": (
+        ["verify", "--seed", "7"],
+        "24be60ce03c1ed4f0c46f802d158a073a898b0175d75f0346cdff323eb8eb02a",
+    ),
+    "holder.json": (
+        [
+            "estimate", "--format", "json", "--grid=-7:-3:5",
+            "--model", '{"kind": "holder", "base": {"kind": "sequence", "p": 1.0}, "alpha": 0.5}',
+        ],
+        "f846eee610ce01e03e029b56d4fbf93e84251143c54b740c3d92dd7a0eca8829",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DP_ARTIFACT_SHA256))
+def test_dp_route_artifacts_keep_their_bytes(tmp_path, name):
+    args, digest = DP_ARTIFACT_SHA256[name]
+    code, out = run(tmp_path, name, args)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_config_file_supplies_defaults_flags_override(tmp_path):

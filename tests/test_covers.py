@@ -213,8 +213,21 @@ def test_prepared_dp_matches_cover_cost_dp_bit_for_bit(model):
 
 
 def _rows(graph):
-    """Every state's moves as (length, successor index) pairs, in row order."""
-    return [graph.moves(i) for i in range(len(graph.positions))]
+    """Every state's moves as (length, successor index) pairs, read off its
+    row in the order the walk found them: one per successor, with its
+    shortest length, which is lo for the lo successor."""
+    rows = []
+    for x, item_ends, nexts, lo_next, hi_next, lo_first in graph.rows:
+        row = [(graph.lo, lo_next)] if lo_first else []
+        row += [(b - x, nxt) for b, nxt in zip(item_ends, nexts)]
+        row += [(graph.hi, nxt) for nxt in hi_next]
+        row.append((graph.lo, lo_next))
+        shortest = {}
+        for length, nxt in row:
+            if nxt not in shortest:
+                shortest[nxt] = graph.lo if nxt == lo_next else length
+        rows.append([(length, nxt) for nxt, length in shortest.items()])
+    return rows
 
 
 @pytest.mark.parametrize(
@@ -683,8 +696,11 @@ def _reference_sweep(positions, rows, s):
 
 
 def _reference_greedy(rows):
-    """Each state's furthest move over rows of (length, successor index)
-    moves, as ``covers._CoverGraph.greedy`` takes it."""
+    """Piece lengths, left to right, of the cover that takes each state's
+    furthest move over rows of (length, successor index) moves: to
+    everything covered if it can, else to the rightmost front.  That move
+    is a lo, hi or furthest item-end move, so the cover is one of those
+    that ``covers._CoverGraph.sparse_cover`` chooses among."""
     done = len(rows)
     lengths = []
     i = done - 1
@@ -692,6 +708,32 @@ def _reference_greedy(rows):
         length, i = min(rows[i], key=lambda move: (move[1] + 1) % (done + 1))
         lengths.append(length)
     return lengths
+
+
+def _reference_sparse_cover(graph, s):
+    """Piece lengths, right to left, of the cheapest cover at ``s`` over
+    each row's lo move, hi moves and move to its furthest item end, taken
+    in that order, each state keeping its first strict minimum."""
+    done = len(graph.rows)
+    choices = []
+    for x, item_ends, nexts, lo_next, hi_next, _ in graph.rows:
+        moves = [(graph.lo, lo_next)] + [(graph.hi, nxt) for nxt in hi_next]
+        if nexts:
+            moves.append((item_ends[-1] - x, nexts[-1]))
+        choices.append(moves)
+    value = [math.inf] * done + [0.0]
+    chosen = [None] * done
+    for i, moves in enumerate(choices):
+        for length, nxt in moves:
+            v = length**s + value[nxt]
+            if v < value[i]:
+                value[i], chosen[i] = v, (length, nxt)
+    lengths = []
+    i = done - 1
+    while i < done:
+        length, i = chosen[i]
+        lengths.append(length)
+    return lengths[::-1]
 
 
 def _sweep_cases(rng):
@@ -717,20 +759,28 @@ def _sweep_cases(rng):
 def test_sweep_matches_the_tuple_row_sweep_bit_for_bit():
     # the graph keeps rows as slices, which may repeat a successor, and
     # takes their moves in another order; the least value is the same
-    # float, and the witness replay and the greedy cover still take each
-    # row's moves in the walk's order
+    # float, and the witness replay still takes each row's moves in the
+    # walk's order.  The sparse cover is a path of the graph, so it costs
+    # no less than the sweep, and at s = 0 it has no more pieces than the
+    # cover of furthest moves, which it chooses among
     rng = np.random.default_rng(47)
     shared = collided = 0
     for items, window in _sweep_cases(rng):
         positions, rows = _reference_graph(items, window)
         graph = covers._CoverGraph(items, window)
         assert graph.positions == positions
-        assert graph.greedy() == _reference_greedy(rows)
+        assert len(graph.sparse_cover(0.0)) <= len(_reference_greedy(rows))
         for s in [0.0, 1.0] + [float(v) for v in rng.uniform(0.0, 1.0, 4)]:
             value, pieces = _reference_sweep(positions, rows, s)
             got = graph.cost(s, want_pieces=True)
             assert got.log_cost_upper.hex() == math.log(value).hex()
             assert got.pieces == pieces
+            sparse = graph.sparse_cover(s)
+            assert sparse == _reference_sparse_cover(graph, s)
+            total = 0.0
+            for length in sparse:
+                total = length**s + total
+            assert total >= value
         breaks = _rows_that_repeat_a_successor(items, window, positions)
         shared += breaks[0]
         collided += breaks[1]

@@ -309,9 +309,35 @@ def test_dp_bracket_settles_exponents_on_both_sides_of_the_root(monkeypatch):
     )
     ce = critical_exponent(SequenceSet(1.0), PowerLaw(0.5), -4 * LOG2, oracle="dp")
     assert (ce.s_lower.hex(), ce.s_upper.hex()) == ("0x1.ed00000000000p-2", "0x1.ee00000000000p-2")
-    # two steering sweeps leave no exponent open; 4 sweeps without steering,
-    # 9 with the witness alone, 12 with neither shortcut
-    assert (ce.evaluations, len(sweeps)) == (12, 2)
+    # one steering sweep, at the root that Dinkelbach's step finds on the
+    # graph's sparse moves before any sweep, leaves no exponent open; 4
+    # sweeps without steering, 9 with the witness alone, 12 with neither
+    # shortcut
+    assert (ce.evaluations, len(sweeps)) == (12, 1)
+
+
+@pytest.mark.parametrize(
+    "model, log2_delta, bracket",
+    [
+        (HolderImage(SequenceSet(1.0), 0.5), -6, ("0x1.3980000000000p-1", "0x1.3a00000000000p-1")),
+        (HolderImage(SequenceSet(1.0), 0.5), -7, ("0x1.3180000000000p-1", "0x1.3200000000000p-1")),
+        (SequenceSet(0.5), -6, ("0x1.3980000000000p-1", "0x1.3a00000000000p-1")),
+        (SequenceSet(0.5), -7, ("0x1.3180000000000p-1", "0x1.3200000000000p-1")),
+    ],
+    ids=["holder-6", "holder-7", "sequence-6", "sequence-7"],
+)
+def test_holder_check_windows_take_one_sweep_each(monkeypatch, model, log2_delta, bracket):
+    # the windows of verify's holder-image-consistency check: Dinkelbach's
+    # step on the sparse moves lands the one steering sweep close enough
+    # to the root that the brackets settle every other exponent
+    sweeps = []
+    call = covers._PreparedDP.__call__
+    monkeypatch.setattr(
+        covers._PreparedDP, "__call__", lambda self, s: sweeps.append(s) or call(self, s)
+    )
+    ce = critical_exponent(model, PowerLaw(0.5), log2_delta * LOG2, tol=1e-3, oracle="dp")
+    assert (ce.s_lower.hex(), ce.s_upper.hex()) == bracket
+    assert (ce.evaluations, len(sweeps)) == (12, 1)
 
 
 @st.composite
@@ -448,7 +474,7 @@ def test_no_steering_sweep_repeats_the_last_sweep(monkeypatch, model, log2_delta
     monkeypatch.setattr(covers._PreparedDP, "__call__", counted_call)
     monkeypatch.setattr(covers._PreparedDP, "steer", flagged_steer)
     critical_exponent(model, PowerLaw(0.5), log2_delta * LOG2, tol=1e-6, oracle="dp")
-    assert sweeps and sweeps[0][1]  # the first sweep steers from the greedy cover
+    assert sweeps and sweeps[0][1]  # the first sweep steers from the sparse covers
     for (before, _), (s, steered) in zip(sweeps, sweeps[1:]):
         assert not steered or s != before
     # at the iteration's fixed point a steering step sweeps nothing

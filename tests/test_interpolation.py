@@ -9,11 +9,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scaledim
 from scaledim import covers, interpolation
+from scaledim.covers import ScaleWindow
 from scaledim.errors import BudgetError, ScaledimError
 from scaledim.interpolation import (
+    PhiSPoint,
     phi_s_at,
     phi_s_family,
     phi_s_function,
@@ -30,6 +34,7 @@ from scaledim.setmodels import (
     UnionModel,
     build_stability_pair,
 )
+from test_scalefun import scale_functions
 
 LOG2 = math.log(2.0)
 GRID = [-k * LOG2 for k in (12, 24, 36, 48)]
@@ -340,3 +345,44 @@ def test_dp_cap_in_the_floor_walk_drops_the_scale(monkeypatch):
     low, high = phi_s_family(model, [0.388, 0.7], [log_delta, -7 * LOG2])
     assert low.points == () and len(low.dropped) == 2
     assert len(high.points) == 2 and high.dropped == ()
+
+
+# --- robustness -------------------------------------------------------------------
+
+_PHI_S_MODELS = [
+    SequenceSet(1.0),
+    SequenceSet(2.5),
+    CantorSchedule.middle_thirds(30),
+    CantorSchedule(((10**308, 0.3),)),
+    UniformGrid(2.0**-10),
+    PointSet(0.3),
+    UnionModel((SequenceSet(1.0), CantorSchedule.middle_thirds(12, offset=2.0))),
+    ProductModel(CantorSchedule.middle_thirds(20), SequenceSet(1.0)),
+    HolderImage(SequenceSet(1.0), 0.5),
+]
+
+
+# budget: 3 s.  At 150 examples the property runs in about 1 s on a
+# 2-core host.  Scales are the tops and bottoms of windows of every
+# scale-function variant; s, tol and the scale run past their domains
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    model=st.sampled_from(_PHI_S_MODELS),
+    phi=scale_functions(),
+    log_delta=st.sampled_from([-3.5, -8.0 * LOG2, -40.0]) | st.floats(-60.0, -0.5),
+    bottom=st.booleans(),
+    s=st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.1, math.nan, math.inf]) | st.floats(0.0, 1.0),
+    tol=st.sampled_from([1e-2, 0.05, 1e-300, math.inf, 0.0, math.nan]),
+)
+def test_phi_s_at_returns_or_raises_package_errors(model, phi, log_delta, bottom, s, tol):
+    # the scale is the top or the bottom of a window of the drawn scale function
+    try:
+        window = ScaleWindow(phi.eval_phi_log(log_delta), log_delta)
+    except ScaledimError:
+        return  # the scale function has no window at this scale
+    scale = window.log_lo if bottom else window.log_hi
+    try:
+        got = phi_s_at(model, s, scale, tol=tol)
+    except ScaledimError:
+        return
+    assert isinstance(got, PhiSPoint)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from scaledim import measures
 from scaledim.covers import ScaleWindow
-from scaledim.errors import BudgetError, DomainError, InputError, ResolutionError
+from scaledim.errors import BudgetError, DomainError, InputError, ResolutionError, ScaledimError
 from scaledim.measures import (
     AtomicMeasure,
     ball_to_set_constant,
@@ -31,6 +31,7 @@ from scaledim.setmodels import (
     skeleton,
     translate,
 )
+from test_scalefun import scale_functions
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -234,6 +235,18 @@ def test_ball_mass_refuses_windows_too_deep_for_linear_radii():
     # lo = 1e-200 is a normal float, but lo**2 underflows to 0.0
     with pytest.raises(InputError, match="window too deep for linear mass checks"):
         verify_ball_mass(mu, ScaleWindow.from_linear(1e-200, 1e-100), 2.0)
+    # lo = e**-800 is 0.0, and 0.0 raised to a negative s divides by zero
+    with pytest.raises(InputError, match="window too deep for linear mass checks"):
+        verify_ball_mass(mu, ScaleWindow(-800.0, -1.0), -0.5)
+    # lo = e**-720 is subnormal and lo**-1 overflows; hi = e**400 and
+    # hi**3 overflow; hi**-2 underflows to 0.0, a division by zero
+    for window, s in [
+        (ScaleWindow(-720.0, -700.0), -1.0),
+        (ScaleWindow(0.0, 400.0), 3.0),
+        (ScaleWindow(0.0, 400.0), -2.0),
+    ]:
+        with pytest.raises(InputError, match="leave the float range"):
+            verify_ball_mass(mu, window, s)
     # below the DP's linear floor, lo = e**-690 and lo**0.5 are normal
     # floats, so the scan still runs
     report = verify_ball_mass(mu, ScaleWindow(-690.0, -1.0), 0.5)
@@ -414,6 +427,54 @@ def test_scan_matches_the_full_scan_on_drawn_atoms():
         if got != [_report_hex(r) for r in _full_scan(*args)]:
             mismatched.append(k)
     assert mismatched == []
+
+
+def _powers_in_range(radii, s):
+    """Whether every radius is positive and, raised to ``s``, a positive
+    finite float."""
+    try:
+        return all(r > 0.0 and 0.0 < r**s < math.inf for r in radii)
+    except (OverflowError, ZeroDivisionError):
+        return False
+
+
+# budget: 3 s.  At 200 examples the property runs in about 1 s on a
+# 2-core host.  Atoms sit on a grid whose unit lies in the window, shifted
+# by up to 1e6 units, so the smallest radius stays far above the float
+# spacing at the atoms, where the full scan needs no raised run ends
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+# lo = e**-720 is subnormal, and lo**-1 overflows
+@example(phi=PowerLaw(0.05), log_delta=-36.0, where=0.0, units=[0, 1], weights=[1.0] * 60,
+         offset=0.0, s=-1.0)
+@given(
+    phi=scale_functions(),
+    log_delta=st.sampled_from([-0.5, -3.0, -40.0]) | st.floats(-60.0, 0.0),
+    where=st.floats(0.0, 1.0),
+    units=st.lists(st.integers(0, 40), min_size=1, max_size=60),
+    weights=st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=60, max_size=60),
+    offset=st.sampled_from([0.0, -0.37, 1e3, -2.5e4, 1e6]),
+    s=st.sampled_from([0.0, 1.0, 2.0, -0.5]) | st.floats(-1.0, 2.0),
+)
+def test_ball_mass_scan_matches_the_full_scan_in_every_scale_window(
+    phi, log_delta, where, units, weights, offset, s
+):
+    try:
+        window = ScaleWindow(phi.eval_phi_log(log_delta), log_delta)
+    except ScaledimError:
+        return  # the scale function has no window at this scale
+    unit = window.lo * math.exp(where * min(window.log_hi - window.log_lo, 20.0))
+    locs = np.sort(offset + np.array(units, dtype=float)) * unit
+    masses = np.array(weights[: locs.size])
+    mu = AtomicMeasure(locs, masses / masses.sum())
+    radii = measures._scan_radii(window)
+    if not _powers_in_range(radii, s):
+        with pytest.raises(InputError):
+            verify_ball_mass(mu, window, s)
+        return
+    got = verify_ball_mass(mu, window, s)
+    expected = _full_scan(locs, radii, [mu.prefix_masses()], [s])[0]
+    assert _report_hex(got) == _report_hex(expected)
+    assert got.radii == expected.radii
 
 
 FROSTMAN_SEQUENCE = ([0.26, 0.32, 0.38], [-12 * LOG2, -13 * LOG2, -14 * LOG2])

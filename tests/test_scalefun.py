@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scaledim import scalefun
 from scaledim.errors import (
     ConfigError,
     DomainError,
@@ -336,3 +337,42 @@ def test_from_dict_rejects_unknown_variant():
 def test_power_laws_admissible_on_deep_grids(theta):
     report = check_admissible(PowerLaw(theta), log2_grid(-16, -256, 12))
     assert report["admissible"]
+
+
+# --- a strategy over every variant, for properties elsewhere -------------------
+
+
+def _tables(draw) -> tuple[tuple[float, float], ...]:
+    """Breakpoints (log delta, log delta * k), k >= 1, at -60 and 1-3
+    more log deltas up to 0."""
+    lds = sorted({-60.0, *draw(st.lists(st.floats(-60.0, 0.0), min_size=1, max_size=3))})
+    k = draw(st.floats(1.0, 4.0))
+    return tuple((ld, ld * k) for ld in lds)
+
+
+def _min_family(draw) -> MinFamily:
+    choices = [PowerLaw(0.5), LogCorrected(), StretchedExponential(1.0), Tabulated(_tables(draw))]
+    members = tuple(draw(st.lists(st.sampled_from(choices), min_size=1, max_size=3)))
+    n = len(members)
+    active = draw(st.none() | st.lists(st.floats(-60.0, 0.0), min_size=n, max_size=n).map(tuple))
+    return MinFamily(members, active)
+
+
+#: how ``scale_functions`` builds each serializable variant from a draw
+_VARIANT_DRAWS = {
+    "power_law": lambda draw: PowerLaw(draw(st.floats(0.05, 1.0))),
+    "log_corrected": lambda draw: LogCorrected(draw(st.floats(0.01, 0.2))),
+    "stretched_exp": lambda draw: StretchedExponential(draw(st.floats(0.05, 3.0))),
+    "tabulated": lambda draw: Tabulated(_tables(draw)),
+    "min_family": _min_family,
+    "interpolated": lambda draw: InterpolatedScale(
+        _tables(draw), draw(st.floats(0.0, 1.0)), "sequence(p=1)"
+    ),
+}
+assert _VARIANT_DRAWS.keys() == scalefun._VARIANTS.keys()
+
+
+@st.composite
+def scale_functions(draw):
+    """A scale function of any serializable variant, with drawn parameters."""
+    return _VARIANT_DRAWS[draw(st.sampled_from(sorted(_VARIANT_DRAWS)))](draw)
