@@ -84,7 +84,6 @@ from .setmodels import (
 #: Published alternative bound at the default carpet parameters; display only.
 CARPET_COMPARISON_CONSTANT = 0.352
 
-COMMANDS = ("estimate", "bounds", "phi", "frostman", "interpolate", "carpet", "verify")
 FORMATS = ("csv", "json")
 
 
@@ -285,117 +284,6 @@ FORMULAS: dict[str, Callable[[dict], dict]] = {
         *(as_real(x[k]) for k in ("alpha", "gamma", "dim_phi_F", "assouad_image"))))},
     "product": _product,
 }
-
-
-# ---------------------------------------------------------------------------
-# options and config resolution (flags > config file > command defaults > defaults)
-
-
-class Option(NamedTuple):
-    """A config key's default, its reader (run through :func:`_from_spec` under
-    ``name``), its flag's argparse keywords, and the subcommands with that flag."""
-
-    default: object
-    read: Callable
-    name: str
-    flag: dict
-    commands: tuple[str, ...] = COMMANDS
-
-
-OPTIONS = {
-    "model": Option('{"kind": "sequence", "p": 1.0}', parse_model_spec, "model spec",
-                    {"help": "set model: inline JSON or path to a JSON file"}),
-    "phi": Option("power_law:0.5", parse_phi_spec, "phi spec",
-                  {"help": "scale function: power_law:T, log_corrected, stretched_exp:C, or JSON"}),
-    "grid": Option("-400:-40:10", parse_grid, "grid", {"help": "log2-delta grid a:b:n (a <= b)"}),
-    "s_grid": Option(None, lambda spec: parse_grid(spec, "s-grid", 1), "s-grid",
-                     {"help": "exponent grid a:b:n"}),
-    "tol": Option(1e-3, _tolerance, "tol",
-                  {"type": float, "help": "bisection tolerance (default 1e-3)"}),
-    "out": Option(None, _path, "out", {"help": "output path (default scaledim_<command>.<fmt>)"}),
-    "format": Option("csv", _format, "format", {"choices": FORMATS, "help": "output format"}),
-    "seed": Option(20260816, _seed, "seed",
-                   {"type": int, "help": "seed for generated test instances"}),
-    "formula": Option(None, lambda name: name, "formula",
-                      {"help": "one of " + ", ".join(FORMULAS)}, ("bounds",)),
-    "inputs": Option(None, _json_object, "inputs",
-                     {"help": "JSON object of numeric inputs"}, ("bounds",)),
-    "s": Option(None, as_real, "s", {"type": float, "help": "target exponent"}, ("frostman",)),
-    "log2_delta": Option(None, as_real, "log2_delta",
-                         {"type": float, "help": "window top (default: finest grid point)"},
-                         ("frostman",)),
-    "base": Option(20, as_integer, "base",
-                   {"type": int, "help": "cube subdivision base (default 20)"}, ("frostman",)),
-    "phi2": Option(None, parse_phi_spec, "phi2 spec",
-                   {"help": "second scale function to compare against"}, ("phi",)),
-    "alphas": Option("1.5,2.0", parse_alphas, "alphas",
-                     {"help": "comparison exponents, comma-separated"}, ("phi",)),
-}
-
-CONFIG_KEYS = tuple(OPTIONS)
-
-#: Per-command overrides of the defaults in :data:`OPTIONS`.
-COMMAND_DEFAULTS = {
-    "bounds": {"format": "json"},
-    "carpet": {"format": "json", "model": '{"kind": "carpet", "m": 2, "n": 100, "column_counts": [1, 100]}'},
-    "verify": {"format": "json"},
-    "frostman": {"grid": "-12:-6:4", "s": 0.5},
-    "interpolate": {"grid": "-48:-12:10", "s_grid": "0.2:0.8:4"},
-}
-
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg: dict = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                text = fh.read()
-        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
-            raise ConfigError(f"cannot read config file {args.config!r}: {exc}")
-        file_cfg = _load_json(text, "config file")
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(file_cfg) - set(CONFIG_KEYS))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-
-    overrides = COMMAND_DEFAULTS.get(args.command, {})
-    values = {}
-    for key, opt in OPTIONS.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = file_cfg.get(key)
-        if value is None:
-            value = overrides.get(key, opt.default)
-        values[key] = None if value is None else _from_spec(opt.read, value, opt.name)
-    if values["out"] is None:
-        values["out"] = f"scaledim_{args.command}.{values['format']}"
-    return RunConfig(command=args.command, **values)
-
-
-def config_digest(cfg: RunConfig) -> str:
-    """sha256 over the resolved config (minus the output path), truncated."""
-    payload = dict(vars(cfg))
-    payload.pop("out")
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-def grid_spec_string(cfg: RunConfig) -> str:
-    a, b, n = cfg.grid
-    return f"{a!r}:{b!r}:{n}"
-
-
-def grid_log_deltas(cfg: RunConfig) -> list[float]:
-    a, b, n = cfg.grid
-    return [float(v) * LOG2 for v in np.linspace(a, b, n)]
-
-
-def s_grid_values(cfg: RunConfig) -> list[float]:
-    if cfg.s_grid is None:
-        raise ConfigError(f"{cfg.command} needs --s-grid a:b:n")
-    a, b, n = cfg.s_grid
-    return [float(v) for v in np.linspace(a, b, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -792,15 +680,143 @@ def _run_verify(cfg: RunConfig):
     return payload, (("check", "pass"), rows), summary
 
 
-_HANDLERS = {
-    "estimate": _run_estimate,
-    "bounds": _run_bounds,
-    "phi": _run_phi,
-    "frostman": _run_frostman,
-    "interpolate": _run_interpolate,
-    "carpet": _run_carpet,
-    "verify": _run_verify,
+# ---------------------------------------------------------------------------
+# the subcommands
+
+
+class Command(NamedTuple):
+    """A subcommand's handler, its help line, and its overrides of the
+    defaults in :data:`OPTIONS`."""
+
+    run: Callable[[RunConfig], tuple]
+    help: str
+    defaults: dict = {}
+
+
+#: Every subcommand, in the order ``--help`` lists them.
+COMMAND_TABLE = {
+    "estimate": Command(
+        _run_estimate, "critical-exponent profile of a set model over a delta grid"),
+    "bounds": Command(
+        _run_bounds, "closed-form bound calculators (see --formula)", {"format": "json"}),
+    "phi": Command(_run_phi, "tabulate/check a scale function; compare against --phi2"),
+    "frostman": Command(
+        _run_frostman, "build a capped cube-hierarchy measure and verify ball masses",
+        {"grid": "-12:-6:4", "s": 0.5}),
+    "interpolate": Command(
+        _run_interpolate, "tabulate the prescribed-exponent scale-function family",
+        {"grid": "-48:-12:10", "s_grid": "0.2:0.8:4"}),
+    "carpet": Command(
+        _run_carpet, "closed-form carpet dimensions and bound gradient",
+        {"format": "json",
+         "model": '{"kind": "carpet", "m": 2, "n": 100, "column_counts": [1, 100]}'}),
+    "verify": Command(
+        _run_verify, "seeded invariant battery (oracle equality, monotonicity, ...)",
+        {"format": "json"}),
 }
+COMMANDS = tuple(COMMAND_TABLE)
+
+
+# ---------------------------------------------------------------------------
+# options and config resolution (flags > config file > command defaults > defaults)
+
+
+class Option(NamedTuple):
+    """A config key's default, its reader (run through :func:`_from_spec` under
+    ``name``), its flag's argparse keywords, and the subcommands with that flag."""
+
+    default: object
+    read: Callable
+    name: str
+    flag: dict
+    commands: tuple[str, ...] = COMMANDS
+
+
+OPTIONS = {
+    "model": Option('{"kind": "sequence", "p": 1.0}', parse_model_spec, "model spec",
+                    {"help": "set model: inline JSON or path to a JSON file"}),
+    "phi": Option("power_law:0.5", parse_phi_spec, "phi spec",
+                  {"help": "scale function: power_law:T, log_corrected, stretched_exp:C, or JSON"}),
+    "grid": Option("-400:-40:10", parse_grid, "grid", {"help": "log2-delta grid a:b:n (a <= b)"}),
+    "s_grid": Option(None, lambda spec: parse_grid(spec, "s-grid", 1), "s-grid",
+                     {"help": "exponent grid a:b:n"}),
+    "tol": Option(1e-3, _tolerance, "tol",
+                  {"type": float, "help": "bisection tolerance (default 1e-3)"}),
+    "out": Option(None, _path, "out", {"help": "output path (default scaledim_<command>.<fmt>)"}),
+    "format": Option("csv", _format, "format", {"choices": FORMATS, "help": "output format"}),
+    "seed": Option(20260816, _seed, "seed",
+                   {"type": int, "help": "seed for generated test instances"}),
+    "formula": Option(None, lambda name: name, "formula",
+                      {"help": "one of " + ", ".join(FORMULAS)}, ("bounds",)),
+    "inputs": Option(None, _json_object, "inputs",
+                     {"help": "JSON object of numeric inputs"}, ("bounds",)),
+    "s": Option(None, as_real, "s", {"type": float, "help": "target exponent"}, ("frostman",)),
+    "log2_delta": Option(None, as_real, "log2_delta",
+                         {"type": float, "help": "window top (default: finest grid point)"},
+                         ("frostman",)),
+    "base": Option(20, as_integer, "base",
+                   {"type": int, "help": "cube subdivision base (default 20)"}, ("frostman",)),
+    "phi2": Option(None, parse_phi_spec, "phi2 spec",
+                   {"help": "second scale function to compare against"}, ("phi",)),
+    "alphas": Option("1.5,2.0", parse_alphas, "alphas",
+                     {"help": "comparison exponents, comma-separated"}, ("phi",)),
+}
+
+CONFIG_KEYS = tuple(OPTIONS)
+
+
+def resolve_config(args: argparse.Namespace) -> RunConfig:
+    file_cfg: dict = {}
+    if getattr(args, "config", None):
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
+            raise ConfigError(f"cannot read config file {args.config!r}: {exc}")
+        file_cfg = _load_json(text, "config file")
+        if not isinstance(file_cfg, dict):
+            raise ConfigError("config file must hold a JSON object")
+        unknown = sorted(set(file_cfg) - set(CONFIG_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+
+    overrides = COMMAND_TABLE[args.command].defaults
+    values = {}
+    for key, opt in OPTIONS.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = file_cfg.get(key)
+        if value is None:
+            value = overrides.get(key, opt.default)
+        values[key] = None if value is None else _from_spec(opt.read, value, opt.name)
+    if values["out"] is None:
+        values["out"] = f"scaledim_{args.command}.{values['format']}"
+    return RunConfig(command=args.command, **values)
+
+
+def config_digest(cfg: RunConfig) -> str:
+    """sha256 over the resolved config (minus the output path), truncated."""
+    payload = dict(vars(cfg))
+    payload.pop("out")
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def grid_spec_string(cfg: RunConfig) -> str:
+    a, b, n = cfg.grid
+    return f"{a!r}:{b!r}:{n}"
+
+
+def grid_log_deltas(cfg: RunConfig) -> list[float]:
+    a, b, n = cfg.grid
+    return [float(v) * LOG2 for v in np.linspace(a, b, n)]
+
+
+def s_grid_values(cfg: RunConfig) -> list[float]:
+    if cfg.s_grid is None:
+        raise ConfigError(f"{cfg.command} needs --s-grid a:b:n")
+    a, b, n = cfg.s_grid
+    return [float(v) for v in np.linspace(a, b, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +825,7 @@ _HANDLERS = {
 
 def run(cfg: RunConfig) -> int:
     """Dispatch, then write the artifact atomically and print a summary."""
-    payload, (header, rows), summary = _HANDLERS[cfg.command](cfg)
+    payload, (header, rows), summary = COMMAND_TABLE[cfg.command].run(cfg)
     digest = config_digest(cfg)
     gridspec = grid_spec_string(cfg)
     payload["provenance"] = {"config_digest": digest, "grid": gridspec}
@@ -835,17 +851,8 @@ def _parser() -> argparse.ArgumentParser:
         description="Dimension estimation on scale windows [phi(delta), delta].",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    descriptions = {
-        "estimate": "critical-exponent profile of a set model over a delta grid",
-        "bounds": "closed-form bound calculators (see --formula)",
-        "phi": "tabulate/check a scale function; compare against --phi2",
-        "frostman": "build a capped cube-hierarchy measure and verify ball masses",
-        "interpolate": "tabulate the prescribed-exponent scale-function family",
-        "carpet": "closed-form carpet dimensions and bound gradient",
-        "verify": "seeded invariant battery (oracle equality, monotonicity, ...)",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=descriptions[name])
+    for name, command in COMMAND_TABLE.items():
+        p = sub.add_parser(name, help=command.help)
         for key, opt in OPTIONS.items():
             if name in opt.commands:
                 p.add_argument("--" + key.replace("_", "-"), **opt.flag)

@@ -60,6 +60,7 @@ from .setmodels import (
     Skeleton,
     UniformGrid,
     UnionModel,
+    ambient_dimension,
     skeleton,
 )
 
@@ -1092,20 +1093,18 @@ class _PreparedDP:
     """The DP route of one (model, window) as a function of ``s``.
 
     The first call or steering step builds the skeleton and the cover
-    graph; every call is one value sweep over the graph.  Each sweep also keeps its exponent,
-    its log value and the optimal cover it determines (the replay of
-    ``want_pieces``) as a witness: its piece lengths, right to left.
-    :meth:`bracket` turns them into bounds at another exponent for the
-    estimator's bisection.
+    graph; every call is one value sweep over the graph.  Each sweep also
+    keeps its exponent, its log value and the optimal cover it determines
+    (the replay of ``want_pieces``) as a witness: its piece lengths, right
+    to left.  :meth:`bracket` turns them into bounds at another exponent,
+    and :meth:`settle` answers a bisection step with them where it can.
 
     :meth:`steer` takes a steering sweep: one sweep at the exponent where
-    the witness cover costs 1 (Dinkelbach's step), which the estimator
-    takes when a bracket is open, so that the next brackets start near
-    the root and settle the exponents that a bisection would otherwise
-    sweep.  It only chooses where the last sweep lies: a bracket holds
-    from any sweep, so it settles each test as a sweep at that exponent
-    would, and the estimator neither caches nor counts the steering
-    sweep.
+    the witness cover costs 1 (Dinkelbach's step), so that the next
+    brackets start near the root and settle the exponents that a
+    bisection would otherwise sweep.  It only chooses where the last sweep
+    lies: a bracket holds from any sweep, so it settles each test as a
+    sweep at that exponent would.
     """
 
     def __init__(self, model, window: ScaleWindow) -> None:
@@ -1135,19 +1134,47 @@ class _PreparedDP:
         self.witness = [length for _, length in reversed(cost.pieces)]
         return CoverCost(cost.log_cost_lower, cost.log_cost_upper, cost.method)
 
+    def settle(self, s: float) -> CoverCost:
+        """A bracket at ``s`` whose sign tests, log upper <= 0 and log
+        lower >= 0, come out as a sweep at ``s`` would make them.
+
+        A :meth:`bracket` that does not straddle 0 settles both tests.
+        Where it is open (or there is no sweep yet), a steering sweep goes
+        first and ``s`` is bracketed again; only a bracket still open
+        sweeps at ``s``.
+        """
+        for steer in (False, True):
+            if steer:
+                self.steer()
+            known = self.bracket(s)
+            if known is not None and (known[0] > 0.0 or known[1] < 0.0):
+                return CoverCost(known[0], known[1], "dp-bound")
+        return self(s)
+
     def bracket(self, s: float) -> Optional[tuple[float, float]]:
         """Bounds (lower, upper) on the log value a sweep at ``s`` would
         return, from the last sweep, at ``s0``, and without one; None
         before the first sweep.
 
-        The upper end is the witness cover's cost at ``s``, a path sum of
-        the graph (:meth:`witness_cost`).  The lower end is the last log
-        value ``v0`` moved along the line of slope log lo (``s > s0``) or
-        log hi (``s < s0``), less the margin proved in
-        :func:`scaledim.estimator.critical_exponent`: twice ``3g`` for the
-        two sweeps' float error, ``g = (k + 2) * 2u`` on a graph of ``k``
-        states, and twice ``8u (|v0| + |shift|)`` for the rounding of the
-        logs, the product and the sum.
+        The upper end is the witness cover's cost at ``s``, summed right
+        to left (``total = length**s + total``) as the sweep sums every
+        path (:meth:`witness_cost`).  Float addition rounds monotonically,
+        so the sweep's value is the least such float sum over the graph's
+        paths and is never above this one.
+
+        The lower end moves the last log value ``v0`` along a line.  Every
+        piece length ``L`` lies in ``[lo, hi]``, so ``L**s >= L**s0 *
+        lo**(s - s0)`` for ``s > s0`` and ``>= L**s0 * hi**(s - s0)`` for
+        ``s < s0``, and the least real path sum at ``s`` is at least the
+        one at ``s0`` times that factor.  The float sweep lies within a
+        factor ``1 +- g`` of the real one, ``g = (k + 2) * 2u`` for ``k``
+        states and ``u = 2**-53``, because a path has at most ``k`` pieces
+        and ``**`` and each addition round by at most 2u and u; so the
+        sweep's log value at ``s`` is at least ``v0 + (s - s0) log b -
+        3g``, ``b = lo`` or ``hi``.  The lower end subtracts twice ``3g``
+        and twice ``8u (|v0| + |(s - s0) log b|)``, which bounds the
+        rounding of ``math.log`` and of the sum and product; ``log b`` is
+        taken of the linear ``lo`` and ``hi`` the graph uses.
         """
         if self.last is None:
             return None
@@ -1200,24 +1227,29 @@ def prepare(
 
     ``oracle`` selects the route: "auto" picks the analytic route for each
     model kind and the skeleton DP for Holder images, which have none;
-    "dp" forces the exact skeleton DP (linear scales only).  The first call
-    builds what does not depend on ``s`` and later calls reuse it: on DP
-    routes the skeleton and cover graph, for Cantor schedules the lines
-    in ``s`` of both bounds, for products the marginal counts.  Sequence,
-    grid and point costs are closed forms evaluated per call.  A build
-    that raises keeps nothing, so the next call raises the same error.
+    "dp" forces the exact skeleton DP (linear scales only) on every model
+    on the line but a point, whose cost has a closed form: a union of line
+    models is one DP over its members' skeletons side by side, while
+    products and planar unions compose their factors' and members' routes.
+    The first call builds what does not depend on ``s`` and later calls
+    reuse it: on DP routes the skeleton and cover graph, for Cantor
+    schedules the lines in ``s`` of both bounds, for products the marginal
+    counts.  Sequence, grid and point costs are closed forms evaluated per
+    call.  A build that raises keeps nothing, so the next call raises the
+    same error.  A DP route also answers a bisection step through
+    ``settle``, which sweeps only where its bounds leave the step open.
     """
     if oracle not in ("auto", "dp"):
         raise InputError(f"unknown oracle {oracle!r}")
     if isinstance(model, PointSet):
         return lambda s: cover_cost_point(window, s)
+    if isinstance(model, HolderImage) or (oracle == "dp" and ambient_dimension(model) == 1):
+        return _PreparedDP(model, window)
     if isinstance(model, ProductModel):
         return _prepare_product(model, window, oracle)
     if isinstance(model, UnionModel):
         members = [prepare(m, window, oracle=oracle) for m in model.members]
         return lambda s: combine_union([m(s) for m in members], model.gap, window)
-    if oracle == "dp" or isinstance(model, HolderImage):
-        return _PreparedDP(model, window)
     if isinstance(model, SequenceSet):
         return lambda s: cover_cost_sequence(model.p, window, s)
     if isinstance(model, CantorSchedule):

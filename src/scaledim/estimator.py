@@ -11,7 +11,7 @@ exponent with lower cost >= 1 (the dimension is at least s_lower).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .covers import CoverCost, ScaleWindow, prepare
 from .errors import ConfigError, IndeterminateError
@@ -65,74 +65,24 @@ def critical_exponent(
 
     Bisections run until the certified endpoint is within ``tol`` of the
     true crossing of each bound curve, or until the bracket's midpoint
-    rounds onto an endpoint (a ``tol`` below the float spacing).  When
+    rounds onto an endpoint (a ``tol`` below the float spacing).  Each new
+    exponent is one call of the prepared route, through its ``settle``
+    where it has one (the DP's), and ``evaluations`` counts them.  When
     even at the ambient cap the upper cost stays above 1 while the lower
     bound certifies nothing, the bracket is vacuous and an indeterminate
-    error is raised.
-
-    On a DP route the prepared window bounds the sweep's log value at a
-    new ``s`` from its last sweep, at ``s0``, without sweeping again
-    (``bracket``), and a bracket that does not straddle 0 settles ``s``:
-    the two tests come out as the sweep would make them, so every bracket
-    is the sweep's bit for bit.  Above the root the upper end settles:
-    the last sweep's optimal cover, summed at ``s`` right to left
-    (``total = length**s + total``) as the sweep sums every path.  Float
-    addition rounds monotonically, so the sweep's value is the least such
-    float sum over the graph's paths and is never above this one; a total
-    below 1 means the upper test holds and the lower test fails.  Below
-    the root the lower end settles: every piece length ``L`` lies in
-    ``[lo, hi]``, so ``L**s >= L**s0 * lo**(s - s0)`` for ``s > s0`` and
-    ``>= L**s0 * hi**(s - s0)`` for ``s < s0``, and the least real path
-    sum at ``s`` is at least the one at ``s0`` times that factor.  The
-    float sweep lies within a factor ``1 +- g`` of the real one,
-    ``g = (k + 2) * 2u`` for ``k`` states and ``u = 2**-53``, because a
-    path has at most ``k`` pieces and ``**`` and each addition round by
-    at most 2u and u; so the sweep's log value at ``s`` is at least
-    ``v0 + (s - s0) log b - 3g``, ``b = lo`` or ``hi``.  The lower end
-    subtracts twice ``3g`` and twice ``8u (|v0| + |(s - s0) log b|)``,
-    which bounds the rounding of ``math.log`` and of the sum and product;
-    ``log b`` is taken of the linear ``lo`` and ``hi`` the graph uses.
-    A lower end above 0 means the upper test fails and the lower test
-    holds.  ``evaluations`` counts the distinct exponents looked at,
-    whether a sweep or a bracket settled them.
-
-    Where the bracket at ``s`` is open, the route first takes a steering
-    sweep (``steer``): one sweep at the exponent where the last sweep's
-    optimal cover costs 1, which is Dinkelbach's step towards the root.
-    Before any sweep the step runs on a sparse subgraph instead, each
-    state's lo, hi and furthest item-end moves (``sparse_cover``), from
-    ``s = 0`` until the cheap cover's root stops falling, and the one
-    steering sweep goes there.  Then ``s`` is bracketed
-    again and swept only if the bracket is still open.  A steering sweep
-    is neither cached nor counted in ``evaluations``, and all it changes
-    is which sweep the next brackets start from; the bounds above hold
-    from any sweep, so each test still comes out as a sweep at ``s``
-    would make it, and every bisection step, bracket and ``evaluations``
-    is what it would be without steering.
+    error is raised with the route's own bracket at the cap.
     """
     if not tol > 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
     window = ScaleWindow(phi.eval_phi_log(log_delta), log_delta)
     s_cap = float(ambient_dimension(model))
     cost_at = prepare(model, window, oracle=oracle)
-    bracket = getattr(cost_at, "bracket", None)
+    settle = getattr(cost_at, "settle", cost_at)
     cache: dict[float, CoverCost] = {}
-
-    def settled(s: float) -> Optional[CoverCost]:
-        known = bracket(s)
-        if known is not None and (known[0] > 0.0 or known[1] < 0.0):
-            return CoverCost(known[0], known[1], "dp-bound")
-        return None
 
     def costs(s: float) -> CoverCost:
         if s not in cache:
-            known = None
-            if bracket is not None:
-                known = settled(s)
-                if known is None:
-                    cost_at.steer()  # a steering sweep, neither cached nor counted
-                    known = settled(s)
-            cache[s] = cost_at(s) if known is None else known
+            cache[s] = settle(s)
         return cache[s]
 
     def crossing(
@@ -155,7 +105,7 @@ def critical_exponent(
     )
 
     if clamped_upper and s_lower <= tol:
-        probe = cost_at(s_cap)  # the route's own bracket, never a settled one
+        probe = cost_at(s_cap)  # the route's own cost, never a settled one
         raise IndeterminateError(
             "cost bracket straddles 1 over the whole exponent range "
             f"[0, {s_cap:g}] at log_delta={log_delta:.6g}",

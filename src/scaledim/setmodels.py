@@ -417,10 +417,11 @@ def _model_extent(model) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class UnionModel:
-    """Union of models sitting side by side on the line.
+    """Union of models sitting side by side: on the line, or as products in
+    the plane, side by side along their first factor.
 
     ``gap`` is the smallest distance between the extents of consecutive
-    members; members must not overlap.
+    members; members must not overlap and must share one ambient dimension.
     """
 
     members: tuple
@@ -430,6 +431,8 @@ class UnionModel:
     def __post_init__(self) -> None:
         if len(self.members) < 2:
             raise InputError("UnionModel needs at least two members")
+        if len(set(map(ambient_dimension, self.members))) > 1:
+            raise InputError("union members must share one ambient dimension")
         ordered = sorted(self.members, key=lambda m: _model_extent(m)[0])
         for a, b in zip(ordered, ordered[1:]):
             if _model_extent(b)[0] <= _model_extent(a)[1]:
@@ -788,6 +791,8 @@ def translate(model, dx: float):
 
 
 def ambient_dimension(model) -> int:
+    if isinstance(model, UnionModel):
+        return max(map(ambient_dimension, model.members))
     return 2 if isinstance(model, (ProductModel, CarpetParams)) else 1
 
 

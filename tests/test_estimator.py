@@ -80,6 +80,29 @@ def test_full_plane_product_needs_exponent_headroom(monkeypatch):
     assert not ce.clamped_upper
 
 
+def _planar_union():
+    thirds = CantorSchedule.middle_thirds(20)
+    return UnionModel(
+        (ProductModel(thirds, thirds), ProductModel(SequenceSet(1.0, offset=3.0), SequenceSet(1.0)))
+    )
+
+
+def test_planar_union_exponents_reach_above_one():
+    # a union of two products lies in the plane: its exponent cap is 2, and
+    # the upper certificate lands above 1 without a clamp
+    ce = critical_exponent(_planar_union(), PowerLaw(0.5), -5 * LOG2)
+    assert (ce.s_lower, ce.s_upper) == (0.9462890625, 1.3505859375)
+    assert not (ce.clamped_lower or ce.clamped_upper)
+
+
+def test_planar_union_under_the_dp_oracle_composes_its_products():
+    # the DP oracle takes over models on the line only; the products of a
+    # planar union keep their own routes, with DP marginals
+    ce = critical_exponent(_planar_union(), PowerLaw(0.5), -5 * LOG2, oracle="dp")
+    assert (ce.s_lower, ce.s_upper) == (0.9462890625, 1.4130859375)
+    assert not (ce.clamped_lower or ce.clamped_upper)
+
+
 def test_profile_tail_extrema_and_rows():
     grid = [-k * LOG2 for k in range(40, 401, 40)]
     prof = dimension_profile(SequenceSet(1.0), PowerLaw(0.5), grid, tol=1e-3)
@@ -314,6 +337,31 @@ def test_dp_bracket_settles_exponents_on_both_sides_of_the_root(monkeypatch):
     # sweeps without steering, 9 with the witness alone, 12 with neither
     # shortcut
     assert (ce.evaluations, len(sweeps)) == (12, 1)
+
+
+@pytest.mark.parametrize(
+    "log2_delta, bracket",
+    [
+        (-4, ("0x1.7000000000000p-1", "0x1.7080000000000p-1")),
+        (-5, ("0x1.5f80000000000p-1", "0x1.6000000000000p-1")),
+        (-6, ("0x1.5580000000000p-1", "0x1.5600000000000p-1")),
+        (-7, ("0x1.4f00000000000p-1", "0x1.4f80000000000p-1")),
+    ],
+)
+def test_dp_union_of_lines_sweeps_its_skeleton_graph(monkeypatch, log2_delta, bracket):
+    # under the DP oracle a union of line models is one DP over its
+    # skeleton, which settles and steers as any DP route does: at most 2
+    # sweeps, where summing the members' DPs took 24, for the same brackets
+    sweeps = []
+    call = covers._PreparedDP.__call__
+    monkeypatch.setattr(
+        covers._PreparedDP, "__call__", lambda self, s: sweeps.append(s) or call(self, s)
+    )
+    union = UnionModel((SequenceSet(1.0), CantorSchedule.middle_thirds(12, offset=2.0)))
+    ce = critical_exponent(union, PowerLaw(0.5), log2_delta * LOG2, oracle="dp")
+    assert (ce.s_lower.hex(), ce.s_upper.hex()) == bracket
+    assert ce.evaluations == 12
+    assert len(sweeps) <= 2
 
 
 @pytest.mark.parametrize(

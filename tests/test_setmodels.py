@@ -34,6 +34,7 @@ from scaledim.setmodels import (
     Skeleton,
     UniformGrid,
     UnionModel,
+    ambient_dimension,
     build_stability_pair,
     carpet_dimensions,
     model_from_dict,
@@ -491,6 +492,16 @@ def test_produced_skeletons_are_already_in_lexicographic_order():
 def test_union_gap_between_separated_members():
     pair = UnionModel((PointSet(0.0), PointSet(2.0)))
     assert pair.gap == pytest.approx(2.0)
+
+
+def test_union_takes_its_members_ambient_dimension():
+    line = UnionModel((PointSet(0.0), SequenceSet(1.0, offset=2.0)))
+    planar = UnionModel(
+        (ProductModel(SequenceSet(1.0), PointSet(0.0)), ProductModel(PointSet(3.0), PointSet(0.0)))
+    )
+    assert (ambient_dimension(line), ambient_dimension(planar)) == (1, 2)
+    with pytest.raises(InputError, match="union members must share one ambient dimension"):
+        UnionModel((SequenceSet(1.0), ProductModel(PointSet(3.0), PointSet(0.0))))
 
 
 def test_translate_preserves_kind_and_shifts():
