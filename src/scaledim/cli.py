@@ -428,7 +428,7 @@ def _run_frostman(cfg: RunConfig):
     mu = build_frostman_measure(model, cfg.s, log_delta, phi, base=cfg.base)
     window = ScaleWindow(phi.eval_phi_log(log_delta), log_delta)
     report = verify_ball_mass(mu, window, cfg.s)
-    rows = [(float(x), float(m)) for x, m in mu.to_rows()]
+    rows = mu.to_rows()
     payload = {
         "command": "frostman",
         "model": model_id(model),

@@ -20,7 +20,10 @@ cubes come out sorted, so their first atoms and each chain level's
 numbering are read off where a value is new, without sorting.
 
 The ball-mass scan searches run ends only at radii that can still set a
-maximum.  It searches the largest radius first, tests the smallest
+maximum.  A search is one stable merge of the sorted queries loc + 2r
+with the sorted atoms, linear in the atom count; a query sorts before
+an atom equal to it, so each run holds the atoms strictly below its
+query.  The scan searches the largest radius first, tests the smallest
 second, then visits the others once from the top down.  The heaviest
 ball mass never decreases with the radius, so at a radius r it is at
 most the heaviest mass at the nearest searched radius above.  Inside
@@ -78,10 +81,11 @@ class FrostmanMeta:
 class AtomicMeasure:
     """A finitely supported measure on the line.
 
-    Locations are sorted ascending; masses are positive.  After
-    normalization the masses sum to 1 and ``pre_normalization_total``
-    records the raw total, which is the quantitative content of the
-    construction (a vanishing raw total means the exponent was too big).
+    Locations are finite and sorted ascending; masses are positive and
+    finite.  After normalization the masses sum to 1 and
+    ``pre_normalization_total`` records the raw total, which is the
+    quantitative content of the construction (a vanishing raw total means
+    the exponent was too big).
     """
 
     locations: np.ndarray
@@ -98,10 +102,15 @@ class AtomicMeasure:
             raise InputError("locations and masses must be 1-D arrays of equal length")
         if loc.size == 0:
             raise InputError("measure must have at least one atom")
+        # NaN compares false, so it would pass the order and sign checks
+        if not np.all(np.isfinite(loc)):
+            raise InputError("locations must be finite")
         if np.any(np.diff(loc) < 0.0):
             raise InputError("locations must be sorted ascending")
         if not np.all(mas > 0.0):
             raise InputError("masses must be positive")
+        if not np.all(mas < math.inf):
+            raise InputError("masses must be finite")
 
     @classmethod
     def _on_sorted(cls, locations, masses, total, meta) -> "AtomicMeasure":
@@ -126,7 +135,7 @@ class AtomicMeasure:
         return out
 
     def to_rows(self) -> list[tuple[float, float]]:
-        return [(float(x), float(w)) for x, w in zip(self.locations, self.masses)]
+        return list(zip(self.locations.tolist(), self.masses.tolist()))
 
 
 def frostman_levels(
@@ -366,6 +375,27 @@ def _cap_bounds(
     return bounds
 
 
+def _run_ends(merged: np.ndarray, width: float) -> np.ndarray:
+    """End of the run of atoms below ``loc + width`` from each atom.
+
+    ``merged`` holds the sorted atom locations twice, ``[locs | locs]``;
+    its first half is overwritten with the queries ``locs + width``.
+    Both halves are sorted, so a stable sort of ``merged`` is one linear
+    merge of two runs (Timsort finds them), and it places each query
+    before every atom equal to it.  The query of atom i thus lands after
+    the i queries before it and the atoms strictly below it, and the ends
+    are ``searchsorted(locs, locs + width, side="left")``, bit for bit,
+    on the finite locations :class:`AtomicMeasure` accepts.
+    """
+    n = merged.size // 2
+    np.add(merged[n:], width, out=merged[:n])
+    # the order array is dropped before the ends exist, and they are
+    # offset in place, to keep the peak of memory low
+    ends = np.flatnonzero(np.argsort(merged, kind="stable") < n)
+    ends -= np.arange(n)
+    return ends
+
+
 def _scan_runs(
     locs: np.ndarray,
     radii: list[float],
@@ -378,15 +408,18 @@ def _scan_runs(
     A searched radius has its run ends searched once, and every measure
     (given by its prefix masses and exponent) takes its heaviest run
     against them.  Only radii that can still set some measure's maximum
-    are searched.  The heaviest run mass never decreases with the radius:
-    the run ends ``searchsorted(locs, locs + 2r)`` never decrease in r, the
-    prefix masses are a running sum of positive masses, and float
-    subtraction is monotone.  ``bounds``, where given, holds an upper
-    bound on each measure's heaviest run mass at each radius (the cap
-    bound of :func:`_cap_bounds`; an arbitrary measure has none).  So at a
-    radius r below a searched radius r' a measure's heaviest run mass is
-    at most the least of its heaviest mass at r' and its bound at r, and,
-    float division being monotone, its ratio is at most that over r**s.
+    are searched.  A search is one linear merge of the atoms with the
+    queries ``locs + 2r`` (:func:`_run_ends`); each run ends at the first
+    atom not below its query, as ``searchsorted(locs, locs + 2r,
+    side="left")`` would give.  The heaviest run mass never decreases with
+    the radius: the run ends never decrease in r, the prefix masses are a
+    running sum of positive masses, and float subtraction is monotone.
+    ``bounds``, where given, holds an upper bound on each measure's
+    heaviest run mass at each radius (the cap bound of
+    :func:`_cap_bounds`; an arbitrary measure has none).  So at a radius
+    r below a searched radius r' a measure's heaviest run mass is at most
+    the least of its heaviest mass at r' and its bound at r, and, float
+    division being monotone, its ratio is at most that over r**s.
     The largest radius is searched first; it bounds every mass below it.
     The smallest radius, where r**s is least and which often holds the
     maximum ratio, is tested second, and the others from the top down:
@@ -411,10 +444,11 @@ def _scan_runs(
     reached = [-math.inf] * len(prefixes)  # best ratio of each measure so far
     # radius index -> (ratio, mass, first atom, run end) of each measure
     runs: dict[int, list[tuple[float, float, int, int]]] = {}
+    merged = np.concatenate((locs, locs))  # _run_ends refills the first half
 
     def search(k: int) -> None:
         r = radii[k]
-        ends = np.searchsorted(locs, locs + 2.0 * r, side="left")
+        ends = _run_ends(merged, 2.0 * r)
         if first_ends is not None:
             np.maximum(ends, first_ends, out=ends)
         row = []

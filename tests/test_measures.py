@@ -215,6 +215,24 @@ def test_atomic_measure_validation():
         AtomicMeasure(np.array([0.2, 0.5]), np.array([0.5, -0.5]), 1.0, None)
 
 
+@pytest.mark.parametrize(
+    "locations",
+    [[math.nan, 0.0, 1.0], [0.0, math.nan, 1.0], [0.0, 1.0, math.inf], [-math.inf, 0.0, 1.0]],
+)
+def test_atomic_measure_refuses_non_finite_locations(locations):
+    # NaN fails every comparison, so it passed the order check and gave
+    # verify_ball_mass a constant of 10.0 with a NaN witness
+    with pytest.raises(InputError, match="^locations must be finite$"):
+        AtomicMeasure(locations, [0.2, 0.3, 0.5])
+
+
+@pytest.mark.parametrize("masses", [[math.inf, 1.0], [1.0, math.inf], [math.nan, 1.0]])
+def test_atomic_measure_refuses_non_finite_masses(masses):
+    # an infinite mass once gave verify_ball_mass a constant of -inf
+    with pytest.raises(InputError, match="^masses must be (positive|finite)$"):
+        AtomicMeasure([0.0, 1.0], masses)
+
+
 # --- ball mass sweep -----------------------------------------------------------
 
 
@@ -510,16 +528,16 @@ def test_roundtrip_constants_match_the_full_scan(monkeypatch, model, s_grid, sca
 
 
 def _count_searches(monkeypatch, model, s_grid, scales, base):
-    """Run-end searches of one roundtrip."""
+    """Run-end searches of one roundtrip: calls of ``measures._run_ends``."""
     searches = []
-    real = np.searchsorted
+    real = measures._run_ends
 
     def counting(*args, **kwargs):
         searches.append(1)
         return real(*args, **kwargs)
 
     with monkeypatch.context() as m:
-        m.setattr(measures.np, "searchsorted", counting)
+        m.setattr(measures, "_run_ends", counting)
         massfrostman_roundtrip(model, PowerLaw(0.5), s_grid, scales, base=base)
     return len(searches)
 
@@ -528,9 +546,9 @@ def test_roundtrip_scan_skips_radii_that_cannot_set_the_maximum(thirds, monkeypa
     # the criterion-07 thirds inputs: the full scan searches all 33 radii
     # at each of 3 scales (99 searches); searching the top radius, then
     # the smallest, then pruning from the top down makes 37, with or
-    # without the cap bound
+    # without the cap bound.  Every scale searches its top radius at least
     scales = [-6 * LOG3, -7 * LOG3, -8 * LOG3]
-    assert _count_searches(monkeypatch, thirds, CRITERION_07_S, scales, 3) <= 37
+    assert 3 <= _count_searches(monkeypatch, thirds, CRITERION_07_S, scales, 3) <= 37
 
 
 @pytest.mark.parametrize(
@@ -539,8 +557,41 @@ def test_roundtrip_scan_skips_radii_that_cannot_set_the_maximum(thirds, monkeypa
     ids=["frostman workload", "criterion 07"],
 )
 def test_cap_bound_leaves_one_search_per_scale_on_the_sequence(monkeypatch, s_grid, scales):
-    # the heaviest mass above alone leaves 18 and 21 searches
-    assert _count_searches(monkeypatch, SequenceSet(1.0), s_grid, scales, 20) <= 3
+    # the heaviest mass above alone leaves 18 and 21 searches; every scale
+    # searches its top radius at least
+    assert _count_searches(monkeypatch, SequenceSet(1.0), s_grid, scales, 20) == 3
+
+
+# budget: 2 s.  At 300 examples the property runs in about 0.6 s on a
+# 2-core host.  Atoms sit on a grid of units shifted by up to 1e6; a
+# width drawn as an integer counts units, so with dyadic units its queries
+# land exactly on atoms, and widths below half the float spacing round
+# every query back onto its own atom
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(units=[0], unit=1.0, offset=0.0, negative_zero=[], width=1e-300)
+@example(units=[0, 0, 1, 1], unit=1.0, offset=0.0, negative_zero=[True, False], width=1)
+@example(units=[3, 5, 5, 7], unit=0.5, offset=1e6, negative_zero=[], width=2.0**-40)
+@given(
+    units=st.lists(st.integers(-20, 20), min_size=1, max_size=40),
+    unit=st.sampled_from([1.0, 0.5, 2.0**-10, 0.1]),
+    offset=st.sampled_from([0.0, -0.37, 1e3, -2.5e4, 1e6]),
+    negative_zero=st.lists(st.booleans(), max_size=40),
+    width=st.integers(0, 8)
+    | st.floats(0.0, 50.0)
+    | st.sampled_from([5e-324, 1e-300, 1e-20, 2.0**-40]),
+)
+def test_run_ends_match_a_left_binary_search(units, unit, offset, negative_zero, width):
+    locs = np.sort(offset + np.array(units, dtype=float) * unit)
+    # zeros flagged by negative_zero become -0.0, which equals 0.0
+    flips = np.zeros(locs.size, dtype=bool)
+    flips[: len(negative_zero)] = negative_zero[: locs.size]
+    locs[(locs == 0.0) & flips] = -0.0
+    if isinstance(width, int):
+        width *= unit
+    expected = np.searchsorted(locs, locs + width, side="left")
+    got = measures._run_ends(np.concatenate((locs, locs)), width)
+    assert got.dtype == expected.dtype
+    assert got.tolist() == expected.tolist()
 
 
 _CAP_MODELS = {
